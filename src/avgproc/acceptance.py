@@ -3,9 +3,9 @@
 Each criterion function is self-contained, deterministic (fixed seeds), and
 returns a CriterionResult with a human-readable detail string; the suite
 runner prints one PASS/FAIL line per criterion. Numeric gates compare
-simulation or floating DP output against exact comparators at explicitly
-stated tolerances; the exact-arithmetic gates require residuals to vanish
-identically.
+simulation output or float sequence tables against exact comparators at
+explicitly stated tolerances; the exact-arithmetic gates require residuals
+to vanish identically.
 
 A note on normalization: all large-n gates rescale return probabilities by
 the diffusive scale (2 pi n / d)^{d/2}. The walks here pick one of the d

@@ -46,14 +46,14 @@ class AlphaEstimate(NamedTuple):
 
 def alpha_return_total(d: int, n_max: int = 20000,
                        sequence: SequenceTable | None = None) -> AlphaEstimate:
-    """alpha_d = sum_n p_n = G_d(1), with a certified tail enclosure.
+    """alpha_d = sum_n p_n = G_d(1), with an estimated tail.
 
     Only makes sense for transient dimensions (d >= 3); the sum diverges for
-    d <= 2. The tail past n_max is bounded by C * sum_{even n > n_max}
-    n^{-d/2} with C = 1.5 * max(p_n n^{d/2}) over the last computed quarter
-    (the rescaled sequence is eventually flat, so the inflated max dominates);
-    only even n enter since odd entries vanish. The returned value is the
-    midpoint of [partial, partial + tail] and ``error`` its radius.
+    d <= 2. The tail past n_max is estimated as C * sum_{even n > n_max}
+    n^{-d/2} with the heuristic C = 1.5 * max(p_n n^{d/2}) over the last
+    computed quarter (the rescaled sequence is eventually flat; 1.5 is a
+    margin, not a proof). The value is the midpoint of [partial,
+    partial + tail] and ``error`` its radius: an estimate, not a bound.
     """
     if d < 3:
         raise ValueError(f"sum_n p_n diverges for d={d}: the walk is recurrent")

@@ -29,7 +29,8 @@ from .lattice import Box
 from .series import verify_closed_form_d1, verify_gf_relations, verify_potlach_relation
 from .simulate import ExperimentConfig, simulate
 from .stats import clt_statistic, estimate_mean_field, estimate_moments
-from .walks import first_passage_sequences, poissonized_return, return_sequence
+from .walks import (first_return_sequence, poissonized_return, return_sequence,
+                    sphere_first_return_sequence, sphere_taboo_sequence)
 
 KERNELS = {
     "srw": srw_kernel,
@@ -37,6 +38,9 @@ KERNELS = {
     "potlach-ind": lambda d: potlach_kernels(d)[0],
     "potlach-coup": lambda d: potlach_kernels(d)[1],
 }
+
+TABLES = {"p": return_sequence, "q": first_return_sequence,
+          "r": sphere_taboo_sequence, "s": sphere_first_return_sequence}
 
 #: per-key parsers for config files (also the set of accepted keys)
 CONFIG_TYPES = {
@@ -272,21 +276,17 @@ def cmd_simulate(opts, tol) -> int:
 def cmd_walk_dp(opts, tol) -> int:
     kernel = KERNELS[opts["kernel"]](opts["d"])
     names = [t.strip() for t in opts["tables"].split(",") if t.strip()]
-    unknown = set(names) - {"p", "q", "r", "s"}
+    unknown = set(names) - set(TABLES)
     if unknown:
         raise UsageError(f"unknown tables {sorted(unknown)}; choose from p,q,r,s")
-    tables = []
-    if "p" in names:
-        tables.append(return_sequence(kernel, opts["steps"], mode=opts["mode"]))
-    if {"q", "r", "s"} & set(names):
-        q, r, s = first_passage_sequences(kernel, opts["steps"], mode=opts["mode"])
-        for name, tab in (("q", q), ("r", r), ("s", s)):
-            if name in names:
-                tables.append(tab)
+    tables = [TABLES[t](kernel, opts["steps"], mode=opts["mode"]) for t in "pqrs" if t in names]
     rows = [row for tab in tables for row in tab.csv_rows()]
-    _emit(opts, ("name", "n", "numerator", "denominator", "float_value"), rows)
+    budget = {} if opts["mode"] == "exact" else {t.name: t.error_bound for t in tables}
+    _emit(opts, ("name", "n", "numerator", "denominator", "float_value"), rows,
+          comments=[f"{name}:error_bound={bound!r}" for name, bound in budget.items()])
+    extras = {"error_bounds": budget} if budget else {}
     _summary(opts, {"command": "walk-dp", "ok": True,
-                    "tables": [t.name for t in tables]})
+                    "tables": [t.name for t in tables], **extras})
     return 0
 
 
@@ -412,13 +412,7 @@ def run(argv: list[str] | None = None) -> int:
         tol = acceptance.merged_tolerances(overrides)
         opts = resolve_options(args)
         return COMMANDS[args.command](opts, tol)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

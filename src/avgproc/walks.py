@@ -1,27 +1,26 @@
 """Step-n distributions, return/first-passage sequences, and Poissonization.
 
-The workhorse is a dynamic program over the positive orthant: every start
-distribution used here (point mass at the origin, uniform on the unit sphere)
-is invariant under coordinate sign flips, and so is every kernel row pattern,
-so only the nonnegative cone is stored and the low faces are mirror-padded.
-Exact mode runs on integer numerators scaled by ``kernel.scale`` per step;
-float mode runs in double precision inside a certified window and tracks the
-mass that leaves it.
+Exact tables come from a dynamic program over the positive orthant, one
+independent pass per table: every start distribution used here and every
+kernel row pattern is invariant under coordinate sign flips, so only the
+nonnegative cone is stored, in integer numerators scaled by ``kernel.scale``
+per step. Float tables take the series route: the SRW return sequence in
+closed form, then the identities ``series.verify_gf_relations`` checks.
+Each float table carries ``error_bound``, a bound on every entry's error,
+proven for d <= 3 and infinite for d >= 4.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy.stats import poisson
 
-from .kernels import TransitionKernel, srw_kernel
-from .lattice import Box, Point, origin, unit_vectors
+from .kernels import TransitionKernel, avg_difference_kernel, potlach_kernels, srw_kernel
+from .lattice import Box, Point, origin
 
 
 class SequenceTooShortError(ValueError):
@@ -39,8 +38,8 @@ class SequenceTooShortError(ValueError):
 class SequenceTable:
     """Entries of one of the walk sequences, indexed from ``first_index``.
 
-    Exact tables hold Fractions; float tables hold lower bounds whose total
-    defect is at most ``escape_bound`` (mass lost past the DP window).
+    Exact tables hold Fractions; float tables hold doubles, each within
+    ``error_bound`` of the exact value.
     """
 
     name: str
@@ -49,7 +48,7 @@ class SequenceTable:
     entries: list
     exact: bool
     kernel_name: str = ""
-    escape_bound: float = 0.0
+    error_bound: float = 0.0
 
     @property
     def last_index(self) -> int:
@@ -119,186 +118,88 @@ class DistVector:
 
 
 def float_window_radius(n: int, d: int, c: float | None = None) -> int:
-    """Certified DP window for n float steps: ceil(c*sqrt(n log(n+2))) + 2.
-
-    The default c = 3.4/sqrt(d) keeps the per-axis Gaussian tail far below
-    1e-13; the realized escape is measured and reported as a certificate.
-    """
-    if c is None:
-        c = 3.4 / math.sqrt(d)
+    """Orthant window ceil(c*sqrt(n log(n+2))) + 2, c = 3.4/sqrt(d) by default, of
+    an n-step float walk; ``perfbench`` sizes its cell-update count with it."""
+    c = 3.4 / math.sqrt(d) if c is None else c
     return math.ceil(c * math.sqrt(n * math.log(n + 2))) + 2
 
 
-def _orthant_weights(shape: tuple[int, ...]) -> np.ndarray:
-    """Orbit sizes 2^(# nonzero coords) for points stored in the orthant."""
-    axes = []
-    for s in shape:
-        a = np.full(s, 2.0)
-        a[0] = 1.0
-        axes.append(a)
-    return reduce(np.multiply.outer, axes) if len(axes) > 1 else axes[0]
+def _orthant_step(cur: np.ndarray, bulk, deltas) -> np.ndarray:
+    """One exact kernel step on the stored orthant cone [0, r]^d, r = len(cur) - 1."""
+    d, r = cur.ndim, len(cur) - 1
+    r2 = max(r + 1, 2)
+    padded = np.zeros((r2 + 3,) * d, dtype=object)
+    padded[(slice(1, r + 2),) * d] = cur
+    for axis in range(d):  # mirror-pad the low faces
+        face = np.moveaxis(padded, axis, 0)
+        face[0] = face[2]
 
-
-class _OrthantWalker:
-    """Sign-symmetric DP engine shared by all sequence computations."""
-
-    def __init__(self, kernel: TransitionKernel, n_steps: int, mode: str = "exact",
-                 start: str = "origin", window_radius: int | None = None):
-        if mode not in ("exact", "float"):
-            raise ValueError("mode must be 'exact' or 'float'")
-        self.kernel = kernel
-        self.exact = mode == "exact"
-        d = kernel.dimension
-        self.d = d
-        scale = kernel.scale
-
-        if self.exact:
-            self.bulk = [(o, int(p * scale)) for o, p in kernel.bulk.items()]
-            self.scale = scale
-        else:
-            self.bulk = [(o, float(p)) for o, p in kernel.bulk.items()]
-            self.scale = 1
-
-        # Row corrections at perturbed sites, in full (signed) coordinates.
-        self.deltas: list[tuple[Point, list[tuple[Point, object]]]] = []
-        for site, row in kernel.perturbation.items():
-            delta = []
-            for o in set(row) | set(kernel.bulk):
-                diff = row.get(o, Fraction(0)) - kernel.bulk.get(o, Fraction(0))
-                if diff:
-                    delta.append((o, int(diff * scale) if self.exact else float(diff)))
-            self.deltas.append((site, delta))
-
-        if window_radius is None:
-            if self.exact:
-                window_radius = n_steps + kernel.max_step
-            else:
-                window_radius = float_window_radius(n_steps, d)
-        self.rmax = max(window_radius, 2)
-
-        dtype = object if self.exact else np.float64
-        self.cur = np.zeros((self.rmax + 1,) * d, dtype=dtype)
-        one = 1 if self.exact else 1.0
-        if start == "origin":
-            self.cur[(0,) * d] = one
-            self.denominator = 1
-            self.r = 0
-        elif start == "sphere":
-            for j in range(d):
-                self.cur[tuple(1 if i == j else 0 for i in range(d))] = one if self.exact else 1.0 / (2 * d)
-            self.denominator = 2 * d if self.exact else 1
-            self.r = 1
-        else:
-            raise ValueError("start must be 'origin' or 'sphere'")
-        self.escaped = 0.0  # float mode only; exact windows never overflow
-        self._weights: np.ndarray | None = None
-
-    # -- stored-entry helpers ------------------------------------------------
-
-    def _at(self, site: Point):
+    nxt = np.zeros((r2 + 1,) * d, dtype=object)
+    for o, c in bulk:
+        nxt += c * padded[tuple(slice(1 - oj, 2 - oj + r2) for oj in o)]
+    for site, delta in deltas:
         stored = tuple(abs(c) for c in site)
-        if any(c > self.r for c in stored):
-            return 0 if self.exact else 0.0
-        return self.cur[stored]
+        val = cur[stored] if max(stored) <= r else 0
+        if val:
+            for o, c in delta:
+                tgt = tuple(a + b for a, b in zip(site, o))
+                if min(tgt) >= 0:
+                    nxt[tgt] += val * c
+    return nxt
 
-    def origin_value(self):
-        v = self.cur[(0,) * self.d]
-        return Fraction(int(v), self.denominator) if self.exact else float(v)
 
-    def sphere_value(self):
-        total = sum(self.cur[tuple(1 if i == j else 0 for i in range(self.d))] for j in range(self.d))
-        total = 2 * total
-        return Fraction(int(total), self.denominator) if self.exact else float(total)
+def _sequence(kernel: TransitionKernel, n_max: int, mode: str, name: str | None,
+              table: str) -> SequenceTable:
+    """Table p, q, r or s: the series route in float mode, else one orthant DP pass.
 
-    def kill_origin(self):
-        self.cur[(0,) * self.d] = 0 if self.exact else 0.0
+    p and q start at the origin, r and s uniform on the unit sphere (each
+    stored unit vector stands for two sphere points). After each step q
+    records the origin and every pass but p then kills it; r and s record
+    the sphere, and s kills it.
+    """
+    if mode not in ("exact", "float"):
+        raise ValueError("mode must be 'exact' or 'float'")
+    if name is None:
+        name = table if not kernel.perturbation else f"{table}_tilde"
+    if mode == "float":
+        return _float_table(kernel, n_max, table, name)
+    d = kernel.dimension
+    scale, bulk, deltas = _kernel_box_data(kernel, exact=True)
+    zero = (0,) * d
+    watch, mult, den = (([zero], 1, 1) if table in "pq" else
+                        ([tuple(int(i == j) for i in range(d)) for j in range(d)], 2, 2 * d))
+    cur = np.zeros((2,) * d, dtype=object)
+    for e in watch:
+        cur[e] = 1
 
-    def kill_sphere(self):
-        for j in range(self.d):
-            self.cur[tuple(1 if i == j else 0 for i in range(self.d))] = 0 if self.exact else 0.0
+    def value() -> Fraction:
+        return Fraction(mult * int(sum(cur[e] for e in watch)), den)
 
-    # -- stepping ------------------------------------------------------------
-
-    def step(self) -> None:
-        d, r = self.d, self.r
-        r2 = min(max(r + 1, 2), self.rmax)
-        dtype = object if self.exact else np.float64
-
-        if not self.exact and r == self.rmax:
-            # mass about to shift past the high faces is absorbed; account for
-            # it directly (only unit bulk offsets can cross).
-            if self._weights is None:
-                self._weights = _orthant_weights(self.cur.shape)
-            w = self._weights
-            for o, c in self.bulk:
-                j = next(i for i, oj in enumerate(o) if oj)
-                if o[j] > 0:
-                    layer = tuple(slice(None) if i != j else self.rmax for i in range(d))
-                    self.escaped += c * float(np.sum(self.cur[layer] * w[layer]))
-
-        padded = np.zeros((r2 + 3,) * d, dtype=dtype)
-        padded[(slice(1, r + 2),) * d] = self.cur[(slice(0, r + 1),) * d]
-        for axis in range(d):
-            lo = tuple(slice(None) if i != axis else 0 for i in range(d))
-            src = tuple(slice(None) if i != axis else 2 for i in range(d))
-            padded[lo] = padded[src]
-
-        nxt = np.zeros((r2 + 1,) * d, dtype=dtype)
-        for o, c in self.bulk:
-            sl = tuple(slice(1 - oj, 1 - oj + r2 + 1) for oj in o)
-            nxt += c * padded[sl]
-
-        for site, delta in self.deltas:
-            val = self._at(site)
-            if val if self.exact else val != 0.0:
-                for o, c in delta:
-                    tgt = tuple(a + b for a, b in zip(site, o))
-                    if all(0 <= t <= r2 for t in tgt):
-                        nxt[tgt] += val * c
-
-        self.cur = nxt
-        self.r = r2
-        self.denominator *= self.scale
-
-    def as_distribution(self) -> dict[Point, object]:
-        """Full signed-space distribution {point: probability} (small r only)."""
-        out = {}
-        for idx in np.ndindex(self.cur.shape):
-            v = self.cur[idx]
-            if v if self.exact else v != 0.0:
-                val = Fraction(int(v), self.denominator) if self.exact else float(v)
-                for signs in itertools.product(*[(1, -1) if c else (1,) for c in idx]):
-                    out[tuple(s * c for s, c in zip(signs, idx))] = val
-        return out
+    entries = [value()] if table in "pr" else []
+    for _ in range(n_max):
+        cur, den = _orthant_step(cur, bulk, deltas), den * scale
+        if table == "q":
+            entries.append(value())
+        if table != "p":
+            cur[zero] = 0
+        if table != "q":
+            entries.append(value())
+        if table == "s":
+            for e in watch:
+                cur[e] = 0
+    return SequenceTable(name, d, 0 if table in "pr" else 1, entries, True, kernel.name)
 
 
 def return_sequence(kernel: TransitionKernel, n_max: int, mode: str = "exact",
-                    name: str | None = None, window_radius: int | None = None) -> SequenceTable:
+                    name: str | None = None) -> SequenceTable:
     """p_n = Pr_0(walk at origin after n steps), n = 0..n_max."""
-    if name is None:
-        name = "p" if not kernel.perturbation else "p_tilde"
-    w = _OrthantWalker(kernel, n_max, mode, "origin", window_radius)
-    entries = [w.origin_value()]
-    for _ in range(n_max):
-        w.step()
-        entries.append(w.origin_value())
-    return SequenceTable(name, kernel.dimension, 0, entries, w.exact,
-                         kernel.name, w.escaped)
+    return _sequence(kernel, n_max, mode, name, "p")
 
 
 def first_return_sequence(kernel: TransitionKernel, n_max: int, mode: str = "exact",
                           name: str | None = None) -> SequenceTable:
     """q_n = Pr_0(first return to the origin at step n), n = 1..n_max."""
-    if name is None:
-        name = "q" if not kernel.perturbation else "q_tilde"
-    w = _OrthantWalker(kernel, n_max, mode, "origin")
-    entries = []
-    for _ in range(n_max):
-        w.step()
-        entries.append(w.origin_value())
-        w.kill_origin()
-    return SequenceTable(name, kernel.dimension, 1, entries, w.exact,
-                         kernel.name, w.escaped)
+    return _sequence(kernel, n_max, mode, name, "q")
 
 
 def sphere_taboo_sequence(kernel: TransitionKernel, n_max: int, mode: str = "exact",
@@ -308,46 +209,194 @@ def sphere_taboo_sequence(kernel: TransitionKernel, n_max: int, mode: str = "exa
     The start is uniform on S_d(1); the entries do not depend on the start
     point, and the uniform choice preserves the sign symmetry the DP uses.
     """
-    if name is None:
-        name = "r" if not kernel.perturbation else "r_tilde"
-    w = _OrthantWalker(kernel, n_max, mode, "sphere")
-    entries = [w.sphere_value()]
-    for _ in range(n_max):
-        w.step()
-        w.kill_origin()
-        entries.append(w.sphere_value())
-    return SequenceTable(name, kernel.dimension, 0, entries, w.exact,
-                         kernel.name, w.escaped)
+    return _sequence(kernel, n_max, mode, name, "r")
 
 
 def sphere_first_return_sequence(kernel: TransitionKernel, n_max: int, mode: str = "exact",
                                  name: str | None = None) -> SequenceTable:
     """s_n = Pr_sphere(first return to the sphere at step n, origin avoided)."""
-    if name is None:
-        name = "s" if not kernel.perturbation else "s_tilde"
-    w = _OrthantWalker(kernel, n_max, mode, "sphere")
-    entries = []
-    for _ in range(n_max):
-        w.step()
-        w.kill_origin()
-        entries.append(w.sphere_value())
-        w.kill_sphere()
-    return SequenceTable(name, kernel.dimension, 1, entries, w.exact,
-                         kernel.name, w.escaped)
+    return _sequence(kernel, n_max, mode, name, "s")
 
 
 def first_passage_sequences(kernel: TransitionKernel, n_max: int,
                             mode: str = "exact") -> FirstPassageTables:
-    """The (q, r, s) tables, each from its own independent DP pass.
+    """The (q, r, s) tables.
 
-    Keeping the passes independent matters: the renewal identities the series
-    lab verifies would be circular if r were derived from s or q from r.
+    Exact mode runs one independent DP pass per table: the renewal
+    identities the series lab verifies would be circular if r were derived
+    from s or q from r. Float mode derives all three from the SRW closed form
+    through those identities, so float tables never feed the identity suite.
     """
-    return FirstPassageTables(
-        q=first_return_sequence(kernel, n_max, mode),
-        r=sphere_taboo_sequence(kernel, n_max, mode),
-        s=sphere_first_return_sequence(kernel, n_max, mode),
-    )
+    return FirstPassageTables(*(fn(kernel, n_max, mode) for fn in (
+        first_return_sequence, sphere_taboo_sequence, sphere_first_return_sequence)))
+
+
+# ---------------------------------------------------------------------------
+# Float tables: the series route. Each is one power-series division in the SRW
+# return GF G, by identities ``series.verify_gf_relations`` checks exactly
+# (renewal theory: Spitzer, Principles of Random Walk). For x = N/D with input
+# errors e_N, e_D, Higham (Accuracy and Stability, section 8) bounds the long
+# division coefficientwise, to first order, by the series products
+#     |x^ - x| <= |D^-1| (gamma_{n+1} (|D| |x^| + |N|) + e_N + e_D |x^|);
+# a factor 2 covers the second-order terms (|D^-1| from computed coefficients).
+# ---------------------------------------------------------------------------
+
+_U = 2.0 ** -53
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff of float64."""
+    return k * _U / (1.0 - k * _U)
+
+
+class _Series(NamedTuple):
+    """Float coefficients c[0..n] and a coefficientwise bound on their error."""
+
+    c: np.ndarray
+    err: np.ndarray
+
+    def times(self, k: float) -> "_Series":
+        c = k * self.c
+        return _Series(c, abs(k) * self.err + _U * np.abs(c))
+
+
+def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """First len(a) coefficients of a*b (len(b) == len(a)), in about n^2/2 products."""
+    n = len(a)
+    if n <= 512:
+        return np.convolve(a, b)[:n]
+    h = n // 2
+    out = np.zeros(n)
+    out[: 2 * h - 1] = np.convolve(a[:h], b[:h])
+    out[h:] += _conv(a[: n - h], b[h:]) + _conv(a[h:], np.r_[b[:h], np.zeros(n - 2 * h)])
+    return out
+
+
+def _divide(num: _Series, den: _Series) -> _Series:
+    """num/den by long division, one dot product per coefficient, with its bound."""
+    n = len(den.c)
+    rev = den.c[:0:-1].copy()                       # rev[n-1-j] = den_j
+    sol = np.column_stack([num.c, np.eye(1, n)[0]])  # solve for x and 1/den at once
+    for k in range(n):
+        sol[k] = (sol[k] - rev[n - 1 - k:] @ sol[:k]) / den.c[0]
+    x = sol[:, 0]
+    if not (np.isfinite(num.err).all() and np.isfinite(den.err).all()):
+        return _Series(x, np.full(n, np.inf))
+    g, ax = _gamma(n + 1), np.abs(x)  # a length-k dot product, a subtraction, a division
+    local = _conv(g * np.abs(den.c) + den.err, ax) + g * np.abs(num.c) + num.err
+    return _Series(x, 2.0 * _conv(np.abs(sol[:, 1]), local))
+
+
+def _log_self_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """c[m] = log sum_j exp(a[j] + b[m-j]) without leaving log space."""
+    n = len(a)
+    out = np.empty(n)
+    for m in range(n):
+        s = a[: m + 1] + b[m::-1]
+        mx = s.max()
+        out[m] = mx + math.log(float(np.sum(np.exp(s - mx))))
+    return out
+
+
+def _srw_closed_form(d: int, n_max: int) -> _Series:
+    """p_0..p_n_max of the SRW with per-entry error bounds (odd entries are 0).
+
+    d <= 3: exact recurrences on P_m = p_2m, rel bounding |P^_m - P_m| / P^_m.
+    d=1: P_m = P_{m-1}(2m-1)/(2m); d=2: its square; d=3: 36 m^3 P_m =
+    2(2m-1)(10m^2-10m+3) P_{m-1} - (m-1)(2m-1)(2m-3) P_{m-2}, run on the ratio
+    t = P_m/P_{m-1}, which contracts (the other solution decays like 9^-m), so
+    its error eta stays a few ulp. d >= 4: p_2m = (2m)!/(2d)^{2m} sum over
+    k_1+...+k_d=m of prod (k_i!)^-2, a log-space convolution, bound inf.
+    """
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    m_max = n_max // 2
+    if d <= 2:
+        m = np.arange(1, m_max + 1, dtype=float)
+        big = np.r_[1.0, np.cumprod((2 * m - 1) / (2 * m))]
+        k = 2.0 * np.arange(m_max + 1)   # P_m carries 2m roundings
+        if d == 2:
+            big, k = big * big, 2 * k + 1
+        rel = _gamma(2 * k)              # gamma_k / (1 - gamma_k) <= gamma_2k
+    elif d == 3:
+        g6 = _gamma(6)  # a, b, c each rounded to double once, three operations
+        big, rel = np.ones(m_max + 1), np.zeros(m_max + 1)
+        t, eta, rho = 1.0, 0.0, 0.0
+        for m in range(1, m_max + 1):
+            a, b, c = (float(v) for v in (2 * (2 * m - 1) * (10 * m * m - 10 * m + 3),
+                                          (m - 1) * (2 * m - 1) * (2 * m - 3), 36 * m ** 3))
+            w = b / t
+            t, eta = (a - w) / c, g6 * (a + w) / c + (b / c) * eta / (t * (t - eta))
+            big[m] = big[m - 1] * t
+            rho = (1.0 + rho) * (1.0 + eta / (t - eta)) * (1.0 + _U) - 1.0
+            rel[m] = rho / (1.0 - rho)
+    else:
+        base = -2.0 * np.vectorize(math.lgamma)(np.arange(m_max + 1) + 1.0)
+        conv = base
+        for _ in range(d - 1):
+            conv = _log_self_conv(conv, base)
+        big = np.array([math.exp(math.lgamma(2 * m + 1) - 2 * m * math.log(2 * d) + conv[m])
+                        for m in range(m_max + 1)])
+        rel = np.inf
+    p, err = np.zeros(n_max + 1), np.zeros(n_max + 1)
+    p[::2], err[::2] = big, rel * big
+    return _Series(p, err)
+
+
+def srw_return_sequence_float(d: int, n_max: int) -> SequenceTable:
+    """SRW return probabilities p_0..p_n_max from the closed form, in floats."""
+    p = _srw_closed_form(d, n_max)
+    return SequenceTable("p", d, 0, p.c.tolist(), exact=False, kernel_name="srw",
+                         error_bound=float(np.max(p.err)))
+
+
+def _route(kernel: TransitionKernel) -> str:
+    """The family whose rows the kernel has: 'srw', 'avg-diff' or 'potlach-coup'."""
+    d = kernel.dimension
+    for route, family in (("srw", srw_kernel(d)), ("avg-diff", avg_difference_kernel(d)),
+                          ("potlach-coup", potlach_kernels(d)[1])):
+        if (kernel.bulk, kernel.perturbation) == (family.bulk, family.perturbation):
+            return route
+    raise ValueError(f"float mode has no series route for kernel {kernel.name!r} (its rows "
+                     "match none of srw, avg-diff, potlach-coup); use mode='exact'")
+
+
+def _float_table(kernel: TransitionKernel, n_max: int, table: str, name: str) -> SequenceTable:
+    """Table p, q, r or s through z^n_max by the series route.
+
+    With M = (G-1)/z^2, A = (1-(1-2z)G)/z, B = (1-(1-z)^2 G)/z (A_0 = B_0 = 2):
+    srw: Q = z^2 M/G, R = 2d M/G, S = 1 - G/(2d M) (renewal, skeleton,
+    sphere renewal). avg-diff: G~ = A/B, R~ = 4d M/A, Q~ = z/2 + z^2 M/(2A),
+    S~ = S + z/(4d) (gtilde-from-g, stilde-from-s, the perturbed skeleton and
+    sphere renewal). potlach-coup: G~ = 2G/B (coupling relation),
+    Q~ = 1 - 1/G~ = 1 - B/(2G), R~ = R, S~ = S (the origin is killed before
+    its row is used).
+    """
+    route, d = _route(kernel), kernel.dimension
+    avg, n = route == "avg-diff", max(n_max, 1)
+    g = _srw_closed_form(d, n + 2)
+    p, p1, pm = g.c[: n + 1], g.c[1: n + 2], np.r_[0.0, g.c[:n]]
+    e, e1, em = g.err[: n + 1], g.err[1: n + 2], np.r_[0.0, g.err[:n]]
+    a = 2 * p - p1
+    G, M = _Series(p, e), _Series(g.c[2:], g.err[2:])
+    A = _Series(a, 2 * e + e1 + _U * np.abs(a))
+    B = _Series(a - pm, 2 * e + e1 + em + _gamma(2) * (2 * p + p1 + pm))
+    if table == "p":
+        out = G if route == "srw" else _divide(A, B) if avg else _divide(G.times(2.0), B)
+    elif table == "s" or table == "q" and route == "potlach-coup":
+        y = _divide(G, M.times(2 * d)) if table == "s" else _divide(B.times(0.5), G)
+        out = _Series(0.0 - y.c, y.err)                 # 1 - y; coefficient 0 is unused
+        if avg:
+            out.c[1] += 1.0 / (4 * d)
+            out.err[1] += _gamma(2) * out.c[1]
+    else:
+        x = _divide(M, A if avg else G)
+        h = 0.5 if avg else 1.0
+        out = (x.times(4 * d if avg else 2 * d) if table == "r" else
+               _Series(np.r_[0.0, 1.0 - h, h * x.c[:-2]], np.r_[0.0, 0.0, h * x.err[:-2]]))
+    first = 0 if table in "pr" else 1
+    return SequenceTable(name, d, first, out.c[first: n_max + 1].tolist(), False, kernel.name,
+                         float(np.max(out.err[first: n_max + 1], initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +404,13 @@ def first_passage_sequences(kernel: TransitionKernel, n_max: int,
 # ---------------------------------------------------------------------------
 
 
-def _box_step(kernel, box: Box, cur: np.ndarray, exact: bool, coeffs, deltas):
+def _box_step(box: Box, cur: np.ndarray, exact: bool, coeffs, deltas):
     d, L, side = box.dimension, box.radius, box.side
-    dtype = object if exact else np.float64
-    if box.topology == "torus":
-        nxt = np.zeros_like(cur)
-        for o, c in coeffs:
+    nxt = np.zeros_like(cur)
+    for o, c in coeffs:
+        if box.topology == "torus":
             nxt += c * np.roll(cur, shift=o, axis=tuple(range(d)))
-    else:
-        nxt = np.zeros((side,) * d, dtype=dtype)
-        for o, c in coeffs:
+        else:
             src = tuple(slice(max(0, -oj), side - max(0, oj)) for oj in o)
             dst = tuple(slice(max(0, oj), side + min(0, oj)) for oj in o)
             nxt[dst] += c * cur[src]
@@ -383,19 +429,15 @@ def _box_step(kernel, box: Box, cur: np.ndarray, exact: bool, coeffs, deltas):
 
 
 def _kernel_box_data(kernel: TransitionKernel, exact: bool):
-    scale = kernel.scale if exact else 1
-    if exact:
-        coeffs = [(o, int(p * scale)) for o, p in kernel.bulk.items()]
-    else:
-        coeffs = [(o, float(p)) for o, p in kernel.bulk.items()]
-    deltas = []
-    for site, row in kernel.perturbation.items():
-        delta = []
-        for o in set(row) | set(kernel.bulk):
-            diff = row.get(o, Fraction(0)) - kernel.bulk.get(o, Fraction(0))
-            if diff:
-                delta.append((o, int(diff * scale) if exact else float(diff)))
-        deltas.append((site, delta))
+    """(scale, bulk stencil, per-site row corrections), integers scaled by
+    ``kernel.scale`` in exact mode, floats otherwise."""
+    scale, zero = (kernel.scale if exact else 1), Fraction(0)
+    num = (lambda p: int(p * scale)) if exact else float
+    coeffs = [(o, num(p)) for o, p in kernel.bulk.items()]
+    deltas = [(site, [(o, num(row.get(o, zero) - kernel.bulk.get(o, zero)))
+                      for o in set(row) | set(kernel.bulk)
+                      if row.get(o, zero) != kernel.bulk.get(o, zero)])
+              for site, row in kernel.perturbation.items()]
     return scale, coeffs, deltas
 
 
@@ -417,52 +459,13 @@ def dp_distribution(kernel: TransitionKernel, start: Point, n: int, box: Box,
     cur = np.zeros((side,) * d, dtype=object if exact else np.float64)
     cur[tuple(c + box.radius for c in box.wrap(start))] = 1 if exact else 1.0
     for _ in range(n):
-        cur = _box_step(kernel, box, cur, exact, coeffs, deltas)
+        cur = _box_step(box, cur, exact, coeffs, deltas)
 
     den = scale**n if exact else 1
     out = DistVector(box=box, step=n, exact=exact, data=cur, denominator=den)
     if box.topology == "absorbing":
-        if exact:
-            out.escaped = den - int(sum(cur.flat))
-        else:
-            out.escaped = max(0.0, 1.0 - float(np.sum(cur)))
+        out.escaped = den - int(sum(cur.flat)) if exact else max(0.0, 1.0 - float(np.sum(cur)))
     return out
-
-
-def _log_self_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """c[m] = log sum_j exp(a[j] + b[m-j]) without leaving log space."""
-    n = len(a)
-    out = np.empty(n)
-    for m in range(n):
-        s = a[: m + 1] + b[m::-1]
-        mx = s.max()
-        out[m] = mx + math.log(float(np.sum(np.exp(s - mx))))
-    return out
-
-
-def srw_return_sequence_float(d: int, n_max: int) -> SequenceTable:
-    """SRW return probabilities from the closed multinomial form, in floats.
-
-    p_{2m} = (2m)!/(2d)^{2m} sum_{k_1+...+k_d=m} prod_i (k_i!)^{-2}: split the
-    2m balanced steps by axis. The inner sum is a d-fold convolution of
-    1/(k!)^2, done in log space, so entries stay accurate to a few ulp per
-    convolution even at n in the tens of thousands. Odd entries are zero.
-    """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    m_max = n_max // 2
-    ks = np.arange(m_max + 1, dtype=float)
-    base = -2.0 * np.vectorize(math.lgamma)(ks + 1.0)
-    conv = base
-    for _ in range(d - 1):
-        conv = _log_self_conv(conv, base)
-    entries = [0.0] * (n_max + 1)
-    log2d = math.log(2 * d)
-    for m in range(m_max + 1):
-        logp = math.lgamma(2 * m + 1) - 2 * m * log2d + conv[m]
-        entries[2 * m] = math.exp(logp)
-    return SequenceTable("p", d, 0, entries, exact=False, kernel_name="srw",
-                         escape_bound=0.0)
 
 
 def required_poisson_order(mu: float, tol: float) -> int:
@@ -480,24 +483,25 @@ class PoissonizedValue(NamedTuple):
 
 def poissonized_return(seq: SequenceTable, lam: float, t: float,
                        tol: float = 1e-12) -> PoissonizedValue:
-    """e^{-lam t} sum (lam t)^n / n! * p_n with a certified truncation bound.
+    """e^{-lam t} sum (lam t)^n / n! * p_n with an error bound.
 
     The kernel's uniformization rate ``lam`` rescales time; raises
     SequenceTooShortError when the Poisson tail past the table is above tol.
+    ``error`` is the tail plus the table's ``error_bound`` plus the rounding
+    of the N-term sum, gamma_{N+2} sum w_n |p_n|.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     mu = lam * t
     if mu == 0:
-        return PoissonizedValue(float(seq[0]) if seq.first_index == 0 else 0.0, 0.0)
+        return PoissonizedValue(float(seq[0]) if seq.first_index == 0 else 0.0, seq.error_bound)
     tail = float(poisson.sf(seq.last_index, mu))
     if tail > tol:
         raise SequenceTooShortError(seq.last_index, required_poisson_order(mu, tol), tail)
-    ns = np.arange(seq.first_index, seq.last_index + 1)
-    weights = poisson.pmf(ns, mu)
-    value = math.fsum(w * float(p) for w, p in zip(weights, seq.entries))
-    error = tail + seq.escape_bound + 1e-15
-    return PoissonizedValue(value, error)
+    weights = poisson.pmf(np.arange(seq.first_index, seq.last_index + 1), mu)
+    terms = [w * float(p) for w, p in zip(weights, seq.entries)]
+    rounding = _gamma(len(terms) + 2) * math.fsum(map(abs, terms))
+    return PoissonizedValue(math.fsum(terms), tail + seq.error_bound + rounding)
 
 
 def heat_kernel(d: int, t: float, box: Box, start: Point | None = None,
@@ -508,8 +512,7 @@ def heat_kernel(d: int, t: float, box: Box, start: Point | None = None,
     the Poisson(t/2) mixture of the discrete SRW powers; the mixture is
     truncated with certified tail at most ``tol`` (reported in tail_bound).
     """
-    if start is None:
-        start = origin(d)
+    start = origin(d) if start is None else start
     kernel = srw_kernel(d)
     mu = t / 2.0
     n_max = required_poisson_order(mu, tol) if mu > 0 else 0
@@ -520,7 +523,7 @@ def heat_kernel(d: int, t: float, box: Box, start: Point | None = None,
     weights = poisson.pmf(np.arange(n_max + 1), mu) if mu > 0 else np.array([1.0])
     acc = weights[0] * cur
     for n in range(1, n_max + 1):
-        cur = _box_step(kernel, box, cur, False, coeffs, deltas)
+        cur = _box_step(box, cur, False, coeffs, deltas)
         acc = acc + weights[n] * cur
     out = DistVector(box=box, step=n_max, exact=False, data=acc, time=t,
                      tail_bound=float(poisson.sf(n_max, mu)) if mu > 0 else 0.0)

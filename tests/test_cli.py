@@ -1,6 +1,9 @@
 import json
+from fractions import Fraction
 
+from avgproc import cli
 from avgproc.cli import run
+from avgproc.kernels import TransitionKernel
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -25,6 +28,38 @@ def test_walk_dp_float_mode(capsys):
                 "--mode", "float"]) == 0
     out = capsys.readouterr().out
     assert "p,2,,,0.5" in out
+
+
+def test_walk_dp_float_error_budget(capsys):
+    args = ["walk-dp", "--d", "2", "--kernel", "avg-diff", "--steps", "8",
+            "--tables", "p,s", "--mode", "float", "--json-summary"]
+    assert run(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    comments = [ln for ln in lines if ln.startswith("# ") and "error_bound" in ln]
+    assert [c.split(":")[0] for c in comments] == ["# p_tilde", "# s_tilde"]
+    bounds = {c[2:].split(":")[0]: float(c.split("=")[1]) for c in comments}
+    assert all(0 < b < 1e-12 for b in bounds.values())
+    assert json.loads(lines[-1])["error_bounds"] == bounds
+    assert run(args) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_walk_dp_exact_has_no_error_budget(capsys):
+    assert run(["walk-dp", "--d", "1", "--steps", "4", "--json-summary"]) == 0
+    out = capsys.readouterr().out
+    assert "error_bound" not in out
+    assert out.splitlines()[1] == "name,n,numerator,denominator,float_value"
+
+
+def test_walk_dp_float_without_route_is_usage_error(monkeypatch, capsys):
+    lazy = TransitionKernel(1, Fraction(1), {(1,): Fraction(1, 4), (-1,): Fraction(1, 4),
+                                             (0,): Fraction(1, 2)}, name="lazy")
+    monkeypatch.setitem(cli.KERNELS, "lazy", lambda d: lazy)
+    assert run(["walk-dp", "--d", "1", "--kernel", "lazy", "--steps", "4"]) == 0
+    capsys.readouterr()
+    assert run(["walk-dp", "--d", "1", "--kernel", "lazy", "--steps", "4",
+                "--mode", "float"]) == 2
+    assert "mode='exact'" in capsys.readouterr().err
 
 
 def test_walk_dp_table_selection(capsys):

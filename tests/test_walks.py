@@ -1,12 +1,20 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ive
 from scipy.stats import poisson
 
-from avgproc.kernels import avg_difference_kernel, potlach_kernels, srw_kernel
+from avgproc.kernels import (
+    TransitionKernel,
+    avg_difference_kernel,
+    difference_kernel_from_pair_rates,
+    potlach_kernels,
+    srw_kernel,
+)
 from avgproc.lattice import Box, origin, unit_vectors
 from avgproc.walks import (
     PoissonizedValue,
@@ -23,6 +31,7 @@ from avgproc.walks import (
     sphere_taboo_sequence,
     srw_return_sequence_float,
 )
+from avgproc.walks import _conv
 
 F = Fraction
 
@@ -196,22 +205,103 @@ def test_float_mode_matches_exact():
     ex = return_sequence(kernel, 60)
     fl = return_sequence(kernel, 60, mode="float")
     np.testing.assert_allclose(fl.floats(), ex.floats(), rtol=0, atol=1e-13)
-    assert fl.escape_bound < 1e-12
-
-
-def test_small_window_gives_certified_lower_bounds():
-    kernel = srw_kernel(1)
-    ex = return_sequence(kernel, 16)
-    fl = return_sequence(kernel, 16, mode="float", window_radius=3)
-    assert fl.escape_bound > 0
-    defect = ex.floats() - fl.floats()
-    assert defect.min() >= -1e-14
-    assert defect.max() <= fl.escape_bound + 1e-12
+    assert fl.error_bound < 1e-12
 
 
 def test_bad_mode_rejected():
     with pytest.raises(ValueError):
         return_sequence(srw_kernel(1), 4, mode="rational")
+
+
+KERNEL_BUILDERS = {
+    "srw": srw_kernel,
+    "avg-diff": avg_difference_kernel,
+    "potlach-ind": lambda d: potlach_kernels(d)[0],
+    "potlach-coup": lambda d: potlach_kernels(d)[1],
+    "pair-rates": difference_kernel_from_pair_rates,
+}
+TABLE_FNS = {"p": return_sequence, "q": first_return_sequence,
+             "r": sphere_taboo_sequence, "s": sphere_first_return_sequence}
+PROPERTY_N = 40
+
+
+@lru_cache(maxsize=None)
+def exact_table(kernel: str, d: int, table: str):
+    return TABLE_FNS[table](KERNEL_BUILDERS[kernel](d), PROPERTY_N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), kernel=st.sampled_from(sorted(KERNEL_BUILDERS)),
+       table=st.sampled_from("pqrs"), n=st.integers(0, PROPERTY_N))
+def test_float_route_within_error_bound(d, kernel, table, n):
+    fl = TABLE_FNS[table](KERNEL_BUILDERS[kernel](d), n, mode="float")
+    ex = exact_table(kernel, d, table)
+    assert (fl.name, fl.first_index, fl.last_index) == (ex.name, ex.first_index, n)
+    worst = max((abs(F(v) - ex[i]) for i, v in enumerate(fl.entries, fl.first_index)),
+                default=0)
+    assert worst <= fl.error_bound <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 513, 1024, 1501])
+def test_truncated_convolution(n):
+    rng = np.random.default_rng(n)
+    a, b = rng.random(n), rng.random(n)
+    np.testing.assert_allclose(_conv(a, b), np.convolve(a, b)[:n], rtol=1e-12)
+
+
+def test_float_route_matches_mpmath_long_division():
+    mpmath = pytest.importorskip("mpmath")
+    n = 2000
+    fl = return_sequence(avg_difference_kernel(1), n, mode="float")
+    with mpmath.workdps(30):
+        p = [mpmath.mpf(0)] * (n + 2)
+        p[0] = mpmath.mpf(1)
+        for m in range(1, (n + 1) // 2 + 1):
+            p[2 * m] = p[2 * m - 2] * (2 * m - 1) / (2 * m)
+        num = [2 * p[k] - p[k + 1] for k in range(n + 1)]
+        den = [num[k] - (p[k - 1] if k else 0) for k in range(n + 1)]
+        x = []
+        for k in range(n + 1):
+            x.append((num[k] - mpmath.fdot(den[1:k + 1], x[::-1])) / den[0])
+        worst = max(abs(mpmath.mpf(v) - xk) for v, xk in zip(fl.entries, x))
+    assert 0 < fl.error_bound < 1e-10
+    assert worst <= fl.error_bound
+
+
+def _srw_exact_even(d: int, m: int) -> Fraction:
+    if d == 1:
+        return F(math.comb(2 * m, m), 4**m)
+    if d == 2:
+        return F(math.comb(2 * m, m), 4**m) ** 2
+    # sum over j+k+l=m of the squared trinomials, by Vandermonde over (k, l)
+    inner = sum(math.comb(m, j) ** 2 * math.comb(2 * (m - j), m - j) for j in range(m + 1))
+    return F(math.comb(2 * m, m) * inner, 36**m)
+
+
+@pytest.mark.parametrize("d,n_max", [(1, 4000), (2, 4000), (3, 600)])
+def test_srw_closed_form_within_error_bound(d, n_max):
+    seq = srw_return_sequence_float(d, n_max)
+    assert 0 < seq.error_bound < 1e-12
+    for m in [*range(40), *range(40, n_max // 2 + 1, 37), n_max // 2]:
+        assert abs(F(seq[2 * m]) - _srw_exact_even(d, m)) <= seq.error_bound
+    assert all(seq[n] == 0.0 for n in range(1, n_max + 1, 2))
+
+
+def test_srw_closed_form_d4_bound_is_infinite():
+    seq = srw_return_sequence_float(4, 20)
+    assert seq.error_bound == math.inf
+    assert return_sequence(avg_difference_kernel(4), 20, mode="float").error_bound == math.inf
+    exact = return_sequence(srw_kernel(4), 20)
+    np.testing.assert_allclose(seq.floats(), exact.floats(), rtol=1e-12, atol=0)
+
+
+def test_float_mode_without_route_raises():
+    lazy = TransitionKernel(1, F(1), {(1,): F(1, 4), (-1,): F(1, 4), (0,): F(1, 2)},
+                            name="lazy")
+    for fn in (*TABLE_FNS.values(), first_passage_sequences):
+        with pytest.raises(ValueError, match="mode='exact'"):
+            fn(lazy, 4, mode="float")
+    assert return_sequence(lazy, 2).entries == [F(1), F(1, 2), F(3, 8)]
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +387,15 @@ def test_poissonized_constant_sequence():
     assert isinstance(out, PoissonizedValue)
     assert out.value == pytest.approx(1.0, abs=1e-11)
     assert 0 <= out.error < 1e-11
+
+
+def test_poissonized_error_budget():
+    seq = return_sequence(avg_difference_kernel(1), 400, mode="float")
+    out = poissonized_return(seq, 1.0, 100.0)
+    weights = poisson.pmf(np.arange(401), 100.0)
+    assert out.value == math.fsum(w * p for w, p in zip(weights, seq.entries))
+    tail = poisson.sf(400, 100.0)
+    assert tail + seq.error_bound < out.error < tail + seq.error_bound + 1e-13
 
 
 def test_poissonized_at_zero_time():
