@@ -29,8 +29,8 @@ from .lattice import Box
 from .series import verify_closed_form_d1, verify_gf_relations, verify_potlach_relation
 from .simulate import ExperimentConfig, simulate
 from .stats import clt_statistic, estimate_mean_field, estimate_moments
-from .walks import (first_return_sequence, poissonized_return, return_sequence,
-                    sphere_first_return_sequence, sphere_taboo_sequence)
+from .walks import (SequenceTooShortError, first_return_sequence, poissonized_return,
+                    return_sequence, sphere_first_return_sequence, sphere_taboo_sequence)
 
 KERNELS = {
     "srw": srw_kernel,
@@ -46,7 +46,7 @@ TABLES = {"p": return_sequence, "q": first_return_sequence,
 CONFIG_TYPES = {
     "d": int, "t": float, "steps": int, "order": int, "trials": int,
     "seed": int, "mode": str, "dynamics": str, "kernel": str, "fn": str,
-    "param": float, "out": str, "dump_field": str, "threads": int,
+    "param": float, "out": str, "dump_field": str,
     "quick": None, "json_summary": None, "box_radius": int, "tables": str,
     "window": float,
 }
@@ -130,8 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--mode", choices=("exact", "float"), help="arithmetic mode")
         p.add_argument("--out", help="CSV output path (default: stdout)")
-        p.add_argument("--threads", type=int,
-                       help="advisory worker cap, recorded in the artifact header")
         p.add_argument("--json-summary", action="store_true", default=None,
                        help="print a one-line JSON summary to stdout")
 
@@ -181,19 +179,19 @@ def build_parser() -> argparse.ArgumentParser:
 DEFAULTS = {
     "simulate": dict(d=1, t=64.0, trials=1000, seed=0, mode="float",
                      dynamics="averaging", box_radius=None, out=None,
-                     dump_field=None, json_summary=False, threads=None),
+                     dump_field=None, json_summary=False),
     "walk-dp": dict(d=1, kernel="avg-diff", steps=32, mode="exact",
-                    tables="p", seed=0, out=None, json_summary=False, threads=None),
+                    tables="p", seed=0, out=None, json_summary=False),
     "series-verify": dict(d=1, order=None, seed=0, out=None,
-                          json_summary=False, threads=None, mode="exact"),
+                          json_summary=False, mode="exact"),
     "asymptotics": dict(d=1, kernel="avg-diff", steps=2000, seed=0, out=None,
-                        json_summary=False, threads=None, mode="float"),
+                        json_summary=False, mode="float"),
     "clt": dict(d=1, t=400.0, trials=100, seed=0, fn="cos", param=1.0,
-                window=0.05, mode="float", out=None, json_summary=False, threads=None),
+                window=0.05, mode="float", out=None, json_summary=False),
     "potlach": dict(d=1, order=48, steps=600, seed=0, out=None,
-                    json_summary=False, threads=None, mode="exact"),
+                    json_summary=False, mode="exact"),
     "accept": dict(quick=False, seed=acceptance.DEFAULT_SEED, out=None,
-                   json_summary=False, threads=None, d=None, mode=None),
+                   json_summary=False, d=None, mode=None),
 }
 
 
@@ -211,6 +209,11 @@ def resolve_options(args: argparse.Namespace) -> dict:
             continue
         opts[key] = value
     return opts
+
+
+def _require_at_least(opts: dict, key: str, low: int) -> None:
+    if opts[key] < low:
+        raise UsageError(f"--{key} must be >= {low}, got {opts[key]}")
 
 
 def _hashable(opts: dict) -> dict:
@@ -235,6 +238,7 @@ STAT_COLUMNS = ("name", "d", "t", "trials", "seed", "value", "stderr", "target",
 
 
 def cmd_simulate(opts, tol) -> int:
+    _require_at_least(opts, "trials", 2)
     cfg = ExperimentConfig(dimension=opts["d"], t=opts["t"], trials=opts["trials"],
                            seed=opts["seed"], dynamics=opts["dynamics"],
                            mode=opts["mode"], box_radius=opts["box_radius"])
@@ -274,6 +278,7 @@ def cmd_simulate(opts, tol) -> int:
 
 
 def cmd_walk_dp(opts, tol) -> int:
+    _require_at_least(opts, "steps", 0)
     kernel = KERNELS[opts["kernel"]](opts["d"])
     names = [t.strip() for t in opts["tables"].split(",") if t.strip()]
     unknown = set(names) - set(TABLES)
@@ -311,6 +316,7 @@ def cmd_series_verify(opts, tol) -> int:
 
 
 def cmd_asymptotics(opts, tol) -> int:
+    _require_at_least(opts, "steps", 4)
     d = opts["d"]
     kernel = KERNELS[opts["kernel"]](d)
     seq = return_sequence(kernel, opts["steps"], mode=opts["mode"])
@@ -331,6 +337,7 @@ def cmd_asymptotics(opts, tol) -> int:
 
 
 def cmd_clt(opts, tol) -> int:
+    _require_at_least(opts, "trials", 2)
     cfg = ExperimentConfig(dimension=opts["d"], t=opts["t"], trials=opts["trials"],
                            seed=opts["seed"], mode="float")
     res = simulate(cfg)
@@ -358,7 +365,7 @@ def cmd_potlach(opts, tol) -> int:
         try:
             a, _ = poissonized_return(pc, 2.0, t)
             b, _ = poissonized_return(pi, 2.0, t)
-        except Exception as exc:
+        except SequenceTooShortError as exc:
             raise UsageError(f"--steps too small for t={t:g}: {exc}") from exc
         ratio = a / b
         inside = tol["c8-lo"] <= ratio <= tol["c8-hi"]

@@ -10,20 +10,27 @@ Events are drawn by superposition: the number of rings in [0, t] is Poisson
 (total rate x t), marks are iid uniform over edges (or vertices), times are
 sorted uniforms. That is the standard order-statistics representation of the
 superposed Poisson processes, so the sampled schedule is exact in
-distribution. Trials are seeded from spawned SeedSequence children, so any
-single trial can be reproduced in isolation; the float path executes all
-trials in lockstep with vectorized updates, consuming each child generator
-in the same order as ``EventSchedule.sample``.
+distribution. Only the order of events matters for the final field, so the
+simulator draws counts and marks and skips the times. Trials are seeded from
+spawned SeedSequence children, each consumed in the same order as
+``EventSchedule.sample``, so any single trial can be reproduced in isolation.
+
+One engine, ``run_events``, applies the events of every trial in lockstep.
+It holds all trials in one flat buffer of trials x (n_sites + 1) entries,
+float64 or, in exact mode, Python Fractions. The last entry of each row is a
+sentinel site that holds zero. Shorter mark streams are padded with one
+extra mark whose endpoints are all the sentinel, so a padding event averages
+(or splits) zero with itself and no per-event mask is needed.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .lattice import Box, Point, origin, unit_vectors
+from .lattice import Box, origin, unit_vectors
 
 DYNAMICS = ("averaging", "potlach")
 
@@ -48,7 +55,6 @@ class ExperimentConfig:
     dynamics: str = "averaging"
     mode: str = "float"
     box_radius: int | None = None
-    initial: str = "point"
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -61,8 +67,6 @@ class ExperimentConfig:
             raise ValueError(f"dynamics must be one of {DYNAMICS}")
         if self.mode not in ("float", "exact"):
             raise ValueError("mode must be 'float' or 'exact'")
-        if self.initial != "point":
-            raise ValueError("only the point-mass initial condition is supported")
 
     @property
     def box(self) -> Box:
@@ -70,69 +74,6 @@ class ExperimentConfig:
         if r is None:
             r = default_box_radius(self.t, self.dynamics)
         return Box(self.dimension, r, "torus")
-
-
-@dataclass
-class MassField:
-    """A nonnegative mass configuration on the box (total mass 1 here)."""
-
-    box: Box
-    values: np.ndarray
-    time: float = 0.0
-    exact: bool = False
-
-    @classmethod
-    def point_mass(cls, box: Box, site: Point | None = None,
-                   exact: bool = False) -> "MassField":
-        if site is None:
-            site = origin(box.dimension)
-        if exact:
-            vals = np.full((box.side,) * box.dimension, Fraction(0), dtype=object)
-            vals[cls._idx(box, site)] = Fraction(1)
-        else:
-            vals = np.zeros((box.side,) * box.dimension)
-            vals[cls._idx(box, site)] = 1.0
-        return cls(box, vals, 0.0, exact)
-
-    @staticmethod
-    def _idx(box: Box, p: Point) -> tuple[int, ...]:
-        return tuple(c + box.radius for c in box.wrap(p))
-
-    def mass_at(self, p: Point):
-        return self.values[self._idx(self.box, p)]
-
-    def total(self):
-        return sum(self.values.flat) if self.exact else float(np.sum(self.values))
-
-    def two_norm_sq(self):
-        if self.exact:
-            return sum(v * v for v in self.values.flat)
-        return float(np.sum(self.values * self.values))
-
-
-def apply_edge_average(field: MassField, x: Point, y: Point) -> None:
-    """Replace the masses at adjacent x, y by their mean (in place)."""
-    box = field.box
-    diff = box.wrap(tuple(a - b for a, b in zip(y, x)))
-    if diff not in unit_vectors(box.dimension):
-        raise ValueError(f"{x} and {y} are not torus neighbours")
-    ix, iy = MassField._idx(box, x), MassField._idx(box, y)
-    two = Fraction(2) if field.exact else 2.0
-    m = (field.values[ix] + field.values[iy]) / two
-    field.values[ix] = m
-    field.values[iy] = m
-
-
-def apply_vertex_potlach(field: MassField, x: Point) -> None:
-    """Split the whole mass at x evenly over its 2d neighbours (in place)."""
-    box = field.box
-    ix = MassField._idx(box, x)
-    v = field.values[ix]
-    deg = 2 * box.dimension
-    share = v / (Fraction(deg) if field.exact else float(deg))
-    field.values[ix] = Fraction(0) if field.exact else 0.0
-    for e in unit_vectors(box.dimension):
-        field.values[MassField._idx(box, tuple(a + b for a, b in zip(x, e)))] += share
 
 
 @dataclass(frozen=True)
@@ -163,62 +104,82 @@ class EventSchedule:
     @classmethod
     def sample(cls, rng: np.random.Generator, box: Box, t: float,
                dynamics: str = "averaging") -> "EventSchedule":
-        n = int(rng.poisson(cls.total_rate(box, dynamics) * t))
-        marks = rng.integers(0, cls.n_marks(box, dynamics), size=n, dtype=np.int64)
-        times = np.sort(rng.random(n)) * t
+        marks = _draw_marks(rng, box, t, dynamics)
+        times = np.sort(rng.random(len(marks))) * t
         return cls(times, marks, dynamics, box)
 
     def __len__(self) -> int:
         return len(self.marks)
 
 
+def _draw_marks(rng: np.random.Generator, box: Box, t: float, dynamics: str) -> np.ndarray:
+    """Poisson(total_rate x t) iid uniform marks: one trial's event stream."""
+    n = int(rng.poisson(EventSchedule.total_rate(box, dynamics) * t))
+    return rng.integers(0, EventSchedule.n_marks(box, dynamics), size=n, dtype=np.int64)
+
+
 def _neighbor_table(box: Box) -> np.ndarray:
     """nbr[i, k]: flat index of neighbour k (unit_vectors order) of site i."""
-    d, side, n = box.dimension, box.side, box.n_sites
-    idx = np.arange(n)
-    coords = np.empty((n, d), dtype=np.int64)
-    rem = idx
-    for j in range(d - 1, -1, -1):
-        coords[:, j] = rem % side
-        rem = rem // side
-    out = np.empty((n, 2 * d), dtype=np.int64)
-    for k, e in enumerate(unit_vectors(d)):
-        shifted = coords.copy()
-        for j, ej in enumerate(e):
-            if ej:
-                shifted[:, j] = (shifted[:, j] + ej) % side
-        flat = np.zeros(n, dtype=np.int64)
-        for j in range(d):
-            flat = flat * side + shifted[:, j]
-        out[:, k] = flat
-    return out
+    shape = (box.side,) * box.dimension
+    coords = np.array(np.unravel_index(np.arange(box.n_sites), shape))
+    return np.stack([np.ravel_multi_index(coords + np.array(e)[:, None], shape, mode="wrap")
+                     for e in unit_vectors(box.dimension)], axis=1)
 
 
-def run_schedule(field: MassField, schedule: EventSchedule) -> MassField:
-    """Apply every event of the schedule to the field, in order (in place)."""
-    box = field.box
-    d = box.dimension
-    flat = field.values.reshape(-1)
+def _endpoints(box: Box, dynamics: str) -> np.ndarray:
+    """ends[:, m]: flat sites touched by mark m, source first.
+
+    Averaging marks touch (site, +e_axis neighbour); potlach marks touch the
+    site and then its 2d neighbours in ``unit_vectors`` order. The extra
+    column ``n_marks`` is the padding mark: every entry is the sentinel site
+    ``n_sites``, which holds zero and belongs to no trial's field.
+    """
+    n, d = box.n_sites, box.dimension
     nbr = _neighbor_table(box)
-    if schedule.dynamics == "averaging":
-        two = Fraction(2) if field.exact else 2.0
-        for m in schedule.marks:
-            a = int(m) // d
-            b = int(nbr[a, 2 * (int(m) % d)])  # +e_axis neighbour
-            mean = (flat[a] + flat[b]) / two
-            flat[a] = mean
-            flat[b] = mean
+    if dynamics == "averaging":
+        ends = np.stack([np.repeat(np.arange(n), d), nbr[:, 0::2].reshape(-1)])
     else:
-        deg = Fraction(2 * d) if field.exact else float(2 * d)
-        zero = Fraction(0) if field.exact else 0.0
-        for m in schedule.marks:
-            a = int(m)
-            share = flat[a] / deg
-            flat[a] = zero
-            for k in range(2 * d):
-                flat[int(nbr[a, k])] += share
-    field.time = float(schedule.times[-1]) if len(schedule) else field.time
-    return field
+        ends = np.concatenate([np.arange(n)[None, :], nbr.T])
+    pad = np.full((len(ends), 1), n, dtype=np.int64)
+    return np.concatenate([ends, pad], axis=1)
+
+
+def run_events(box: Box, dynamics: str, marks: np.ndarray,
+               exact: bool = False) -> np.ndarray:
+    """Apply a padded (n_steps, trials) mark matrix to point masses at the origin.
+
+    Column i is the mark stream of trial i, padded at the end with the mark
+    ``EventSchedule.n_marks(box, dynamics)``. Every trial advances in
+    lockstep over one flat buffer of trials x (n_sites + 1) entries, float64
+    or, with ``exact``, Python Fractions. Returns the fields with shape
+    (trials, side, ..., side).
+    """
+    marks = np.asarray(marks)
+    pad = EventSchedule.n_marks(box, dynamics)
+    if marks.ndim != 2 or marks.dtype.kind not in "iu":
+        raise ValueError("marks must be an integer (n_steps, trials) matrix")
+    if marks.size and (marks.min() < 0 or marks.max() > pad):
+        raise ValueError(f"marks must lie in [0, {pad}]")
+    ends = _endpoints(box, dynamics)
+    trials, width = marks.shape[1], box.n_sites + 1
+    zero = Fraction(0) if exact else 0.0
+    buf = np.full(trials * width, zero, dtype=object if exact else float)
+    rows = np.arange(trials, dtype=np.int64) * width
+    buf[rows + box.to_index(origin(box.dimension))] = Fraction(1) if exact else 1.0
+    deg = 2 * box.dimension
+    for m in marks:
+        idx = ends[:, m] + rows
+        if dynamics == "averaging":
+            mean = (buf[idx[0]] + buf[idx[1]]) / 2
+            buf[idx[0]] = mean
+            buf[idx[1]] = mean
+        else:
+            share = buf[idx[0]] / deg
+            buf[idx[0]] = zero
+            for k in range(1, deg + 1):
+                buf[idx[k]] += share
+    fields = buf.reshape(trials, width)[:, :-1]
+    return fields.reshape((trials,) + (box.side,) * box.dimension)
 
 
 @dataclass
@@ -227,30 +188,16 @@ class SimulationResult:
 
     config: ExperimentConfig
     box: Box
-    fields: np.ndarray  # float: (trials, side, ..., side); exact: object array
-
-    def field(self, i: int) -> MassField:
-        return MassField(self.box, self.fields[i], self.config.t,
-                         self.config.mode == "exact")
+    fields: np.ndarray  # (trials, side, ..., side): float64, or Fractions in exact mode
 
     def totals(self) -> np.ndarray:
-        n = self.config.trials
-        flat = self.fields.reshape(n, -1)
-        if self.config.mode == "exact":
-            return np.array([sum(row) for row in flat], dtype=object)
-        return flat.sum(axis=1)
+        return self.fields.reshape(self.config.trials, -1).sum(axis=1)
 
     def two_norms_sq(self) -> np.ndarray:
-        n = self.config.trials
-        flat = self.fields.reshape(n, -1)
-        if self.config.mode == "exact":
-            return np.array([sum(v * v for v in row) for row in flat], dtype=object)
+        flat = self.fields.reshape(self.config.trials, -1)
         return (flat * flat).sum(axis=1)
 
     def mean_field(self) -> np.ndarray:
-        if self.config.mode == "exact":
-            acc = sum(self.fields[i] for i in range(self.config.trials))
-            return acc / Fraction(self.config.trials)
         return self.fields.mean(axis=0)
 
 
@@ -262,64 +209,24 @@ def simulate(config: ExperimentConfig) -> SimulationResult:
     the same seed see identical event streams.
     """
     box = config.box
+    exact = config.mode == "exact"
     children = np.random.SeedSequence(config.seed).spawn(config.trials)
-    if config.mode == "exact":
-        fields = np.empty((config.trials,) + (box.side,) * box.dimension, dtype=object)
-        for i, ss in enumerate(children):
-            rng = np.random.default_rng(ss)
-            sched = EventSchedule.sample(rng, box, config.t, config.dynamics)
-            f = MassField.point_mass(box, exact=True)
-            run_schedule(f, sched)
-            fields[i] = f.values
-        return SimulationResult(config, box, fields)
-    return SimulationResult(config, box, _simulate_lockstep(config, box, children))
-
-
-def _simulate_lockstep(config: ExperimentConfig, box: Box, children) -> np.ndarray:
-    d, n_sites = box.dimension, box.n_sites
-    n_marks = EventSchedule.n_marks(box, config.dynamics)
+    pad = EventSchedule.n_marks(box, config.dynamics)
     mu = EventSchedule.total_rate(box, config.dynamics) * config.t
-    nbr = _neighbor_table(box)
-    origin_flat = int(np.ravel_multi_index((box.radius,) * d, (box.side,) * d))
-
-    out = np.empty((config.trials, n_sites))
-    # chunk the trials so the padded mark matrix stays modest
+    fields = np.empty((config.trials,) + (box.side,) * box.dimension,
+                      dtype=object if exact else float)
+    # chunk the trials so the padded mark matrix stays modest; marks are
+    # stored in the smallest unsigned type that holds the padding mark
+    small = np.min_scalar_type(pad)
     max_n_est = int(mu + 10 * math.sqrt(mu + 1) + 10)
     chunk = max(1, min(config.trials, int(5e7 // max(max_n_est, 1))))
     for lo in range(0, config.trials, chunk):
-        hi = min(lo + chunk, config.trials)
-        counts = []
-        marks_list = []
-        for ss in children[lo:hi]:
-            rng = np.random.default_rng(ss)
-            n = int(rng.poisson(mu))
-            counts.append(n)
-            marks_list.append(rng.integers(0, n_marks, size=n, dtype=np.int64))
-        n_max = max(counts) if counts else 0
-        marks = np.full((hi - lo, n_max), -1, dtype=np.int64)
-        for i, mk in enumerate(marks_list):
-            marks[i, : len(mk)] = mk
-        del marks_list
-
-        states = np.zeros((hi - lo, n_sites))
-        states[:, origin_flat] = 1.0
-        rows = np.arange(hi - lo)
-        for k in range(n_max):
-            m = marks[:, k]
-            act = rows[m >= 0]
-            if len(act) == 0:
-                continue
-            mk = m[act]
-            if config.dynamics == "averaging":
-                a = mk // d
-                b = nbr[a, 2 * (mk % d)]
-                mean = 0.5 * (states[act, a] + states[act, b])
-                states[act, a] = mean
-                states[act, b] = mean
-            else:
-                share = states[act, mk] / (2 * d)
-                states[act, mk] = 0.0
-                for kk in range(2 * d):
-                    states[act, nbr[mk, kk]] += share
-        out[lo:hi] = states
-    return out.reshape((config.trials,) + (box.side,) * d)
+        streams = [_draw_marks(np.random.default_rng(ss), box, config.t,
+                               config.dynamics).astype(small)
+                   for ss in children[lo: lo + chunk]]
+        marks = np.full((max(map(len, streams)), len(streams)), pad, dtype=small)
+        for i, mk in enumerate(streams):
+            marks[: len(mk), i] = mk
+        del streams
+        fields[lo: lo + chunk] = run_events(box, config.dynamics, marks, exact)
+    return SimulationResult(config, box, fields)

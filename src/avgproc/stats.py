@@ -45,10 +45,7 @@ class StatRecord:
 
 
 def _field_matrix(result: SimulationResult) -> np.ndarray:
-    if result.config.mode == "exact":
-        flat = result.fields.reshape(result.config.trials, -1)
-        return np.array([[float(v) for v in row] for row in flat])
-    return result.fields.reshape(result.config.trials, -1)
+    return np.asarray(result.fields.reshape(result.config.trials, -1), dtype=float)
 
 
 @dataclass

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from avgproc import cli
 from avgproc.cli import run
 from avgproc.kernels import TransitionKernel
@@ -133,6 +135,36 @@ def test_tolerance_flag_errors(capsys):
     capsys.readouterr()
     assert run(["accept", "--tol.c8-lo"]) == 2
     assert "needs a value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["asymptotics", "--steps", "1"], "--steps must be >= 4"),
+    (["asymptotics", "--steps", "3"], "--steps must be >= 4"),
+    (["walk-dp", "--steps", "-3"], "--steps must be >= 0"),
+    (["walk-dp", "--steps", "-3", "--mode", "float"], "--steps must be >= 0"),
+    (["simulate", "--t", "4", "--trials", "1"], "--trials must be >= 2"),
+    (["clt", "--t", "4", "--trials", "1"], "--trials must be >= 2"),
+], ids=["asymptotics-steps-1", "asymptotics-steps-3", "walk-dp-steps-neg",
+        "walk-dp-float-steps-neg", "simulate-trials-1", "clt-trials-1"])
+def test_out_of_range_options_are_usage_errors(argv, message, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_threads_option_is_gone(tmp_path, capsys):
+    assert run(["walk-dp", "--threads", "2"]) == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads = 2\n")
+    capsys.readouterr()
+    assert run(["walk-dp", "--config", str(cfg)]) == 2
+    assert "unknown config key 'threads'" in capsys.readouterr().err
+
+
+def test_potlach_short_sequence_is_usage_error(capsys):
+    assert run(["potlach", "--order", "8", "--steps", "100"]) == 2
+    assert "--steps too small" in capsys.readouterr().err
 
 
 def test_potlach_gate_override_fails(capsys):
