@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gamma as _gamma
 
+from .lattice import check_dimension
 from .walks import SequenceTable, srw_return_sequence_float
 
 
@@ -28,8 +29,7 @@ def beta_constant(d: int) -> float:
     The sign alternates with d; only the magnitude enters the validation of
     the sequences, but the signed value is what multiplies (1-z)^{(d-2)/2}.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    check_dimension(d)
     scale = d ** (d / 2.0) / (2 * math.pi) ** (d / 2.0)
     if d % 2 == 1:
         return scale * float(_gamma(-(d - 2) / 2.0))

@@ -418,6 +418,8 @@ def run(argv: list[str] | None = None) -> int:
     try:
         tol = acceptance.merged_tolerances(overrides)
         opts = resolve_options(args)
+        if opts["d"] is not None:
+            _require_at_least(opts, "d", 1)
         return COMMANDS[args.command](opts, tol)
     except (UsageError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

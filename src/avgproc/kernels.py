@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .lattice import Point, ball, l1_norm, origin, sphere, unit_vectors
+from .lattice import Point, ball, check_dimension, l1_norm, origin, sphere, unit_vectors
 
 Row = dict[Point, Fraction]
 
@@ -45,8 +45,7 @@ class TransitionKernel:
     name: str = "kernel"
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        check_dimension(self.dimension)
         if self.rate <= 0:
             raise ValueError("uniformization rate must be positive")
         _check_row(f"{self.name} bulk", self.bulk)
@@ -99,6 +98,7 @@ def srw_kernel(d: int) -> TransitionKernel:
     This is the uniformization of the difference of two independent dual
     walks of the averaging process.
     """
+    check_dimension(d)
     p = Fraction(1, 2 * d)
     return TransitionKernel(d, ONE, {e: p for e in unit_vectors(d)}, name="srw")
 
@@ -113,6 +113,7 @@ def avg_difference_kernel(d: int) -> TransitionKernel:
     ordinary 1/(2d) steps to its neighbors outside the ball. The resulting
     matrix is symmetric.
     """
+    check_dimension(d)
     bulk = {e: Fraction(1, 2 * d) for e in unit_vectors(d)}
     zero = origin(d)
     pert: dict[Point, Row] = {
@@ -143,6 +144,7 @@ def potlach_kernels(d: int) -> tuple[TransitionKernel, TransitionKernel]:
     Y2 independent uniform unit offsets; uniformized, P(0, .) becomes
     (1/2) law(Y1 - Y2) + (1/2) delta_0.
     """
+    check_dimension(d)
     stencil = {e: Fraction(1, 2 * d) for e in unit_vectors(d)}
     independent = TransitionKernel(d, Fraction(2), dict(stencil), name="potlach-ind")
 

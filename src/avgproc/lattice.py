@@ -16,6 +16,12 @@ Point = tuple[int, ...]
 TOPOLOGIES = ("torus", "absorbing")
 
 
+def check_dimension(d: int) -> None:
+    """Raise ValueError unless d is a valid lattice dimension (d >= 1)."""
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+
+
 def origin(d: int) -> Point:
     return (0,) * d
 
@@ -52,6 +58,7 @@ def sphere(d: int, r: int) -> list[Point]:
 
     For r = 1 this is the set of 2d unit neighbors.
     """
+    check_dimension(d)
     if r < 0:
         raise ValueError("radius must be nonnegative")
     return list(_sphere_iter(d, r))
@@ -59,6 +66,7 @@ def sphere(d: int, r: int) -> list[Point]:
 
 def ball(d: int, r: int) -> list[Point]:
     """All points with l1 norm at most r."""
+    check_dimension(d)
     out: list[Point] = []
     for k in range(r + 1):
         out.extend(_sphere_iter(d, k))
@@ -96,8 +104,7 @@ class Box:
     topology: str = "torus"
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        check_dimension(self.dimension)
         if self.radius < 1:
             raise ValueError("box radius must be >= 1")
         if self.topology not in TOPOLOGIES:

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import Box, origin, unit_vectors
+from .lattice import Box, check_dimension, origin, unit_vectors
 
 DYNAMICS = ("averaging", "potlach")
 
@@ -57,8 +57,7 @@ class ExperimentConfig:
     box_radius: int | None = None
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        check_dimension(self.dimension)
         if self.t < 0:
             raise ValueError("t must be >= 0")
         if self.trials < 1:

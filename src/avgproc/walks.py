@@ -7,7 +7,9 @@ nonnegative cone is stored, in integer numerators scaled by ``kernel.scale``
 per step. Float tables take the series route: the SRW return sequence in
 closed form, then the identities ``series.verify_gf_relations`` checks.
 Each float table carries ``error_bound``, a bound on every entry's error,
-proven for d <= 3 and infinite for d >= 4.
+proven for d <= 3 and infinite for d >= 4. Poisson weights, tails and orders
+come from the ``scipy.special`` ufuncs ``xlogy``, ``gammaln``, ``pdtr``,
+``pdtrc`` and ``pdtrik``, the same calls ``scipy.stats.poisson`` makes.
 """
 from __future__ import annotations
 
@@ -17,10 +19,10 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 import numpy as np
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtr, pdtrc, pdtrik, xlogy
 
 from .kernels import TransitionKernel, avg_difference_kernel, potlach_kernels, srw_kernel
-from .lattice import Box, Point, origin
+from .lattice import Box, Point, check_dimension, origin
 
 
 class SequenceTooShortError(ValueError):
@@ -86,8 +88,9 @@ class DistVector:
     In exact mode ``data`` holds integer numerators against ``denominator``;
     in float mode it holds double-precision probabilities. ``escaped`` is the
     mass absorbed at the boundary (absorbing topology), in the same units as
-    ``data``; ``tail_bound`` is any extra certified truncation (used by
-    Poisson mixtures such as the heat kernel).
+    ``data``; ``tail_bound`` is the mass a truncated Poisson mixture such as
+    the heat kernel leaves out, as the floating-point value of the Poisson
+    tail (an estimate, not a proven bound).
     """
 
     box: Box
@@ -308,8 +311,7 @@ def _srw_closed_form(d: int, n_max: int) -> _Series:
     its error eta stays a few ulp. d >= 4: p_2m = (2m)!/(2d)^{2m} sum over
     k_1+...+k_d=m of prod (k_i!)^-2, a log-space convolution, bound inf.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    check_dimension(d)
     m_max = n_max // 2
     if d <= 2:
         m = np.arange(1, m_max + 1, dtype=float)
@@ -468,10 +470,22 @@ def dp_distribution(kernel: TransitionKernel, start: Point, n: int, box: Box,
     return out
 
 
+def _poisson_pmf(k: np.ndarray, mu: float) -> np.ndarray:
+    """Pr(Po(mu) = k), evaluated as scipy.stats.poisson.pmf evaluates it."""
+    return np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
+
+
 def required_poisson_order(mu: float, tol: float) -> int:
-    """Smallest N with Pr(Po(mu) > N) <= tol."""
-    n = int(poisson.isf(tol, mu))
-    while poisson.sf(n, mu) > tol:
+    """Smallest N with Pr(Po(mu) > N) <= tol.
+
+    The start is scipy.stats.poisson.isf(tol, mu): ceil of pdtrik, one step
+    down when the cdf there already reaches 1 - tol.
+    """
+    q = 1.0 - tol
+    n = math.ceil(pdtrik(q, mu))
+    if n > 0 and pdtr(n - 1, mu) >= q:
+        n -= 1
+    while pdtrc(n, mu) > tol:
         n += 1
     return n
 
@@ -495,10 +509,10 @@ def poissonized_return(seq: SequenceTable, lam: float, t: float,
     mu = lam * t
     if mu == 0:
         return PoissonizedValue(float(seq[0]) if seq.first_index == 0 else 0.0, seq.error_bound)
-    tail = float(poisson.sf(seq.last_index, mu))
-    if tail > tol:
+    tail = float(pdtrc(seq.last_index, mu))
+    if not tail <= tol:  # pdtrc is nan below 0, i.e. for an empty table from 0
         raise SequenceTooShortError(seq.last_index, required_poisson_order(mu, tol), tail)
-    weights = poisson.pmf(np.arange(seq.first_index, seq.last_index + 1), mu)
+    weights = _poisson_pmf(np.arange(seq.first_index, seq.last_index + 1), mu)
     terms = [w * float(p) for w, p in zip(weights, seq.entries)]
     rounding = _gamma(len(terms) + 2) * math.fsum(map(abs, terms))
     return PoissonizedValue(math.fsum(terms), tail + seq.error_bound + rounding)
@@ -510,7 +524,8 @@ def heat_kernel(d: int, t: float, box: Box, start: Point | None = None,
 
     The walk jumps at total rate 1/2 (rate 1/(4d) per neighbor), so h_t is
     the Poisson(t/2) mixture of the discrete SRW powers; the mixture is
-    truncated with certified tail at most ``tol`` (reported in tail_bound).
+    truncated where the floating-point Poisson tail is at most ``tol``, and
+    that tail is reported in tail_bound (an estimate, not a proven bound).
     """
     start = origin(d) if start is None else start
     kernel = srw_kernel(d)
@@ -520,13 +535,13 @@ def heat_kernel(d: int, t: float, box: Box, start: Point | None = None,
     side = box.side
     cur = np.zeros((side,) * d, dtype=np.float64)
     cur[tuple(c + box.radius for c in box.wrap(start))] = 1.0
-    weights = poisson.pmf(np.arange(n_max + 1), mu) if mu > 0 else np.array([1.0])
+    weights = _poisson_pmf(np.arange(n_max + 1), mu) if mu > 0 else np.array([1.0])
     acc = weights[0] * cur
     for n in range(1, n_max + 1):
         cur = _box_step(box, cur, False, coeffs, deltas)
         acc = acc + weights[n] * cur
     out = DistVector(box=box, step=n_max, exact=False, data=acc, time=t,
-                     tail_bound=float(poisson.sf(n_max, mu)) if mu > 0 else 0.0)
+                     tail_bound=float(pdtrc(n_max, mu)) if mu > 0 else 0.0)
     if box.topology == "absorbing":
         out.escaped = max(0.0, 1.0 - float(np.sum(acc)) - out.tail_bound)
     return out

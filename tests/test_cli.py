@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -144,13 +148,32 @@ def test_tolerance_flag_errors(capsys):
     (["walk-dp", "--steps", "-3", "--mode", "float"], "--steps must be >= 0"),
     (["simulate", "--t", "4", "--trials", "1"], "--trials must be >= 2"),
     (["clt", "--t", "4", "--trials", "1"], "--trials must be >= 2"),
+    (["walk-dp", "--d", "0"], "--d must be >= 1"),
+    (["walk-dp", "--d", "-1"], "--d must be >= 1"),
+    (["walk-dp", "--kernel", "srw", "--d", "0"], "--d must be >= 1"),
+    (["series-verify", "--d", "0"], "--d must be >= 1"),
+    (["asymptotics", "--d", "0"], "--d must be >= 1"),
+    (["simulate", "--d", "0"], "--d must be >= 1"),
+    (["clt", "--d", "0"], "--d must be >= 1"),
+    (["potlach", "--d", "0"], "--d must be >= 1"),
 ], ids=["asymptotics-steps-1", "asymptotics-steps-3", "walk-dp-steps-neg",
-        "walk-dp-float-steps-neg", "simulate-trials-1", "clt-trials-1"])
+        "walk-dp-float-steps-neg", "simulate-trials-1", "clt-trials-1",
+        "walk-dp-d-0", "walk-dp-d-neg", "walk-dp-srw-d-0", "series-verify-d-0",
+        "asymptotics-d-0", "simulate-d-0", "clt-d-0", "potlach-d-0"])
 def test_out_of_range_options_are_usage_errors(argv, message, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs about a second of start-up on every command
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", "import avgproc.cli, sys; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_threads_option_is_gone(tmp_path, capsys):

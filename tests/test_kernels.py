@@ -134,3 +134,10 @@ def test_kernel_validation_rejects_bad_rows():
         TransitionKernel(0, F(1), {})
     with pytest.raises(ValueError):
         TransitionKernel(1, F(0), {(1,): F(1, 2), (-1,): F(1, 2)})
+
+
+@pytest.mark.parametrize("builder", [srw_kernel, avg_difference_kernel, potlach_kernels])
+@pytest.mark.parametrize("d", [0, -1])
+def test_builders_reject_bad_dimension(builder, d):
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        builder(d)

@@ -46,6 +46,14 @@ def test_sphere_negative_radius():
         sphere(2, -1)
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_sphere_and_ball_reject_bad_dimension(d):
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        sphere(d, 1)
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        ball(d, 2)
+
+
 def test_box_validation():
     with pytest.raises(ValueError):
         Box(0, 3)

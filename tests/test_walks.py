@@ -5,7 +5,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import ive
+from scipy.special import ive, pdtrc
 from scipy.stats import poisson
 
 from avgproc.kernels import (
@@ -31,7 +31,7 @@ from avgproc.walks import (
     sphere_taboo_sequence,
     srw_return_sequence_float,
 )
-from avgproc.walks import _conv
+from avgproc.walks import _conv, _poisson_pmf
 
 F = Fraction
 
@@ -419,6 +419,33 @@ def test_required_poisson_order():
         n = required_poisson_order(mu, tol)
         assert poisson.sf(n, mu) <= tol
         assert poisson.sf(n - 2, mu) > tol
+
+
+POISSON_MUS = np.geomspace(1e-3, 4000.0, 15).tolist() + [50.0, 100.0, 200.0, 300.0, 400.0]
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("mu", POISSON_MUS)
+def test_poisson_ufuncs_match_scipy_stats_bitwise(mu):
+    k = np.arange(int(mu + 50 * math.sqrt(mu)) + 1)
+    assert np.array_equal(_bits(_poisson_pmf(k, mu)), _bits(poisson.pmf(k, mu)))
+    for n in {0, 1, 5, int(mu), int(mu + 5 * math.sqrt(mu)), len(k) - 1}:
+        assert _bits(pdtrc(n, mu)) == _bits(poisson.sf(n, mu))
+    # a tolerance equal to a tail value sits where isf steps down from ceil(pdtrik)
+    edges = [float(poisson.sf(n, mu)) for n in (int(mu), int(mu + 3 * math.sqrt(mu)))]
+    for tol in [1e-6, 1e-9, 1e-12, 1e-14] + [e for e in edges if 1e-15 < e < 1]:
+        n = int(poisson.isf(tol, mu))
+        while poisson.sf(n, mu) > tol:
+            n += 1
+        assert required_poisson_order(mu, tol) == n
+
+
+def test_poissonized_empty_table_raises():
+    with pytest.raises(SequenceTooShortError):
+        poissonized_return(SequenceTable("p", 1, 0, [], exact=False), 1.0, 5.0)
 
 
 def test_heat_kernel_matches_bessel_d1():
