@@ -37,6 +37,7 @@ from .walks import (
     first_passage_sequences,
     poissonized_return,
     return_sequence,
+    sphere_first_return_sequence,
     srw_return_sequence_float,
 )
 
@@ -125,7 +126,7 @@ def criterion_3_first_passage(quick: bool = False, **_) -> CriterionResult:
     problems = []
     for d in (1, 2, 3):
         qt, rt, st = first_passage_sequences(avg_difference_kernel(d), n_max)
-        _, _, s = first_passage_sequences(srw_kernel(d), n_max)
+        s = sphere_first_return_sequence(srw_kernel(d), n_max)
         if qt[1] != Fraction(1, 2):
             problems.append(f"d={d}: q~_1 = {qt[1]} != 1/2")
         if st[1] != Fraction(1, 4 * d):

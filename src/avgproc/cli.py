@@ -124,11 +124,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"avgproc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, lattice=True):
         p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--d", type=int, help="lattice dimension")
+        if lattice:
+            p.add_argument("--d", type=int, help="lattice dimension")
+            p.add_argument("--mode", choices=("exact", "float"), help="arithmetic mode")
         p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--mode", choices=("exact", "float"), help="arithmetic mode")
         p.add_argument("--out", help="CSV output path (default: stdout)")
         p.add_argument("--json-summary", action="store_true", default=None,
                        help="print a one-line JSON summary to stdout")
@@ -170,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, help="float sequence length for the ratio")
 
     p = sub.add_parser("accept", help="run the acceptance suite")
-    common(p)
+    common(p, lattice=False)  # the suite fixes its own dimensions and modes
     p.add_argument("--quick", action="store_true", default=None,
                    help="reduced sizes for a fast end-to-end check")
     return parser
@@ -191,7 +192,7 @@ DEFAULTS = {
     "potlach": dict(d=1, order=48, steps=600, seed=0, out=None,
                     json_summary=False, mode="exact"),
     "accept": dict(quick=False, seed=acceptance.DEFAULT_SEED, out=None,
-                   json_summary=False, d=None, mode=None),
+                   json_summary=False),
 }
 
 
@@ -418,7 +419,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         tol = acceptance.merged_tolerances(overrides)
         opts = resolve_options(args)
-        if opts["d"] is not None:
+        if "d" in opts:
             _require_at_least(opts, "d", 1)
         return COMMANDS[args.command](opts, tol)
     except (UsageError, KeyError, ValueError) as exc:

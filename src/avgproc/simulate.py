@@ -17,14 +17,18 @@ spawned SeedSequence children, each consumed in the same order as
 
 One engine, ``run_events``, applies the events of every trial in lockstep.
 It holds all trials in one flat buffer of trials x (n_sites + 1) entries,
-float64 or, in exact mode, Python Fractions. The last entry of each row is a
-sentinel site that holds zero. Shorter mark streams are padded with one
-extra mark whose endpoints are all the sentinel, so a padding event averages
-(or splits) zero with itself and no per-event mask is needed.
+float64 or, in exact mode, Python ints: integer numerators over one common
+denominator, 2**n_steps for averaging and (2d)**n_steps for potlach. Every
+event then divides by 2 (or 2d) exactly, and each site becomes a Fraction
+once, at the end. The last entry of each row is a sentinel site that holds
+zero. Shorter mark streams are padded with one extra mark whose endpoints
+are all the sentinel, so a padding event averages (or splits) zero with
+itself and no per-event mask is needed.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -150,8 +154,11 @@ def run_events(box: Box, dynamics: str, marks: np.ndarray,
     Column i is the mark stream of trial i, padded at the end with the mark
     ``EventSchedule.n_marks(box, dynamics)``. Every trial advances in
     lockstep over one flat buffer of trials x (n_sites + 1) entries, float64
-    or, with ``exact``, Python Fractions. Returns the fields with shape
-    (trials, side, ..., side).
+    or, with ``exact``, integer numerators over den = 2**n_steps (averaging)
+    or (2d)**n_steps (potlach). After j events every numerator is a multiple
+    of den / 2**j (or den / (2d)**j), so ``// 2`` and ``// 2d`` are exact.
+    Returns the fields with shape (trials, side, ..., side), float64 or
+    Fractions.
     """
     marks = np.asarray(marks)
     pad = EventSchedule.n_marks(box, dynamics)
@@ -161,23 +168,26 @@ def run_events(box: Box, dynamics: str, marks: np.ndarray,
         raise ValueError(f"marks must lie in [0, {pad}]")
     ends = _endpoints(box, dynamics)
     trials, width = marks.shape[1], box.n_sites + 1
-    zero = Fraction(0) if exact else 0.0
-    buf = np.full(trials * width, zero, dtype=object if exact else float)
-    rows = np.arange(trials, dtype=np.int64) * width
-    buf[rows + box.to_index(origin(box.dimension))] = Fraction(1) if exact else 1.0
     deg = 2 * box.dimension
+    den = (2 if dynamics == "averaging" else deg) ** len(marks) if exact else 1
+    div = operator.floordiv if exact else operator.truediv
+    buf = np.zeros(trials * width, dtype=object if exact else float)  # object zeros are int 0
+    rows = np.arange(trials, dtype=np.int64) * width
+    buf[rows + box.to_index(origin(box.dimension))] = den
     for m in marks:
         idx = ends[:, m] + rows
         if dynamics == "averaging":
-            mean = (buf[idx[0]] + buf[idx[1]]) / 2
+            mean = div(buf[idx[0]] + buf[idx[1]], 2)
             buf[idx[0]] = mean
             buf[idx[1]] = mean
         else:
-            share = buf[idx[0]] / deg
-            buf[idx[0]] = zero
+            share = div(buf[idx[0]], deg)
+            buf[idx[0]] = 0
             for k in range(1, deg + 1):
                 buf[idx[k]] += share
     fields = buf.reshape(trials, width)[:, :-1]
+    if exact:
+        fields = np.frompyfunc(lambda num: Fraction(num, den), 1, 1)(fields)
     return fields.reshape((trials,) + (box.side,) * box.dimension)
 
 

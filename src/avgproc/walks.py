@@ -4,8 +4,11 @@ Exact tables come from a dynamic program over the positive orthant, one
 independent pass per table: every start distribution used here and every
 kernel row pattern is invariant under coordinate sign flips, so only the
 nonnegative cone is stored, in integer numerators scaled by ``kernel.scale``
-per step. Float tables take the series route: the SRW return sequence in
-closed form, then the identities ``series.verify_gf_relations`` checks.
+per step. The stored cone is cut to the light cone of the recorded cells: a
+cell that cannot reach them within the remaining steps is dropped (see
+``_sequence``), which leaves every entry unchanged. Float tables take the
+series route: the SRW return sequence in closed form, then the identities
+``series.verify_gf_relations`` checks.
 Each float table carries ``error_bound``, a bound on every entry's error,
 proven for d <= 3 and infinite for d >= 4. Poisson weights, tails and orders
 come from the ``scipy.special`` ufuncs ``xlogy``, ``gammaln``, ``pdtr``,
@@ -151,6 +154,23 @@ def _orthant_step(cur: np.ndarray, bulk, deltas) -> np.ndarray:
     return nxt
 
 
+def _linf(p: Point) -> int:
+    return max(map(abs, p), default=0)
+
+
+def _reach(kernel: TransitionKernel) -> int:
+    """Largest drop of the L-infinity radius |x|_inf that one step can make.
+
+    A bulk step by o lowers it by at most |o|_inf; a perturbed row at site s
+    lowers it by at most max over its offsets o of |s|_inf - |s + o|_inf.
+    """
+    reach = max(map(_linf, kernel.bulk), default=0)
+    for site, row in kernel.perturbation.items():
+        reach = max(reach, *(_linf(site) - _linf(tuple(a + b for a, b in zip(site, o)))
+                             for o in row))
+    return reach
+
+
 def _sequence(kernel: TransitionKernel, n_max: int, mode: str, name: str | None,
               table: str) -> SequenceTable:
     """Table p, q, r or s: the series route in float mode, else one orthant DP pass.
@@ -159,6 +179,14 @@ def _sequence(kernel: TransitionKernel, n_max: int, mode: str, name: str | None,
     stored unit vector stands for two sphere points). After each step q
     records the origin and every pass but p then kills it; r and s record
     the sphere, and s kills it.
+
+    Light-cone trim: the pass only ever reads cells within L-infinity radius
+    w of the origin (w = 0 for p and q, 1 for r and s), and one step lowers a
+    walker's radius by at most ``reach`` (``_reach``). Mass beyond radius
+    reach * (n_max - k) + w after step k therefore cannot reach a recorded
+    cell by step n_max, so the stored cone is cut to that radius after every
+    step. The recorded entries are sums of the same integer terms as without
+    the cut, hence identical; in d=3 the pass touches about 8x fewer cells.
     """
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
@@ -168,6 +196,7 @@ def _sequence(kernel: TransitionKernel, n_max: int, mode: str, name: str | None,
         return _float_table(kernel, n_max, table, name)
     d = kernel.dimension
     scale, bulk, deltas = _kernel_box_data(kernel, exact=True)
+    reach, w = _reach(kernel), int(table in "rs")
     zero = (0,) * d
     watch, mult, den = (([zero], 1, 1) if table in "pq" else
                         ([tuple(int(i == j) for i in range(d)) for j in range(d)], 2, 2 * d))
@@ -179,8 +208,9 @@ def _sequence(kernel: TransitionKernel, n_max: int, mode: str, name: str | None,
         return Fraction(mult * int(sum(cur[e] for e in watch)), den)
 
     entries = [value()] if table in "pr" else []
-    for _ in range(n_max):
-        cur, den = _orthant_step(cur, bulk, deltas), den * scale
+    for k in range(1, n_max + 1):
+        cone = (slice(0, reach * (n_max - k) + w + 1),) * d
+        cur, den = _orthant_step(cur, bulk, deltas)[cone], den * scale
         if table == "q":
             entries.append(value())
         if table != "p":
@@ -479,12 +509,20 @@ def required_poisson_order(mu: float, tol: float) -> int:
     """Smallest N with Pr(Po(mu) > N) <= tol.
 
     The start is scipy.stats.poisson.isf(tol, mu): ceil of pdtrik, one step
-    down when the cdf there already reaches 1 - tol.
+    down when the cdf there already reaches 1 - tol. Below tol ~ 1.1e-16,
+    1 - tol rounds to 1 and pdtrik returns nan; the search then starts at
+    floor(mu), since every smaller n has a tail of at least 1/2 (the Poisson
+    median is at least mu - log 2).
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     q = 1.0 - tol
-    n = math.ceil(pdtrik(q, mu))
-    if n > 0 and pdtr(n - 1, mu) >= q:
-        n -= 1
+    if q == 1.0:
+        n = math.floor(mu)
+    else:
+        n = math.ceil(pdtrik(q, mu))
+        if n > 0 and pdtr(n - 1, mu) >= q:
+            n -= 1
     while pdtrc(n, mu) > tol:
         n += 1
     return n

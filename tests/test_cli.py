@@ -232,6 +232,18 @@ def test_simulate_potlach_branch(capsys):
     assert "mean-field-fraction" not in out
 
 
+def test_accept_has_no_dimension_or_mode_options(tmp_path, capsys):
+    # the suite fixes its own dimensions and arithmetic modes
+    assert run(["accept", "--quick", "--d", "7", "--mode", "exact"]) == 2
+    assert "unrecognized arguments: --d 7 --mode exact" in capsys.readouterr().err
+    cfg = tmp_path / "accept.cfg"
+    for key in ("d = 3", "mode = exact"):
+        cfg.write_text(key + "\n")
+        assert run(["accept", "--quick", "--config", str(cfg)]) == 2
+        name = key.split()[0]
+        assert f"config key {name!r} not used by 'accept'" in capsys.readouterr().err
+
+
 def test_accept_quick(capsys):
     assert run(["accept", "--quick", "--json-summary"]) == 0
     out = capsys.readouterr().out

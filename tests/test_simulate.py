@@ -171,7 +171,8 @@ def test_exact_and_float_see_same_events():
 
 @pytest.mark.parametrize("d,dynamics,mode", [
     (1, "averaging", "exact"), (2, "averaging", "float"),
-    (2, "potlach", "float"), (2, "potlach", "exact")])
+    (2, "potlach", "float"), (2, "potlach", "exact"),
+    (3, "averaging", "exact"), (1, "potlach", "exact")])
 def test_lockstep_matches_single_trial_replay(d, dynamics, mode):
     cfg = ExperimentConfig(dimension=d, t=4.0, trials=5, seed=9, box_radius=3,
                            dynamics=dynamics, mode=mode)

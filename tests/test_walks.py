@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -31,7 +32,7 @@ from avgproc.walks import (
     sphere_taboo_sequence,
     srw_return_sequence_float,
 )
-from avgproc.walks import _conv, _poisson_pmf
+from avgproc.walks import _conv, _poisson_pmf, _reach
 
 F = Fraction
 
@@ -81,6 +82,12 @@ def reference_tables(kernel, n_max):
     return p, q, r, s
 
 
+# SRW on Z except that +-2 jump straight to the origin: one step lowers the
+# radius by 2, so a cone cut at radius n_max - k would lose mass
+LONG_JUMP = TransitionKernel(1, F(1), {(1,): F(1, 2), (-1,): F(1, 2)},
+                             {(2,): {(-2,): F(1)}, (-2,): {(2,): F(1)}}, name="long-jump")
+
+
 @pytest.mark.parametrize(
     "kernel,n_max",
     [
@@ -89,6 +96,11 @@ def reference_tables(kernel, n_max):
         (avg_difference_kernel(1), 8),
         (avg_difference_kernel(2), 6),
         (potlach_kernels(1)[1], 8),
+        # the light-cone trim cuts the stored cone after every step past about n_max / 2
+        (srw_kernel(3), 10),
+        (avg_difference_kernel(3), 10),
+        (potlach_kernels(2)[1], 12),
+        (LONG_JUMP, 12),
     ],
     ids=lambda k: k.name if hasattr(k, "name") else str(k),
 )
@@ -98,6 +110,23 @@ def test_sequences_match_reference_dp(kernel, n_max):
     assert first_return_sequence(kernel, n_max).entries == q_ref
     assert sphere_taboo_sequence(kernel, n_max).entries == r_ref
     assert sphere_first_return_sequence(kernel, n_max).entries == s_ref
+
+
+def test_reach_comes_from_the_rows():
+    assert [_reach(k) for k in (srw_kernel(3), avg_difference_kernel(3), potlach_kernels(2)[1],
+                                difference_kernel_from_pair_rates(2))] == [1, 1, 1, 1]
+    assert _reach(LONG_JUMP) == 2
+
+
+def test_exact_d3_tables_pinned():
+    # Digest of the exact d=3 srw and avg-diff p, q, r, s tables through n=48,
+    # recorded before the light-cone trim; any change to an entry moves it.
+    tables = [fn(kernel(3), 48) for kernel in (srw_kernel, avg_difference_kernel)
+              for fn in (return_sequence, first_return_sequence,
+                         sphere_taboo_sequence, sphere_first_return_sequence)]
+    text = repr([(t.name, t.first_index, [(v.numerator, v.denominator) for v in t.entries])
+                 for t in tables])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "8ae1dc4d166299bf"
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +470,29 @@ def test_poisson_ufuncs_match_scipy_stats_bitwise(mu):
         while poisson.sf(n, mu) > tol:
             n += 1
         assert required_poisson_order(mu, tol) == n
+
+
+@pytest.mark.parametrize("mu", [1e-3, 0.5, 5.0, 50.0, 400.0])
+@pytest.mark.parametrize("tol", [1e-17, 1e-40, 1e-300])
+def test_required_poisson_order_below_double_resolution(mu, tol):
+    # 1 - tol rounds to 1 here, where pdtrik returns nan
+    n = 0
+    while pdtrc(n, mu) > tol:
+        n += 1
+    assert required_poisson_order(mu, tol) == n
+
+
+def test_required_poisson_order_rejects_nonpositive_tol():
+    for tol in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            required_poisson_order(10.0, tol)
+
+
+def test_heat_kernel_with_tol_below_double_resolution():
+    hk = heat_kernel(1, 10.0, Box(1, 40), tol=1e-17)
+    assert hk.tail_bound <= 1e-17
+    assert hk.step == required_poisson_order(5.0, 1e-17)
+    assert np.sum(hk.values_float()) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_poissonized_empty_table_raises():
