@@ -23,7 +23,10 @@ event then divides by 2 (or 2d) exactly, and each site becomes a Fraction
 once, at the end. The last entry of each row is a sentinel site that holds
 zero. Shorter mark streams are padded with one extra mark whose endpoints
 are all the sentinel, so a padding event averages (or splits) zero with
-itself and no per-event mask is needed.
+itself and no per-event mask is needed. Marks are stored in the smallest
+unsigned type that holds the padding mark; each step widens its row of
+marks to ``intp`` once and gathers the endpoints with 1-D ``take`` from a
+C-contiguous endpoint table.
 """
 from __future__ import annotations
 
@@ -157,6 +160,10 @@ def run_events(box: Box, dynamics: str, marks: np.ndarray,
     or, with ``exact``, integer numerators over den = 2**n_steps (averaging)
     or (2d)**n_steps (potlach). After j events every numerator is a multiple
     of den / 2**j (or den / (2d)**j), so ``// 2`` and ``// 2d`` are exact.
+    Any integer dtype and layout of ``marks`` gives the same fields: each
+    step widens its row to ``intp`` once, and every endpoint and buffer read
+    is a 1-D ``take``, which is much cheaper than indexing a 2-D table with
+    a small-integer row.
     Returns the fields with shape (trials, side, ..., side), float64 or
     Fractions.
     """
@@ -166,25 +173,29 @@ def run_events(box: Box, dynamics: str, marks: np.ndarray,
         raise ValueError("marks must be an integer (n_steps, trials) matrix")
     if marks.size and (marks.min() < 0 or marks.max() > pad):
         raise ValueError(f"marks must lie in [0, {pad}]")
-    ends = _endpoints(box, dynamics)
+    # take() on a strided row copies the whole row first, so each endpoint
+    # row must be contiguous (_endpoints is F-ordered for potlach)
+    ends = np.ascontiguousarray(_endpoints(box, dynamics))
     trials, width = marks.shape[1], box.n_sites + 1
     deg = 2 * box.dimension
     den = (2 if dynamics == "averaging" else deg) ** len(marks) if exact else 1
     div = operator.floordiv if exact else operator.truediv
     buf = np.zeros(trials * width, dtype=object if exact else float)  # object zeros are int 0
-    rows = np.arange(trials, dtype=np.int64) * width
+    rows = np.arange(trials, dtype=np.intp) * width
     buf[rows + box.to_index(origin(box.dimension))] = den
     for m in marks:
-        idx = ends[:, m] + rows
+        m = m.astype(np.intp)
+        src = ends[0].take(m) + rows
         if dynamics == "averaging":
-            mean = div(buf[idx[0]] + buf[idx[1]], 2)
-            buf[idx[0]] = mean
-            buf[idx[1]] = mean
+            dst = ends[1].take(m) + rows
+            mean = div(buf.take(src) + buf.take(dst), 2)
+            buf[src] = mean
+            buf[dst] = mean
         else:
-            share = div(buf[idx[0]], deg)
-            buf[idx[0]] = 0
+            share = div(buf.take(src), deg)
+            buf[src] = 0
             for k in range(1, deg + 1):
-                buf[idx[k]] += share
+                buf[ends[k].take(m) + rows] += share
     fields = buf.reshape(trials, width)[:, :-1]
     if exact:
         fields = np.frompyfunc(lambda num: Fraction(num, den), 1, 1)(fields)

@@ -131,7 +131,11 @@ def float_window_radius(n: int, d: int, c: float | None = None) -> int:
 
 
 def _orthant_step(cur: np.ndarray, bulk, deltas) -> np.ndarray:
-    """One exact kernel step on the stored orthant cone [0, r]^d, r = len(cur) - 1."""
+    """One exact kernel step on the stored orthant cone [0, r]^d, r = len(cur) - 1.
+
+    Bulk offsets must lie in {-1, 0, 1}^d: the low faces are mirror-padded by
+    one cell. Perturbed rows may jump farther.
+    """
     d, r = cur.ndim, len(cur) - 1
     r2 = max(r + 1, 2)
     padded = np.zeros((r2 + 3,) * d, dtype=object)
@@ -195,6 +199,9 @@ def _sequence(kernel: TransitionKernel, n_max: int, mode: str, name: str | None,
     if mode == "float":
         return _float_table(kernel, n_max, table, name)
     d = kernel.dimension
+    for o in kernel.bulk:  # _orthant_step mirror-pads the cone by one cell
+        if _linf(o) > 1:
+            raise ValueError(f"exact orthant DP: bulk offset {o} is longer than one cell")
     scale, bulk, deltas = _kernel_box_data(kernel, exact=True)
     reach, w = _reach(kernel), int(table in "rs")
     zero = (0,) * d

@@ -118,6 +118,25 @@ def test_run_events_padding_leaves_rows_unchanged(dynamics, exact):
         run_events(box, dynamics, marks + 1, exact)
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("dynamics", ["averaging", "potlach"])
+def test_run_events_ignores_mark_dtype_and_layout(dynamics, exact):
+    box = Box(2, 2)
+    pad = EventSchedule.n_marks(box, dynamics)
+    events = np.random.default_rng(4).integers(0, pad, size=(30, 3))
+    marks = np.concatenate([events, np.full((2, 3), pad)])
+    strided = np.full((len(marks), 6), pad)
+    strided[:, ::2] = marks
+    layouts = [marks.astype(np.uint8), marks.astype(np.uint16), marks.astype(np.int64),
+               strided[:, ::2], np.asfortranarray(marks)]
+    assert not layouts[3].flags.c_contiguous and not layouts[4].flags.c_contiguous
+    expected = [replay(box, dynamics, events[:, i], exact) for i in range(3)]
+    for variant in layouts:
+        fields = run_events(box, dynamics, variant, exact)
+        for i in range(3):
+            assert np.array_equal(fields[i], expected[i])
+
+
 def test_event_schedule_sample():
     box = Box(1, 5)
     rng = np.random.default_rng(7)
@@ -172,7 +191,9 @@ def test_exact_and_float_see_same_events():
 @pytest.mark.parametrize("d,dynamics,mode", [
     (1, "averaging", "exact"), (2, "averaging", "float"),
     (2, "potlach", "float"), (2, "potlach", "exact"),
-    (3, "averaging", "exact"), (1, "potlach", "exact")])
+    (3, "averaging", "exact"), (1, "potlach", "exact"),
+    # deg = 6 is the only divisor here that is not a power of two
+    (3, "potlach", "float")])
 def test_lockstep_matches_single_trial_replay(d, dynamics, mode):
     cfg = ExperimentConfig(dimension=d, t=4.0, trials=5, seed=9, box_radius=3,
                            dynamics=dynamics, mode=mode)

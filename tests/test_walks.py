@@ -118,6 +118,14 @@ def test_reach_comes_from_the_rows():
     assert _reach(LONG_JUMP) == 2
 
 
+def test_orthant_dp_rejects_long_bulk_jump():
+    kernel = TransitionKernel(1, F(1), {(2,): F(1, 2), (-2,): F(1, 2)})
+    for fn in (return_sequence, first_return_sequence,
+               sphere_taboo_sequence, sphere_first_return_sequence):
+        with pytest.raises(ValueError, match=r"bulk offset \((2|-2),\)"):
+            fn(kernel, 4)
+
+
 def test_exact_d3_tables_pinned():
     # Digest of the exact d=3 srw and avg-diff p, q, r, s tables through n=48,
     # recorded before the light-cone trim; any change to an entry moves it.
