@@ -11,7 +11,8 @@ Configuration can come from ``--config FILE`` with one ``key=value`` per
 line and ``#`` comments; explicit flags override the file, and unknown keys
 in the file are rejected. Tolerance gates are overridden with
 ``--tol.<name> <value>``. Exit codes: 0 success, 1 a tolerance/acceptance
-gate failed, 2 usage or configuration error.
+gate failed, 2 usage or configuration error, 3 internal error (the traceback
+goes to stderr).
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 
 import numpy as np
 
@@ -27,10 +29,11 @@ from .asymptotics import AsymptoticConstants, asymptotics_check
 from .kernels import avg_difference_kernel, potlach_kernels, srw_kernel
 from .lattice import Box
 from .series import verify_closed_form_d1, verify_gf_relations, verify_potlach_relation
-from .simulate import ExperimentConfig, simulate
-from .stats import clt_statistic, estimate_mean_field, estimate_moments
-from .walks import (SequenceTooShortError, first_return_sequence, poissonized_return,
-                    return_sequence, sphere_first_return_sequence, sphere_taboo_sequence)
+from .simulate import DYNAMICS, ExperimentConfig, simulate
+from .stats import TEST_FUNCTIONS, clt_statistic, estimate_mean_field, estimate_moments
+from .walks import (NoSeriesRouteError, SequenceTooShortError, first_return_sequence,
+                    poissonized_return, return_sequence, sphere_first_return_sequence,
+                    sphere_taboo_sequence)
 
 KERNELS = {
     "srw": srw_kernel,
@@ -50,6 +53,10 @@ CONFIG_TYPES = {
     "quick": None, "json_summary": None, "box_radius": int, "tables": str,
     "window": float,
 }
+
+#: the values each choice option accepts, whether from a flag or a config file
+CHOICES = {"mode": ("exact", "float"), "dynamics": DYNAMICS, "kernel": KERNELS,
+           "fn": TEST_FUNCTIONS}
 
 
 class UsageError(Exception):
@@ -128,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value config file; flags override it")
         if lattice:
             p.add_argument("--d", type=int, help="lattice dimension")
-            p.add_argument("--mode", choices=("exact", "float"), help="arithmetic mode")
+            p.add_argument("--mode", choices=CHOICES["mode"], help="arithmetic mode")
         p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--out", help="CSV output path (default: stdout)")
         p.add_argument("--json-summary", action="store_true", default=None,
@@ -138,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--t", type=float, help="final time")
     p.add_argument("--trials", type=int)
-    p.add_argument("--dynamics", choices=("averaging", "potlach"))
+    p.add_argument("--dynamics", choices=DYNAMICS)
     p.add_argument("--box-radius", type=int, help="torus radius (default: 6 sigma + 5)")
     p.add_argument("--dump-field", help="also write the mean field as a per-site CSV")
 
@@ -214,7 +221,27 @@ def resolve_options(args: argparse.Namespace) -> dict:
 
 def _require_at_least(opts: dict, key: str, low: int) -> None:
     if opts[key] < low:
-        raise UsageError(f"--{key} must be >= {low}, got {opts[key]}")
+        raise UsageError(f"--{key.replace('_', '-')} must be >= {low}, got {opts[key]}")
+
+
+def _check_options(opts: dict) -> None:
+    """Reject out-of-range values of the options several commands share."""
+    if "d" in opts:
+        _require_at_least(opts, "d", 1)
+    for key, low in (("t", 0), ("order", 0), ("box_radius", 1)):
+        if opts.get(key) is not None:
+            _require_at_least(opts, key, low)
+    for key, choices in CHOICES.items():
+        if key in opts and opts[key] not in choices:
+            raise UsageError(f"--{key} must be one of {sorted(choices)}, got {opts[key]!r}")
+
+
+def _table(fn, kernel, steps: int, mode: str):
+    """One sequence table; a float table with no series route is a usage error."""
+    try:
+        return fn(kernel, steps, mode=mode)
+    except NoSeriesRouteError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _hashable(opts: dict) -> dict:
@@ -228,6 +255,13 @@ def _emit(opts, columns, rows, comments=()) -> None:
                                config=_hashable(opts), comments=comments)
     if opts.get("out") is None:
         sys.stdout.write(text)
+
+
+def _error_budget(opts, tables) -> tuple[list[str], dict]:
+    """CSV comment lines and JSON-summary entries for the float tables' error bounds."""
+    budget = {} if opts["mode"] == "exact" else {t.name: t.error_bound for t in tables}
+    return ([f"{name}:error_bound={bound!r}" for name, bound in budget.items()],
+            {"error_bounds": budget} if budget else {})
 
 
 def _summary(opts, payload: dict) -> None:
@@ -285,12 +319,11 @@ def cmd_walk_dp(opts, tol) -> int:
     unknown = set(names) - set(TABLES)
     if unknown:
         raise UsageError(f"unknown tables {sorted(unknown)}; choose from p,q,r,s")
-    tables = [TABLES[t](kernel, opts["steps"], mode=opts["mode"]) for t in "pqrs" if t in names]
+    tables = [_table(TABLES[t], kernel, opts["steps"], opts["mode"]) for t in "pqrs" if t in names]
     rows = [row for tab in tables for row in tab.csv_rows()]
-    budget = {} if opts["mode"] == "exact" else {t.name: t.error_bound for t in tables}
+    comments, extras = _error_budget(opts, tables)
     _emit(opts, ("name", "n", "numerator", "denominator", "float_value"), rows,
-          comments=[f"{name}:error_bound={bound!r}" for name, bound in budget.items()])
-    extras = {"error_bounds": budget} if budget else {}
+          comments=comments)
     _summary(opts, {"command": "walk-dp", "ok": True,
                     "tables": [t.name for t in tables], **extras})
     return 0
@@ -320,7 +353,7 @@ def cmd_asymptotics(opts, tol) -> int:
     _require_at_least(opts, "steps", 4)
     d = opts["d"]
     kernel = KERNELS[opts["kernel"]](d)
-    seq = return_sequence(kernel, opts["steps"], mode=opts["mode"])
+    seq = _table(return_sequence, kernel, opts["steps"], opts["mode"])
     constants = AsymptoticConstants.compute(d) if d >= 3 else None
     rows_ = asymptotics_check(seq, constants=constants)
     comments = []
@@ -330,15 +363,18 @@ def cmd_asymptotics(opts, tol) -> int:
     if constants is None:
         constants = AsymptoticConstants.compute(d)
     comments.append(f"beta={constants.beta!r}")
+    budget_comments, extras = _error_budget(opts, [seq])
     _emit(opts, ("n", "value", "rescaled", "target", "deviation"),
           [(r.n, repr(r.value), repr(r.rescaled), repr(r.target), repr(r.deviation))
-           for r in rows_], comments=comments)
-    _summary(opts, {"command": "asymptotics", "ok": True, "rows": len(rows_)})
+           for r in rows_], comments=comments + budget_comments)
+    _summary(opts, {"command": "asymptotics", "ok": True, "rows": len(rows_), **extras})
     return 0
 
 
 def cmd_clt(opts, tol) -> int:
     _require_at_least(opts, "trials", 2)
+    if opts["t"] <= 0:
+        raise UsageError(f"--t must be > 0 for the rescaled statistic, got {opts['t']}")
     cfg = ExperimentConfig(dimension=opts["d"], t=opts["t"], trials=opts["trials"],
                            seed=opts["seed"], mode="float")
     res = simulate(cfg)
@@ -417,14 +453,20 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        tol = acceptance.merged_tolerances(overrides)
+        try:
+            tol = acceptance.merged_tolerances(overrides)
+        except KeyError as exc:  # an unknown --tol.<name>
+            raise UsageError(exc.args[0]) from exc
         opts = resolve_options(args)
-        if "d" in opts:
-            _require_at_least(opts, "d", 1)
+        _check_options(opts)
         return COMMANDS[args.command](opts, tol)
-    except (UsageError, KeyError, ValueError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a fault in the program, not in its input: keep it apart from 1 and 2
+        traceback.print_exc()
+        print("internal error (exit 3)", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -28,6 +28,10 @@ from .kernels import TransitionKernel, avg_difference_kernel, potlach_kernels, s
 from .lattice import Box, Point, check_dimension, origin
 
 
+class NoSeriesRouteError(ValueError):
+    """A float table was asked for a kernel whose rows match no series route."""
+
+
 class SequenceTooShortError(ValueError):
     """Poisson tail past the available entries exceeds the tolerance."""
 
@@ -396,8 +400,9 @@ def _route(kernel: TransitionKernel) -> str:
                           ("potlach-coup", potlach_kernels(d)[1])):
         if (kernel.bulk, kernel.perturbation) == (family.bulk, family.perturbation):
             return route
-    raise ValueError(f"float mode has no series route for kernel {kernel.name!r} (its rows "
-                     "match none of srw, avg-diff, potlach-coup); use mode='exact'")
+    raise NoSeriesRouteError(f"float mode has no series route for kernel {kernel.name!r} "
+                             "(its rows match none of srw, avg-diff, potlach-coup); "
+                             "use mode='exact'")
 
 
 def _float_table(kernel: TransitionKernel, n_max: int, table: str, name: str) -> SequenceTable:

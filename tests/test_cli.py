@@ -68,6 +68,24 @@ def test_walk_dp_float_without_route_is_usage_error(monkeypatch, capsys):
     assert "mode='exact'" in capsys.readouterr().err
 
 
+def test_asymptotics_float_error_budget(capsys):
+    args = ["asymptotics", "--d", "3", "--kernel", "avg-diff", "--steps", "40",
+            "--json-summary"]
+    assert run(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    comments = [ln for ln in lines if ln.startswith("# ") and "error_bound" in ln]
+    assert [c.split(":")[0] for c in comments] == ["# p_tilde"]
+    bound = float(comments[0].split("=")[1])
+    assert 0 < bound < 1e-12
+    assert json.loads(lines[-1])["error_bounds"] == {"p_tilde": bound}
+    assert run(args) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+    assert run(args[:-1] + ["--mode", "exact", "--json-summary"]) == 0
+    out = capsys.readouterr().out
+    assert "error_bound" not in out
+    assert "error_bounds" not in json.loads(out.splitlines()[-1])
+
+
 def test_walk_dp_table_selection(capsys):
     assert run(["walk-dp", "--d", "1", "--steps", "3", "--tables", "q,s"]) == 0
     out = capsys.readouterr().out
@@ -156,15 +174,50 @@ def test_tolerance_flag_errors(capsys):
     (["simulate", "--d", "0"], "--d must be >= 1"),
     (["clt", "--d", "0"], "--d must be >= 1"),
     (["potlach", "--d", "0"], "--d must be >= 1"),
+    (["simulate", "--t", "-1"], "--t must be >= 0"),
+    (["simulate", "--t", "2", "--box-radius", "0"], "--box-radius must be >= 1"),
+    (["clt", "--t", "0"], "--t must be > 0"),
+    (["clt", "--t", "4", "--fn", "sine"], "--fn must be one of"),
+    (["series-verify", "--order", "-1"], "--order must be >= 0"),
+    (["potlach", "--order", "-1"], "--order must be >= 0"),
+    (["accept", "--tol.not-a-gate=1"], "unknown tolerance names: ['not-a-gate']"),
 ], ids=["asymptotics-steps-1", "asymptotics-steps-3", "walk-dp-steps-neg",
         "walk-dp-float-steps-neg", "simulate-trials-1", "clt-trials-1",
         "walk-dp-d-0", "walk-dp-d-neg", "walk-dp-srw-d-0", "series-verify-d-0",
-        "asymptotics-d-0", "simulate-d-0", "clt-d-0", "potlach-d-0"])
+        "asymptotics-d-0", "simulate-d-0", "clt-d-0", "potlach-d-0",
+        "simulate-t-neg", "simulate-box-radius-0", "clt-t-0", "clt-unknown-fn",
+        "series-verify-order-neg", "potlach-order-neg", "unknown-tolerance"])
 def test_out_of_range_options_are_usage_errors(argv, message, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command,line", [
+    ("simulate", "mode = decimal"), ("simulate", "dynamics = exclusion"),
+    ("walk-dp", "kernel = lazy"), ("asymptotics", "mode = decimal"), ("clt", "fn = sine")])
+def test_config_file_choices_are_usage_errors(command, line, tmp_path, capsys):
+    # argparse checks these choices on the command line, but not in a file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert run([command, "--config", str(cfg)]) == 2
+    key, value = (part.strip() for part in line.split("="))
+    err = capsys.readouterr().err
+    assert f"--{key} must be one of" in err and repr(value) in err
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyError, ZeroDivisionError])
+def test_internal_error_exits_3(error, monkeypatch, capsys):
+    # a fault in the program is neither a usage error (2) nor a failed gate (1)
+    def broken(opts, tol):
+        raise error("fault inside the command")
+
+    monkeypatch.setitem(cli.COMMANDS, "walk-dp", broken)
+    assert run(["walk-dp", "--steps", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "fault inside the command" in err
+    assert "internal error" in err
 
 
 def test_import_does_not_load_scipy_stats():

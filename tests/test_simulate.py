@@ -1,14 +1,21 @@
 import hashlib
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from avgproc import simulate as simulate_module
 from avgproc.lattice import Box, origin, unit_vectors
 from avgproc.simulate import (
+    BUFFER_BYTES,
+    MAX_MARK_ENTRIES,
+    MIN_CHUNK_TRIALS,
     EventSchedule,
     ExperimentConfig,
     SimulationResult,
+    _chunk_bounds,
     default_box_radius,
     run_events,
     simulate,
@@ -248,3 +255,103 @@ def test_mean_field_shape():
     mean = res.mean_field()
     assert mean.shape == (9, 9)
     assert float(mean.sum()) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("trials,steps,width", [
+    (1, 2724, 80),                     # one trial
+    (MIN_CHUNK_TRIALS + 1, 100, 10**5),  # just over the floor, buffer far too big
+    (2 * MIN_CHUNK_TRIALS + 1, 100, 10**5),
+    (10**4, 2724, 80),                 # criterion 6
+    (400, 36863, 80),                  # criterion 7
+    (3000, 10**5, 80),                 # large t: the mark bound beats the floor
+    (50, 10**8, 80),                   # huge t: one trial per chunk
+    (10**6, 10, 2),
+], ids=["one-trial", "floor+1", "2floor+1", "c6", "c7", "large-t", "huge-t", "many-trials"])
+def test_chunk_bounds_respect_limits(trials, steps, width):
+    bounds = _chunk_bounds(trials, steps, width)
+    sizes = np.diff(bounds)
+    n = len(sizes)
+    assert bounds[0] == 0 and bounds[-1] == trials and sizes.min() >= 1
+    assert sizes.max() - sizes.min() <= 1  # equal chunks cover every trial once
+
+    def biggest(k):
+        return -(-trials // k)
+
+    def mark_ok(k):
+        return biggest(k) * steps <= MAX_MARK_ENTRIES or biggest(k) == 1
+
+    def cache_ok(k):
+        return biggest(k) * 8 * width <= BUFFER_BYTES
+
+    assert mark_ok(n)
+    # the buffer fits, or one more chunk would fall below the floor
+    assert cache_ok(n) or trials // (n + 1) < MIN_CHUNK_TRIALS
+    # chunks hold at least the floor, unless one chunk or the mark bound forces it
+    assert sizes.min() >= MIN_CHUNK_TRIALS or n == 1 or not mark_ok(n - 1)
+    # fewest: one chunk fewer breaks the mark bound, or the cache bound while
+    # still leaving room above the floor
+    if n > 1:
+        assert not mark_ok(n - 1) or (not cache_ok(n - 1)
+                                      and trials // n >= MIN_CHUNK_TRIALS)
+    if (trials, steps, width) == (10**4, 2724, 80):
+        assert list(bounds) == [0, 2500, 5000, 7500, 10**4]
+
+
+def _same_fields(a, b):
+    if a.dtype == object:
+        return (a.shape == b.shape and np.array_equal(a, b)
+                and all(type(v) is Fraction for v in a.flat))
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("limits", [
+    dict(BUFFER_BYTES=1, MIN_CHUNK_TRIALS=2),  # the cache bound splits, down to the floor
+    dict(MAX_MARK_ENTRIES=1),                  # the mark bound splits to one trial each
+], ids=["cache", "marks"])
+@pytest.mark.parametrize("d,dynamics,mode,t,radius", [
+    (1, "averaging", "float", 6.0, 5), (2, "averaging", "exact", 3.0, 3),
+    (3, "potlach", "float", 2.0, 2), (2, "potlach", "exact", 2.0, 2),
+    (3, "averaging", "float", 2.0, 2), (1, "potlach", "float", 4.0, 4),
+    (1, "averaging", "float", 0.0, 2),
+    (1, "averaging", "exact", 0.4, 1)])  # some trials see no event
+def test_chunked_simulate_matches_one_chunk(d, dynamics, mode, t, radius, limits,
+                                            monkeypatch):
+    cfg = ExperimentConfig(dimension=d, t=t, trials=7, seed=3, box_radius=radius,
+                           dynamics=dynamics, mode=mode)
+    whole = simulate(cfg).fields
+    for name, value in limits.items():
+        monkeypatch.setattr(simulate_module, name, value)
+    mu = EventSchedule.total_rate(cfg.box, dynamics) * t
+    steps = int(mu + 10 * math.sqrt(mu + 1) + 10)
+    assert len(_chunk_bounds(cfg.trials, steps, cfg.box.n_sites + 1)) > 3
+    assert _same_fields(simulate(cfg).fields, whole)
+    if t == 0.4:
+        counts = [len(EventSchedule.sample(np.random.default_rng(ss), cfg.box, t, dynamics))
+                  for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.trials)]
+        assert 0 in counts and max(counts) > 0
+
+
+def test_chunk_memory_stays_bounded():
+    # Peak traced memory stays within 1.25x one chunk's padded mark matrix,
+    # its lockstep buffer and the fields: no second copy of the marks and no
+    # matrix of the previous chunk may be alive next to them. Measured: 1.07x;
+    # 1.52x with a per-trial stream list beside the matrix.
+    cfg = ExperimentConfig(dimension=1, t=64.0, trials=6000)
+    tracemalloc.start()
+    try:
+        fields = simulate(cfg).fields
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    box = cfg.box
+    mu = EventSchedule.total_rate(box, cfg.dynamics) * cfg.t
+    bounds = _chunk_bounds(cfg.trials, int(mu + 10 * math.sqrt(mu + 1) + 10),
+                           box.n_sites + 1)
+    chunk = int(np.diff(bounds).max())
+    assert len(bounds) > 2
+    longest = max(int(np.random.default_rng(ss).poisson(mu))
+                  for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.trials))
+    pad = EventSchedule.n_marks(box, cfg.dynamics)
+    matrix = chunk * longest * np.min_scalar_type(pad).itemsize
+    buffer = chunk * (box.n_sites + 1) * 8
+    assert peak < 1.25 * (matrix + buffer + fields.nbytes)
