@@ -113,7 +113,7 @@ def asymptotics_check(seq: SequenceTable, ns: list[int] | None = None,
     """
     d = seq.dimension
     if constants is None:
-        constants = AsymptoticConstants.compute(d) if d >= 3 else AsymptoticConstants(d, beta_constant(d))
+        constants = AsymptoticConstants.compute(d)
     parity = all(float(seq[n]) == 0.0 for n in range(seq.first_index, seq.last_index + 1) if n % 2 == 1)
     if ns is None:
         hi = seq.last_index

@@ -131,10 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"avgproc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, lattice=True):
+    def common(p, lattice=True, mode=False):
         p.add_argument("--config", help="key=value config file; flags override it")
         if lattice:
             p.add_argument("--d", type=int, help="lattice dimension")
+        if mode:
             p.add_argument("--mode", choices=CHOICES["mode"], help="arithmetic mode")
         p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--out", help="CSV output path (default: stdout)")
@@ -142,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print a one-line JSON summary to stdout")
 
     p = sub.add_parser("simulate", help="run Monte Carlo trials and moment records")
-    common(p)
+    common(p, mode=True)
     p.add_argument("--t", type=float, help="final time")
     p.add_argument("--trials", type=int)
     p.add_argument("--dynamics", choices=DYNAMICS)
@@ -150,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-field", help="also write the mean field as a per-site CSV")
 
     p = sub.add_parser("walk-dp", help="sequence tables by dynamic programming")
-    common(p)
+    common(p, mode=True)
     p.add_argument("--kernel", choices=sorted(KERNELS))
     p.add_argument("--steps", type=int, help="largest step index")
     p.add_argument("--tables", help="comma list from p,q,r,s (default p)")
@@ -160,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, help="truncation order")
 
     p = sub.add_parser("asymptotics", help="rescaled large-n sequence checks")
-    common(p)
+    common(p, mode=True)
     p.add_argument("--kernel", choices=sorted(KERNELS))
     p.add_argument("--steps", type=int, help="largest step index")
 
@@ -190,14 +191,12 @@ DEFAULTS = {
                      dump_field=None, json_summary=False),
     "walk-dp": dict(d=1, kernel="avg-diff", steps=32, mode="exact",
                     tables="p", seed=0, out=None, json_summary=False),
-    "series-verify": dict(d=1, order=None, seed=0, out=None,
-                          json_summary=False, mode="exact"),
+    "series-verify": dict(d=1, order=None, seed=0, out=None, json_summary=False),
     "asymptotics": dict(d=1, kernel="avg-diff", steps=2000, seed=0, out=None,
                         json_summary=False, mode="float"),
     "clt": dict(d=1, t=400.0, trials=100, seed=0, fn="cos", param=1.0,
-                window=0.05, mode="float", out=None, json_summary=False),
-    "potlach": dict(d=1, order=48, steps=600, seed=0, out=None,
-                    json_summary=False, mode="exact"),
+                window=0.05, out=None, json_summary=False),
+    "potlach": dict(d=1, order=48, steps=600, seed=0, out=None, json_summary=False),
     "accept": dict(quick=False, seed=acceptance.DEFAULT_SEED, out=None,
                    json_summary=False),
 }
@@ -292,8 +291,7 @@ def cmd_simulate(opts, tol) -> int:
         extras = {"two_norm_z": mo.two_norm.z, "mean_field_fraction": frac,
                   "conservation_defect": mo.conservation_defect}
     else:
-        totals = res.totals().astype(float)
-        defect = float(np.abs(totals - 1.0).max())
+        defect = res.conservation_defect()
         norms = res.two_norms_sq().astype(float)
         rows.append(("two-norm-sq", cfg.dimension, repr(cfg.t), cfg.trials, cfg.seed,
                      repr(float(norms.mean())),
@@ -316,6 +314,8 @@ def cmd_walk_dp(opts, tol) -> int:
     _require_at_least(opts, "steps", 0)
     kernel = KERNELS[opts["kernel"]](opts["d"])
     names = [t.strip() for t in opts["tables"].split(",") if t.strip()]
+    if not names:
+        raise UsageError(f"--tables names no table, got {opts['tables']!r}; choose from p,q,r,s")
     unknown = set(names) - set(TABLES)
     if unknown:
         raise UsageError(f"unknown tables {sorted(unknown)}; choose from p,q,r,s")
@@ -354,14 +354,12 @@ def cmd_asymptotics(opts, tol) -> int:
     d = opts["d"]
     kernel = KERNELS[opts["kernel"]](d)
     seq = _table(return_sequence, kernel, opts["steps"], opts["mode"])
-    constants = AsymptoticConstants.compute(d) if d >= 3 else None
+    constants = AsymptoticConstants.compute(d)
     rows_ = asymptotics_check(seq, constants=constants)
     comments = []
-    if constants is not None:
+    if constants.alpha is not None:
         comments.append(f"alpha={constants.alpha!r},alpha_error={constants.alpha_error!r},"
                         f"oscillation={constants.oscillation!r}")
-    if constants is None:
-        constants = AsymptoticConstants.compute(d)
     comments.append(f"beta={constants.beta!r}")
     budget_comments, extras = _error_budget(opts, [seq])
     _emit(opts, ("n", "value", "rescaled", "target", "deviation"),

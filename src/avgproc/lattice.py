@@ -1,8 +1,8 @@
 """Integer-lattice geometry: points, l1 balls/spheres, finite boxes with index maps.
 
-Points are plain tuples of ints; a Box is a finite truncation of Z^d, either
-periodic (torus) or with absorbing boundary, with a fixed row-major linear
-index layout so site columns in CSV output are reproducible across runs.
+Points are plain tuples of ints; a Box is the torus [-L, L]^d, a periodic
+truncation of Z^d, with a fixed row-major linear index layout so site columns
+in CSV output are reproducible across runs.
 """
 from __future__ import annotations
 
@@ -12,8 +12,6 @@ from math import comb
 from typing import Iterator
 
 Point = tuple[int, ...]
-
-TOPOLOGIES = ("torus", "absorbing")
 
 
 def check_dimension(d: int) -> None:
@@ -92,23 +90,15 @@ def sphere_size(d: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class Box:
-    """Finite truncation [-L, L]^d of Z^d with a row-major linear index.
-
-    topology "torus" wraps coordinates mod (2L+1); "absorbing" treats
-    out-of-box sites as a graveyard (mass that steps out is lost and
-    tracked separately by the DP driver).
-    """
+    """The torus [-L, L]^d: coordinates wrap mod 2L+1; row-major linear index."""
 
     dimension: int
     radius: int
-    topology: str = "torus"
 
     def __post_init__(self):
         check_dimension(self.dimension)
         if self.radius < 1:
             raise ValueError("box radius must be >= 1")
-        if self.topology not in TOPOLOGIES:
-            raise ValueError(f"topology must be one of {TOPOLOGIES}")
 
     @property
     def side(self) -> int:
@@ -118,28 +108,17 @@ class Box:
     def n_sites(self) -> int:
         return self.side**self.dimension
 
-    def contains(self, p: Point) -> bool:
-        return all(-self.radius <= c <= self.radius for c in p)
-
     def wrap(self, p: Point) -> Point:
         """Map an arbitrary point to its torus representative in [-L, L]^d."""
         L, side = self.radius, self.side
         return tuple((c + L) % side - L for c in p)
 
     def to_index(self, p: Point) -> int:
-        """Linear index, row-major over coordinates shifted by +L.
-
-        On the torus arbitrary points are wrapped first; on the absorbing
-        box out-of-range points are a contract violation.
-        """
+        """Linear index of the wrapped point, row-major over coordinates shifted by +L."""
         if len(p) != self.dimension:
             raise ValueError("point dimension does not match box")
-        if self.topology == "torus":
-            p = self.wrap(p)
-        elif not self.contains(p):
-            raise ValueError(f"point {p} outside absorbing box of radius {self.radius}")
         idx = 0
-        for c in p:
+        for c in self.wrap(p):
             idx = idx * self.side + (c + self.radius)
         return idx
 
@@ -156,14 +135,3 @@ class Box:
         """All points in linear-index order."""
         rng = range(-self.radius, self.radius + 1)
         return itertools.product(*[rng] * self.dimension)
-
-    def neighbors(self, p: Point) -> list[Point]:
-        """Lattice neighbors of p within the box (wrapped on the torus)."""
-        out = []
-        for e in unit_vectors(self.dimension):
-            q = tuple(a + b for a, b in zip(p, e))
-            if self.topology == "torus":
-                out.append(self.wrap(q))
-            elif self.contains(q):
-                out.append(q)
-        return out

@@ -106,7 +106,7 @@ class ExperimentConfig:
         r = self.box_radius
         if r is None:
             r = default_box_radius(self.t, self.dynamics)
-        return Box(self.dimension, r, "torus")
+        return Box(self.dimension, r)
 
 
 @dataclass(frozen=True)
@@ -275,6 +275,10 @@ class SimulationResult:
 
     def totals(self) -> np.ndarray:
         return self.fields.reshape(self.config.trials, -1).sum(axis=1)
+
+    def conservation_defect(self) -> float:
+        """max over trials of |total mass - 1|, summed exactly in exact mode."""
+        return float(np.abs(self.totals() - 1).max())
 
     def two_norms_sq(self) -> np.ndarray:
         flat = self.fields.reshape(self.config.trials, -1)

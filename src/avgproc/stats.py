@@ -9,7 +9,7 @@ trial side, so every z-score is an honest measurement of simulator error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -52,13 +52,11 @@ def _field_matrix(result: SimulationResult) -> np.ndarray:
 class MeanFieldReport:
     """Per-site comparison of the empirical mean field with the heat kernel."""
 
-    result_config: object
     sites: list[Point]
     empirical: np.ndarray
     stderr: np.ndarray
     expected: np.ndarray
     z: np.ndarray
-    records: list[StatRecord] = field(default_factory=list)
 
     def fraction_within(self, k: float = 4.0) -> float:
         return float(np.mean(np.abs(self.z) <= k))
@@ -91,7 +89,7 @@ def estimate_mean_field(result: SimulationResult, radius: int | None = None,
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(err > 0, (emp - exp_) / np.where(err > 0, err, 1.0),
                      np.where(emp == exp_, 0.0, np.inf))
-    return MeanFieldReport(cfg, sites, emp, err, exp_, z)
+    return MeanFieldReport(sites, emp, err, exp_, z)
 
 
 class MomentReport(NamedTuple):
@@ -130,7 +128,6 @@ def estimate_moments(result: SimulationResult, n_terms: int | None = None) -> Mo
     cross = mat @ hk
     centered = sq - 2.0 * cross + h_sq
     one = np.abs(mat - hk).sum(axis=1)
-    totals = mat.sum(axis=1)
 
     def rec(name, vals, target):
         return StatRecord(name, d, t, trials, cfg.seed, float(vals.mean()),
@@ -140,7 +137,7 @@ def estimate_moments(result: SimulationResult, n_terms: int | None = None) -> Mo
         two_norm=rec("two-norm-sq", sq, coincidence),
         centered_two_norm=rec("centered-two-norm-sq", centered, coincidence - h_sq),
         centered_one_norm=rec("centered-one-norm", one, math.nan),
-        conservation_defect=float(np.abs(totals - 1.0).max()),
+        conservation_defect=result.conservation_defect(),
     )
 
 

@@ -90,41 +90,19 @@ class FirstPassageTables(NamedTuple):
 
 @dataclass
 class DistVector:
-    """Distribution of a walk after ``step`` kernel applications on a box.
+    """Float distribution of a walk on a torus box after ``step`` kernel steps.
 
-    In exact mode ``data`` holds integer numerators against ``denominator``;
-    in float mode it holds double-precision probabilities. ``escaped`` is the
-    mass absorbed at the boundary (absorbing topology), in the same units as
-    ``data``; ``tail_bound`` is the mass a truncated Poisson mixture such as
-    the heat kernel leaves out, as the floating-point value of the Poisson
-    tail (an estimate, not a proven bound).
+    ``data`` is indexed by coordinates shifted by +L. ``tail_bound`` is the
+    mass a truncated Poisson mixture such as the heat kernel leaves out, as
+    the floating-point value of the Poisson tail (an estimate, not a proven
+    bound), and ``time`` is the mixture's time.
     """
 
     box: Box
     step: int
-    exact: bool
     data: np.ndarray
-    denominator: int = 1
-    escaped: int | float = 0
     tail_bound: float = 0.0
     time: float | None = None
-
-    def prob(self, p: Point):
-        v = self.data[tuple(c + self.box.radius for c in self.box.wrap(p))]
-        return Fraction(int(v), self.denominator) if self.exact else float(v)
-
-    def values_float(self) -> np.ndarray:
-        if self.exact:
-            return (self.data / self.denominator).astype(float)
-        return np.asarray(self.data, dtype=float)
-
-    def escaped_mass(self):
-        return Fraction(int(self.escaped), self.denominator) if self.exact else self.escaped
-
-    def total_mass(self):
-        if self.exact:
-            return Fraction(int(sum(self.data.flat)) + int(self.escaped), self.denominator)
-        return float(np.sum(self.data) + self.escaped)
 
 
 def float_window_radius(n: int, d: int, c: float | None = None) -> int:
@@ -444,30 +422,21 @@ def _float_table(kernel: TransitionKernel, n_max: int, table: str, name: str) ->
 
 
 # ---------------------------------------------------------------------------
-# Full-box DP (general start, torus or absorbing boundary)
+# Full-box DP (general start, float, on the torus)
 # ---------------------------------------------------------------------------
 
 
-def _box_step(box: Box, cur: np.ndarray, exact: bool, coeffs, deltas):
-    d, L, side = box.dimension, box.radius, box.side
+def _box_step(box: Box, cur: np.ndarray, coeffs, deltas) -> np.ndarray:
+    """One kernel step on the torus: the bulk stencil, then the perturbed rows."""
+    d, L = box.dimension, box.radius
     nxt = np.zeros_like(cur)
     for o, c in coeffs:
-        if box.topology == "torus":
-            nxt += c * np.roll(cur, shift=o, axis=tuple(range(d)))
-        else:
-            src = tuple(slice(max(0, -oj), side - max(0, oj)) for oj in o)
-            dst = tuple(slice(max(0, oj), side + min(0, oj)) for oj in o)
-            nxt[dst] += c * cur[src]
+        nxt += c * np.roll(cur, shift=o, axis=tuple(range(d)))
     for site, delta in deltas:
-        idx = tuple(c_ + L for c_ in site)
-        val = cur[idx]
-        if val if exact else val != 0.0:
+        val = cur[tuple(c_ + L for c_ in site)]
+        if val != 0.0:
             for o, c in delta:
-                tgt = tuple(a + b for a, b in zip(site, o))
-                if box.topology == "torus":
-                    tgt = box.wrap(tgt)
-                elif not box.contains(tgt):
-                    raise ValueError("perturbed row reaches the absorbing boundary; enlarge the box")
+                tgt = box.wrap(tuple(a + b for a, b in zip(site, o)))
                 nxt[tuple(t + L for t in tgt)] += val * c
     return nxt
 
@@ -485,31 +454,22 @@ def _kernel_box_data(kernel: TransitionKernel, exact: bool):
     return scale, coeffs, deltas
 
 
-def dp_distribution(kernel: TransitionKernel, start: Point, n: int, box: Box,
-                    mode: str = "exact") -> DistVector:
-    """Distribution of the walk after n steps from ``start`` on ``box``.
+def _point_mass(box: Box, start: Point) -> np.ndarray:
+    """Unit mass at ``start`` (wrapped) on the box; ValueError if the dimensions differ."""
+    cur = np.zeros((box.side,) * box.dimension)
+    cur.flat[box.to_index(start)] = 1.0
+    return cur
 
-    Absorbing topology loses the mass that steps outside; the per-site values
-    are then lower bounds and the escaped mass bounds the defect.
-    """
-    if mode not in ("exact", "float"):
-        raise ValueError("mode must be 'exact' or 'float'")
-    exact = mode == "exact"
+
+def dp_distribution(kernel: TransitionKernel, start: Point, n: int, box: Box) -> DistVector:
+    """Distribution of the walk after n steps from ``start`` on the torus ``box``."""
     if kernel.perturbation and box.radius < kernel.max_step + 2:
         raise ValueError("box too small for the perturbation zone")
-    d, side = box.dimension, box.side
-    scale, coeffs, deltas = _kernel_box_data(kernel, exact)
-
-    cur = np.zeros((side,) * d, dtype=object if exact else np.float64)
-    cur[tuple(c + box.radius for c in box.wrap(start))] = 1 if exact else 1.0
+    _, coeffs, deltas = _kernel_box_data(kernel, exact=False)
+    cur = _point_mass(box, start)
     for _ in range(n):
-        cur = _box_step(box, cur, exact, coeffs, deltas)
-
-    den = scale**n if exact else 1
-    out = DistVector(box=box, step=n, exact=exact, data=cur, denominator=den)
-    if box.topology == "absorbing":
-        out.escaped = den - int(sum(cur.flat)) if exact else max(0.0, 1.0 - float(np.sum(cur)))
-    return out
+        cur = _box_step(box, cur, coeffs, deltas)
+    return DistVector(box=box, step=n, data=cur)
 
 
 def _poisson_pmf(k: np.ndarray, mu: float) -> np.ndarray:
@@ -578,20 +538,14 @@ def heat_kernel(d: int, t: float, box: Box, start: Point | None = None,
     that tail is reported in tail_bound (an estimate, not a proven bound).
     """
     start = origin(d) if start is None else start
-    kernel = srw_kernel(d)
     mu = t / 2.0
     n_max = required_poisson_order(mu, tol) if mu > 0 else 0
-    _, coeffs, deltas = _kernel_box_data(kernel, exact=False)
-    side = box.side
-    cur = np.zeros((side,) * d, dtype=np.float64)
-    cur[tuple(c + box.radius for c in box.wrap(start))] = 1.0
+    _, coeffs, deltas = _kernel_box_data(srw_kernel(d), exact=False)
+    cur = _point_mass(box, start)
     weights = _poisson_pmf(np.arange(n_max + 1), mu) if mu > 0 else np.array([1.0])
     acc = weights[0] * cur
     for n in range(1, n_max + 1):
-        cur = _box_step(box, cur, False, coeffs, deltas)
+        cur = _box_step(box, cur, coeffs, deltas)
         acc = acc + weights[n] * cur
-    out = DistVector(box=box, step=n_max, exact=False, data=acc, time=t,
-                     tail_bound=float(pdtrc(n_max, mu)) if mu > 0 else 0.0)
-    if box.topology == "absorbing":
-        out.escaped = max(0.0, 1.0 - float(np.sum(acc)) - out.tail_bound)
-    return out
+    return DistVector(box=box, step=n_max, data=acc, time=t,
+                      tail_bound=float(pdtrc(n_max, mu)) if mu > 0 else 0.0)

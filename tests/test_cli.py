@@ -99,6 +99,14 @@ def test_walk_dp_unknown_table(capsys):
     assert "unknown tables" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tables", ["", ","])
+def test_walk_dp_empty_table_list(tables, capsys):
+    assert run(["walk-dp", "--tables", tables, "--json-summary"]) == 2
+    captured = capsys.readouterr()
+    assert "--tables names no table" in captured.err
+    assert captured.out == ""
+
+
 def test_series_verify(capsys):
     assert run(["series-verify", "--d", "1", "--order", "16"]) == 0
     out = capsys.readouterr().out
@@ -285,6 +293,18 @@ def test_simulate_potlach_branch(capsys):
     assert "mean-field-fraction" not in out
 
 
+def test_exact_simulate_conservation_defect_is_zero(tmp_path, capsys):
+    # exact fields sum to exactly 1; summing their float images gives 2.2e-16 here
+    out_file = tmp_path / "sim.csv"
+    assert run(["simulate", "--mode", "exact", "--d", "1", "--t", "64", "--trials", "100",
+                "--seed", "20260825", "--out", str(out_file), "--json-summary"]) == 0
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["conservation_defect"] == 0.0
+    row = next(ln for ln in out_file.read_text().splitlines()
+               if ln.startswith("conservation-defect,"))
+    assert row.split(",")[5] == "0.0"
+
+
 def test_accept_has_no_dimension_or_mode_options(tmp_path, capsys):
     # the suite fixes its own dimensions and arithmetic modes
     assert run(["accept", "--quick", "--d", "7", "--mode", "exact"]) == 2
@@ -295,6 +315,17 @@ def test_accept_has_no_dimension_or_mode_options(tmp_path, capsys):
         assert run(["accept", "--quick", "--config", str(cfg)]) == 2
         name = key.split()[0]
         assert f"config key {name!r} not used by 'accept'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["series-verify", "potlach", "clt"])
+def test_mode_only_where_it_is_read(command, tmp_path, capsys):
+    # these commands fix their own arithmetic, so --mode would be ignored
+    assert run([command, "--mode", "float"]) == 2
+    assert "unrecognized arguments: --mode float" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = exact\n")
+    assert run([command, "--config", str(cfg)]) == 2
+    assert f"config key 'mode' not used by {command!r}" in capsys.readouterr().err
 
 
 def test_accept_quick(capsys):

@@ -63,7 +63,7 @@ def test_config_validation():
 
 def test_config_box():
     cfg = ExperimentConfig(dimension=2, t=64.0)
-    assert cfg.box == Box(2, default_box_radius(64.0), "torus")
+    assert cfg.box == Box(2, default_box_radius(64.0))
     assert ExperimentConfig(box_radius=4).box.radius == 4
 
 

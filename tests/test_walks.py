@@ -371,46 +371,59 @@ def test_sequence_table_csv_rows():
 # ---------------------------------------------------------------------------
 
 
-def test_box_dp_matches_reference_distribution():
-    kernel = avg_difference_kernel(2)
-    n = 5
-    ref = {(0, 0): F(1)}
+def torus_reference(kernel, start, n, box):
+    """Exact n-step distribution on the torus: dict_step, folded by box.wrap after each step."""
+    dist = {box.wrap(start): F(1)}
     for _ in range(n):
-        ref = dict_step(kernel, ref)
-    dist = dp_distribution(kernel, (0, 0), n, Box(2, 8, "absorbing"))
-    assert dist.escaped_mass() == 0
-    for pt, mass in ref.items():
-        assert dist.prob(pt) == mass
-    assert dist.total_mass() == 1
+        folded = {}
+        for y, mass in dict_step(kernel, dist).items():
+            w = box.wrap(y)
+            folded[w] = folded.get(w, F(0)) + mass
+        dist = folded
+    out = np.zeros((box.side,) * box.dimension)
+    for x, mass in dist.items():
+        out[tuple(c + box.radius for c in x)] = float(mass)
+    return out
+
+
+def test_box_dp_matches_reference_distribution():
+    kernel, box = avg_difference_kernel(2), Box(2, 8)
+    dist = dp_distribution(kernel, (0, 0), 5, box)
+    assert dist.step == 5
+    np.testing.assert_allclose(dist.data, torus_reference(kernel, (0, 0), 5, box),
+                               rtol=0, atol=1e-14)
 
 
 def test_box_dp_torus_conserves_mass():
     _, coup = potlach_kernels(1)
-    dist = dp_distribution(coup, (0,), 5, Box(1, 4))
-    assert dist.total_mass() == 1
-    assert dist.denominator == 8**5
-    # torus indexing wraps
-    assert dist.prob((9,)) == dist.prob((0,))
-
-
-def test_box_dp_absorbing_escape():
-    dist = dp_distribution(srw_kernel(1), (0,), 6, Box(1, 2, "absorbing"))
-    esc = dist.escaped_mass()
-    assert 0 < esc < 1
-    assert dist.total_mass() == 1
+    box = Box(1, 4)  # five steps reach past the boundary and wrap
+    dist = dp_distribution(coup, (0,), 5, box)
+    np.testing.assert_allclose(dist.data, torus_reference(coup, (0,), 5, box),
+                               rtol=0, atol=1e-14)
+    assert np.sum(dist.data) == pytest.approx(1.0, abs=1e-14)
+    # the start wraps too: 9 is 0 on a side-9 torus
+    assert np.array_equal(dp_distribution(coup, (9,), 5, box).data, dist.data)
 
 
 def test_box_dp_small_box_rejected():
-    with pytest.raises(ValueError):
-        dp_distribution(avg_difference_kernel(1), (0,), 2, Box(1, 3, "absorbing"))
+    with pytest.raises(ValueError, match="box too small"):
+        dp_distribution(avg_difference_kernel(1), (0,), 2, Box(1, 3))
+
+
+def test_box_dp_rejects_dimension_mismatch():
+    # a 1-d start on a 2-d box used to fill a whole row with mass
+    with pytest.raises(ValueError, match="dimension does not match"):
+        dp_distribution(srw_kernel(2), (0,), 3, Box(2, 6))
+    with pytest.raises(ValueError, match="dimension does not match"):
+        heat_kernel(1, 5.0, Box(2, 6))
 
 
 def test_box_dp_float_matches_exact():
-    kernel = avg_difference_kernel(1)
-    box = Box(1, 6)
-    ex = dp_distribution(kernel, (1,), 8, box)
-    fl = dp_distribution(kernel, (1,), 8, box, mode="float")
-    np.testing.assert_allclose(fl.values_float(), ex.values_float(), atol=1e-14)
+    # the walk crosses the boundary at +-6, so the perturbed rows see wrapped mass
+    kernel, box = avg_difference_kernel(1), Box(1, 6)
+    dist = dp_distribution(kernel, (1,), 8, box)
+    np.testing.assert_allclose(dist.data, torus_reference(kernel, (1,), 8, box),
+                               rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +513,7 @@ def test_heat_kernel_with_tol_below_double_resolution():
     hk = heat_kernel(1, 10.0, Box(1, 40), tol=1e-17)
     assert hk.tail_bound <= 1e-17
     assert hk.step == required_poisson_order(5.0, 1e-17)
-    assert np.sum(hk.values_float()) == pytest.approx(1.0, abs=1e-14)
+    assert np.sum(hk.data) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_poissonized_empty_table_raises():
@@ -513,13 +526,13 @@ def test_heat_kernel_matches_bessel_d1():
     t = 7.5
     hk = heat_kernel(1, t, Box(1, 40))
     for x in range(-6, 7):
-        assert hk.prob((x,)) == pytest.approx(float(ive(abs(x), t / 2)), rel=1e-10)
+        assert hk.data[x + 40] == pytest.approx(float(ive(abs(x), t / 2)), rel=1e-10)
     assert hk.time == t
     assert hk.tail_bound <= 1e-12
-    assert np.sum(hk.values_float()) == pytest.approx(1.0, abs=1e-11)
+    assert np.sum(hk.data) == pytest.approx(1.0, abs=1e-11)
 
 
 def test_heat_kernel_zero_time():
     hk = heat_kernel(2, 0.0, Box(2, 3), start=(1, -1))
-    assert hk.prob((1, -1)) == 1.0
-    assert hk.prob((0, 0)) == 0.0
+    assert hk.data[1 + 3, -1 + 3] == 1.0
+    assert np.sum(hk.data) == 1.0
