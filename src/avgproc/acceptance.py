@@ -21,9 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
-from .asymptotics import alpha_return_total, asymptotics_check, oscillation_amplitude
+from .asymptotics import alpha_return_total, oscillation_amplitude
 from .kernels import avg_difference_kernel, potlach_kernels, srw_kernel
 from .series import (
     DEFAULT_ORDERS,
@@ -226,7 +224,8 @@ def criterion_6_simulation(quick: bool = False, tolerances: dict | None = None,
     """Simulated field vs dual-walk exact values at d=1, t=64."""
     tol = merged_tolerances(tolerances)
     trials = 1000 if quick else 10_000
-    res = simulate(ExperimentConfig(dimension=1, t=64.0, trials=trials, seed=seed))
+    cfg = ExperimentConfig(dimension=1, t=64.0, trials=trials, seed=seed)
+    res = simulate(cfg)
     mo = estimate_moments(res)
     mf = estimate_mean_field(res)
     frac = mf.fraction_within(tol["c6-mf-se"])
@@ -239,6 +238,7 @@ def criterion_6_simulation(quick: bool = False, tolerances: dict | None = None,
     if frac < tol["c6-mf-frac"]:
         problems.append(f"mean-field fraction {frac:.3f} < {tol['c6-mf-frac']}")
     notes.append(f"conservation defect {mo.conservation_defect:.2e} over {trials} trials")
+    notes.append(f"torus radius {res.box.radius}, wrap bound {cfg.wrap_bound:.1e}")
     if mo.conservation_defect > tol["c6-conservation"]:
         problems.append(f"conservation defect {mo.conservation_defect:.2e} > "
                         f"{tol['c6-conservation']:g}")

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
 from scipy.special import gamma as _gamma
 
 from .lattice import check_dimension

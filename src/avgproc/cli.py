@@ -27,9 +27,8 @@ import numpy as np
 from . import __version__, acceptance, reporting
 from .asymptotics import AsymptoticConstants, asymptotics_check
 from .kernels import avg_difference_kernel, potlach_kernels, srw_kernel
-from .lattice import Box
 from .series import verify_closed_form_d1, verify_gf_relations, verify_potlach_relation
-from .simulate import DYNAMICS, ExperimentConfig, simulate
+from .simulate import DYNAMICS, WRAP_TOL, ExperimentConfig, simulate
 from .stats import TEST_FUNCTIONS, clt_statistic, estimate_mean_field, estimate_moments
 from .walks import (NoSeriesRouteError, SequenceTooShortError, first_return_sequence,
                     poissonized_return, return_sequence, sphere_first_return_sequence,
@@ -147,7 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, help="final time")
     p.add_argument("--trials", type=int)
     p.add_argument("--dynamics", choices=DYNAMICS)
-    p.add_argument("--box-radius", type=int, help="torus radius (default: 6 sigma + 5)")
+    p.add_argument("--box-radius", type=int,
+                   help=f"torus radius (default: the smallest whose wrap-around bound "
+                        f"is <= {WRAP_TOL:g})")
     p.add_argument("--dump-field", help="also write the mean field as a per-site CSV")
 
     p = sub.add_parser("walk-dp", help="sequence tables by dynamic programming")
@@ -263,6 +264,13 @@ def _error_budget(opts, tables) -> tuple[list[str], dict]:
             {"error_bounds": budget} if budget else {})
 
 
+def _wrap_budget(cfg: ExperimentConfig) -> tuple[list[str], dict]:
+    """CSV comment line and JSON-summary entries for the torus's wrap-around bound."""
+    radius, bound = cfg.box.radius, cfg.wrap_bound
+    return ([f"box_radius={radius},wrap_bound={bound!r}"],
+            {"error_bounds": {"box_radius": radius, "wrap_bound": bound}})
+
+
 def _summary(opts, payload: dict) -> None:
     if opts.get("json_summary"):
         print(json.dumps(payload, sort_keys=True))
@@ -299,14 +307,15 @@ def cmd_simulate(opts, tol) -> int:
         rows.append(("conservation-defect", cfg.dimension, repr(cfg.t), cfg.trials,
                      cfg.seed, repr(defect), "", repr(0.0), ""))
         extras = {"conservation_defect": defect}
-    _emit(opts, STAT_COLUMNS, rows)
+    comments, budget = _wrap_budget(cfg)
+    _emit(opts, STAT_COLUMNS, rows, comments=comments)
     if opts.get("dump_field"):
         mean = res.mean_field()
         reporting.write_csv(opts["dump_field"],
                             ("site", *(f"x{j}" for j in range(cfg.dimension)), "mass"),
                             reporting.field_dump_rows(res.box, np.asarray(mean, dtype=float)),
                             seed=cfg.seed, config=_hashable(opts))
-    _summary(opts, {"command": "simulate", "ok": True, **extras})
+    _summary(opts, {"command": "simulate", "ok": True, **extras, **budget})
     return 0
 
 
@@ -380,11 +389,13 @@ def cmd_clt(opts, tol) -> int:
     rows = [rep.record.csv_row(),
             ("fraction-within", cfg.dimension, repr(cfg.t), cfg.trials, cfg.seed,
              repr(rep.fraction_within), "", repr(1.0), "")]
+    comments, budget = _wrap_budget(cfg)
     _emit(opts, STAT_COLUMNS, rows,
-          comments=[f"fn={opts['fn']},param={opts['param']!r},window={opts['window']!r}"])
+          comments=[f"fn={opts['fn']},param={opts['param']!r},window={opts['window']!r}",
+                    *comments])
     _summary(opts, {"command": "clt", "ok": True, "mean": rep.record.value,
                     "target": rep.record.target,
-                    "fraction_within": rep.fraction_within})
+                    "fraction_within": rep.fraction_within, **budget})
     return 0
 
 

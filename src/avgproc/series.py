@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
 
 from .kernels import avg_difference_kernel, potlach_kernels, srw_kernel
 from .walks import SequenceTable, first_passage_sequences, return_sequence

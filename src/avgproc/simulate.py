@@ -36,13 +36,18 @@ chunks are the fewest equal ones such that (1) the mark matrix holds at most
 ``MAX_MARK_ENTRIES`` entries, and (2) the float64 buffer fits in
 ``BUFFER_BYTES`` (2 MiB, the L2 cache of one core), unless that would leave
 fewer than ``MIN_CHUNK_TRIALS`` trials in a chunk. Measured on a 2-vCPU Xeon
-VM with 2 MiB of L2 per core (medians of 5-6 runs): on the marks of
-criterion 6 (10^4 trials on 79 sites, a 6.4 MB buffer) ``run_events`` took
-1.13 s in one chunk, 0.76 s in two, 0.69 s in four of 2500, 0.68 s in five
-of 2000 and 0.75 s in eight of 1250, so criterion 6 runs in four chunks. At
-d=2, t=16 with 1000 trials (a 16 MB buffer) it took 1.04 s in one chunk,
-1.12 s in two and 1.56 s in four: below about 2000 trials the fixed cost of
-each step outweighs the cache misses, hence the floor.
+VM with 2 MiB of L2 per core (medians of 5-6 runs), on boxes sized by an
+earlier, wider rule: on the marks of criterion 6 (10^4 trials on a 79-site
+torus, a 6.4 MB buffer) ``run_events`` took 1.13 s in one chunk, 0.76 s in
+two, 0.69 s in four of 2500, 0.68 s in five of 2000 and 0.75 s in eight of
+1250. At d=2, t=16 with 1000 trials on a torus of radius 22 (2025 sites, a
+16 MB buffer) it took 1.04 s in one chunk, 1.12 s in two and 1.56 s in four:
+below about 2000 trials the fixed cost of each step outweighs the cache
+misses, hence the floor. On its present 65-site torus (a 5.3 MB buffer)
+criterion 6 runs in three chunks of 3333-3334 trials.
+
+The default torus is the smallest whose wrap-around bound ``wrap_bound`` is
+at most ``WRAP_TOL``; ``default_box_radius`` states the bound and its proof.
 """
 from __future__ import annotations
 
@@ -60,22 +65,70 @@ DYNAMICS = ("averaging", "potlach")
 #: uniformization rate of the dual single-particle walk, used for box sizing
 WALK_RATE = {"averaging": 0.5, "potlach": 1.0}
 
+#: largest wrap-around bound the default torus may have (see default_box_radius)
+WRAP_TOL = 1e-6
+
 #: limits on one lockstep chunk of trials (see the module docstring)
 MAX_MARK_ENTRIES = 50_000_000  # entries of the padded mark matrix
 BUFFER_BYTES = 2 << 20         # float64 lockstep buffer: one core's L2 cache
 MIN_CHUNK_TRIALS = 2000        # narrower chunks lose to per-step overhead
 
 
-def default_box_radius(t: float, dynamics: str = "averaging") -> int:
-    """Six standard deviations of the dual walk's displacement, plus slack.
+def _axis_variance(t: float, dynamics: str, dimension: int) -> float:
+    """s = rate x max(t, 1) / d: the variance of one axis of the dual walk."""
+    return WALK_RATE[dynamics] * max(t, 1.0) / dimension
 
-    The deviation is that of the whole displacement, sqrt(t x rate); the
-    radius ignores d. Per axis the deviation is sqrt(t x rate / d), so the
-    radius is 6 sqrt(d) per-axis deviations plus 5 sites: about 8.5 of them
-    for d=2 and 10.4 for d=3.
+
+def wrap_bound(radius: int, t: float, dynamics: str = "averaging",
+               dimension: int = 1) -> float:
+    """B(r) = 2d exp(-s psi(r/s)), psi(u) = u asinh(u) - sqrt(1 + u^2) + 1.
+
+    B(r) bounds the probability that a dual walker started at the origin
+    reaches distance r along some axis by time t; s is that of
+    ``_axis_variance``. See ``default_box_radius`` for the proof and for
+    what the bound controls.
     """
-    lam = WALK_RATE[dynamics]
-    return math.ceil(6.0 * math.sqrt(max(t, 1.0) * lam)) + 5
+    s = _axis_variance(t, dynamics, dimension)
+    u = radius / s
+    # sqrt(1 + u^2) - 1 written without cancellation for small u
+    psi = u * math.asinh(u) - u * u / (1.0 + math.sqrt(1.0 + u * u))
+    return 2 * dimension * math.exp(-s * psi)
+
+
+def default_box_radius(t: float, dynamics: str = "averaging", dimension: int = 1) -> int:
+    """The smallest r >= 1 with ``wrap_bound(r, t, dynamics, d) <= WRAP_TOL``.
+
+    The bound. The dual walker jumps at rate lambda = ``WALK_RATE[dynamics]``
+    along a uniformly chosen one of the 2d directions, so its d coordinates
+    are independent continuous-time walks, each with unit jumps at rate
+    lambda / d. One coordinate X_u is a Skellam variable with variance
+    s = lambda t / d and E exp(theta X_u) = exp(u (lambda / d)(cosh theta - 1)).
+    exp(theta X_u) is a nonnegative submartingale, so Doob's maximal
+    inequality gives P(max_{u <= t} X_u >= r) <= exp(-theta r + s (cosh theta - 1))
+    for every theta > 0. At theta = asinh(r / s) the exponent is -s psi(r / s).
+    The same holds for -X, and a union bound over the 2d half-axes gives B(r).
+    Using max(t, 1) in place of t keeps tiny boxes legal and only enlarges
+    s, so B(r) stays an upper bound, since it grows with s.
+
+    What it controls. By duality E eta_t(x) and E eta_t(x) eta_t(y) are
+    transition probabilities of the one- and two-walker dual chains, whose
+    walkers each move like the walk above; E||eta_t||^2 is the probability
+    that the pair started together at the origin is together at time t. On
+    the torus [-r, r]^d the chains have the same rates as on Z^d for as long
+    as no walker reaches distance r along an axis: only from such a site
+    does a jump, or a pair interaction, cross the seam. Run on one set of
+    clocks, the torus and Z^d chains therefore agree until that time, so
+    the one-point function differs by at most B(r) and E||eta_t||^2 by at
+    most 2 B(r) <= 2e-6, a tenth of criterion 6's standard error of 2.0e-5.
+    Since B falls with r and psi(u) <= u^2 / 2, every r below
+    sqrt(2 s log(2d / WRAP_TOL)) has B(r) > WRAP_TOL, so the search starts
+    there and the radius returned is the smallest admissible one.
+    """
+    s = _axis_variance(t, dynamics, dimension)
+    r = max(1, math.floor(math.sqrt(2.0 * s * math.log(2 * dimension / WRAP_TOL))))
+    while wrap_bound(r, t, dynamics, dimension) > WRAP_TOL:
+        r += 1
+    return r
 
 
 @dataclass(frozen=True)
@@ -105,8 +158,13 @@ class ExperimentConfig:
     def box(self) -> Box:
         r = self.box_radius
         if r is None:
-            r = default_box_radius(self.t, self.dynamics)
+            r = default_box_radius(self.t, self.dynamics, self.dimension)
         return Box(self.dimension, r)
+
+    @property
+    def wrap_bound(self) -> float:
+        """``wrap_bound`` of this run's torus, whether its radius is set or default."""
+        return wrap_bound(self.box.radius, self.t, self.dynamics, self.dimension)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .kernels import avg_difference_kernel, pair_transition_rates
-from .lattice import Box, Point, ball, origin
+from .lattice import Point, ball, origin
 from .simulate import SimulationResult
 from .walks import heat_kernel, poissonized_return, return_sequence
 
@@ -66,9 +66,9 @@ def estimate_mean_field(result: SimulationResult, radius: int | None = None,
                         tol: float = 1e-12) -> MeanFieldReport:
     """Compare the trial-averaged field with h_t on the ball of radius 2 sqrt t.
 
-    The dual-walk identity says E eta_t(x) = h_t(0, x) exactly (the torus is
-    large enough that wrap-around is far below the Monte Carlo noise), so the
-    per-site z-scores should look standard normal.
+    The dual-walk identity says E eta_t(x) = h_t(0, x) exactly, with h_t the
+    heat kernel of the simulation's own torus, so no wrap-around error enters
+    and the per-site z-scores should look standard normal.
     """
     cfg = result.config
     if cfg.dynamics != "averaging":

@@ -285,6 +285,23 @@ def test_simulate_command(tmp_path, capsys):
     assert "site,x0,mass" in lines[1]
 
 
+@pytest.mark.parametrize("argv,radius,within", [
+    (["simulate", "--d", "2", "--t", "16", "--trials", "4"], 14, True),
+    (["simulate", "--d", "1", "--t", "16", "--trials", "4", "--box-radius", "4"], 4, False),
+    (["simulate", "--d", "1", "--t", "16", "--trials", "4", "--dynamics", "potlach"], 23, True),
+    (["clt", "--d", "1", "--t", "16", "--trials", "4"], 17, True),
+], ids=["simulate-d2", "simulate-set-radius", "simulate-potlach", "clt"])
+def test_wrap_bound_reported(tmp_path, capsys, argv, radius, within):
+    # a box too small for t shows up as a wrap bound above 1e-6
+    out_file = tmp_path / "out.csv"
+    assert run(argv + ["--out", str(out_file), "--json-summary"]) == 0
+    bounds = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error_bounds"]
+    assert bounds["box_radius"] == radius
+    assert (bounds["wrap_bound"] <= 1e-6) is within
+    assert f"# box_radius={radius},wrap_bound={bounds['wrap_bound']!r}" in \
+        out_file.read_text().splitlines()
+
+
 def test_simulate_potlach_branch(capsys):
     assert run(["simulate", "--d", "1", "--t", "4", "--trials", "8",
                 "--dynamics", "potlach"]) == 0

@@ -5,13 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import ive
 
 from avgproc import simulate as simulate_module
 from avgproc.lattice import Box, origin, unit_vectors
 from avgproc.simulate import (
     BUFFER_BYTES,
+    DYNAMICS,
     MAX_MARK_ENTRIES,
     MIN_CHUNK_TRIALS,
+    WALK_RATE,
+    WRAP_TOL,
     EventSchedule,
     ExperimentConfig,
     SimulationResult,
@@ -19,6 +23,7 @@ from avgproc.simulate import (
     default_box_radius,
     run_events,
     simulate,
+    wrap_bound,
 )
 
 F = Fraction
@@ -63,15 +68,69 @@ def test_config_validation():
 
 def test_config_box():
     cfg = ExperimentConfig(dimension=2, t=64.0)
-    assert cfg.box == Box(2, default_box_radius(64.0))
+    assert cfg.box == Box(2, default_box_radius(64.0, "averaging", 2))
     assert ExperimentConfig(box_radius=4).box.radius == 4
 
 
 def test_default_box_radius():
-    assert default_box_radius(64.0, "averaging") == 39
-    assert default_box_radius(64.0, "potlach") == 53
+    assert default_box_radius(64.0, "averaging") == 32
+    assert default_box_radius(64.0, "potlach") == 44
     # floor at t = 1 keeps tiny boxes legal
     assert default_box_radius(0.0) == default_box_radius(1.0)
+
+
+@pytest.mark.parametrize("t,dynamics,d,radius", [
+    (64.0, "averaging", 1, 32),
+    (400.0, "averaging", 1, 77),
+    (100.0, "averaging", 1, 39),
+    (64.0, "potlach", 1, 44),
+    (64.0, "averaging", 2, 24),
+    (4.0, "averaging", 3, 8),
+], ids=["c6", "c7-t400", "c7-t100", "potlach", "d2-t64", "d3-t4"])
+def test_default_box_radius_pinned(t, dynamics, d, radius):
+    # criteria 6 and 7, the benchmark's potlach simulate, and two d > 1 boxes
+    assert default_box_radius(t, dynamics, d) == radius
+    cfg = ExperimentConfig(dimension=d, t=t, dynamics=dynamics)
+    assert cfg.box.radius == radius
+    assert cfg.wrap_bound == wrap_bound(radius, t, dynamics, d) <= WRAP_TOL
+
+
+@pytest.mark.parametrize("dynamics", DYNAMICS)
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("t", [0.0, 0.3, 1.0, 7.5, 64.0, 400.0, 1e6])
+def test_default_box_radius_is_the_smallest_admissible(t, d, dynamics):
+    r = default_box_radius(t, dynamics, d)
+    assert r >= 1
+    assert wrap_bound(r, t, dynamics, d) <= WRAP_TOL
+    assert r == 1 or wrap_bound(r - 1, t, dynamics, d) > WRAP_TOL
+    if t < 1:
+        assert r == default_box_radius(1.0, dynamics, d)
+
+
+def test_wrap_bound_falls_with_radius_and_grows_with_time():
+    radii = range(1, 60)
+    for d in (1, 2, 3):
+        b = [wrap_bound(r, 64.0, "averaging", d) for r in radii]
+        assert all(x > y for x, y in zip(b, b[1:]))
+        assert wrap_bound(20, 100.0, "averaging", d) > wrap_bound(20, 64.0, "averaging", d)
+
+
+@pytest.mark.parametrize("dynamics", DYNAMICS)
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("t", [1.0, 16.0, 64.0, 400.0])
+def test_wrap_bound_dominates_exact_escape(t, d, dynamics):
+    # each axis of the dual walk is an independent Skellam walk with variance
+    # s = rate t / d, so P(X = k) = e^{-s} I_k(s) and
+    # P(some |X_j| >= r) = 1 - (1 - P(|X| >= r))^d
+    s = WALK_RATE[dynamics] * t / d
+    r_max = default_box_radius(t, dynamics, d) + 5
+    ks = np.arange(0, r_max + 60 + int(20 * math.sqrt(s)))
+    pmf = ive(ks, s)
+    assert math.isclose(pmf[0] + 2 * pmf[1:].sum(), 1.0, rel_tol=1e-12)
+    for r in range(1, r_max + 1):
+        axis = 2 * pmf[r:].sum()
+        exact = -math.expm1(d * math.log1p(-axis))
+        assert wrap_bound(r, t, dynamics, d) >= exact
 
 
 def test_run_events_mark_encoding():
@@ -224,7 +283,7 @@ def test_seeded_outputs_pinned():
     # Digests of the seeded fields; a change to the event stream, the box
     # sizing or the update arithmetic must update these openly.
     f = simulate(ExperimentConfig(dimension=1, t=16.0, trials=20, seed=7)).fields
-    assert _sha(f.tobytes()) == "d55553d6878ae9c7"
+    assert _sha(f.tobytes()) == "98f2f4c23a0974fe"
     f = simulate(ExperimentConfig(dimension=2, t=4.0, trials=10, seed=7,
                                   box_radius=4, dynamics="potlach")).fields
     assert _sha(f.tobytes()) == "63e1e677a0facd6f"
