@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .asymptotics import alpha_return_total, oscillation_amplitude
-from .kernels import avg_difference_kernel, potlach_kernels, srw_kernel
+from .kernels import avg_difference_kernel, srw_kernel
 from .series import (
     DEFAULT_ORDERS,
     verify_closed_form_d1,
@@ -30,10 +30,11 @@ from .series import (
     verify_potlach_relation,
 )
 from .simulate import ExperimentConfig, simulate
-from .stats import clt_statistic, estimate_mean_field, estimate_moments
+from .stats import clt_statistic, simulation_records
 from .walks import (
     first_passage_sequences,
     poissonized_return,
+    potlach_contrast,
     return_sequence,
     sphere_first_return_sequence,
     srw_return_sequence_float,
@@ -78,6 +79,9 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
+
+    def csv_row(self) -> tuple:
+        return (self.number, self.name, "pass" if self.passed else "fail", self.detail)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -226,22 +230,21 @@ def criterion_6_simulation(quick: bool = False, tolerances: dict | None = None,
     trials = 1000 if quick else 10_000
     cfg = ExperimentConfig(dimension=1, t=64.0, trials=trials, seed=seed)
     res = simulate(cfg)
-    mo = estimate_moments(res)
-    mf = estimate_mean_field(res)
-    frac = mf.fraction_within(tol["c6-mf-se"])
+    records = simulation_records(res, tol["c6-mf-se"])
+    two = records["two-norm-sq"]
+    frac = records["mean-field-fraction"].value
+    defect = records["conservation-defect"].value
     problems, notes = [], []
-    notes.append(f"E||eta||^2 = {mo.two_norm.value:.6f} vs {mo.two_norm.target:.6f} "
-                 f"(z={mo.two_norm.z:+.2f})")
-    if abs(mo.two_norm.z) > tol["c6-z"]:
-        problems.append(f"two-norm z = {mo.two_norm.z:+.2f} beyond {tol['c6-z']}")
+    notes.append(f"E||eta||^2 = {two.value:.6f} vs {two.target:.6f} (z={two.z:+.2f})")
+    if abs(two.z) > tol["c6-z"]:
+        problems.append(f"two-norm z = {two.z:+.2f} beyond {tol['c6-z']}")
     notes.append(f"mean field: {frac:.1%} of B(2 sqrt t) within {tol['c6-mf-se']:g} SE")
     if frac < tol["c6-mf-frac"]:
         problems.append(f"mean-field fraction {frac:.3f} < {tol['c6-mf-frac']}")
-    notes.append(f"conservation defect {mo.conservation_defect:.2e} over {trials} trials")
+    notes.append(f"conservation defect {defect:.2e} over {trials} trials")
     notes.append(f"torus radius {res.box.radius}, wrap bound {cfg.wrap_bound:.1e}")
-    if mo.conservation_defect > tol["c6-conservation"]:
-        problems.append(f"conservation defect {mo.conservation_defect:.2e} > "
-                        f"{tol['c6-conservation']:g}")
+    if defect > tol["c6-conservation"]:
+        problems.append(f"conservation defect {defect:.2e} > {tol['c6-conservation']:g}")
     ok = not problems
     return CriterionResult(6, "simulation vs duality", ok,
                            "; ".join(notes if ok else problems))
@@ -290,27 +293,18 @@ def criterion_8_potlach(quick: bool = False, tolerances: dict | None = None, **_
     else:
         notes.append(f"coupling relation residual zero through z^{n_rel}")
 
-    ind, coup = potlach_kernels(1)
     n_f = 420 if quick else 600
-    pc = return_sequence(coup, n_f, mode="float")
-    pi = return_sequence(ind, n_f, mode="float")
     ts = (60.0, 120.0) if quick else (100.0, 150.0, 200.0)
-    ratios = []
-    for t in ts:
-        a, _ = poissonized_return(pc, 2.0, t)
-        b, _ = poissonized_return(pi, 2.0, t)
-        ratios.append(a / b)
-        if not tol["c8-lo"] <= a / b <= tol["c8-hi"]:
-            problems.append(f"t={t:g}: ratio {a / b:.4f} outside "
+    pc, pi, ratios = potlach_contrast(1, n_f, ts)
+    for t, ratio in zip(ts, ratios):
+        if not tol["c8-lo"] <= ratio <= tol["c8-hi"]:
+            problems.append(f"t={t:g}: ratio {ratio:.4f} outside "
                             f"[{tol['c8-lo']}, {tol['c8-hi']}]")
     notes.append("coincidence ratio " +
                  ", ".join(f"{r:.3f}" for r in ratios) +
                  f" at rate-2 event counts {[int(2 * t) for t in ts]}")
-    even = [n for n in range(200, n_f, 2)]
-    if even:
-        n0 = even[0]
-        notes.append(f"(raw even-n entry ratio at n={n0}: {pc[n0] / pi[n0]:.3f}, "
-                     "tending to 1 as expected)")
+    notes.append(f"(raw even-n entry ratio at n=200: {pc[200] / pi[200]:.3f}, "
+                 "tending to 1 as expected)")
     ok = not problems
     return CriterionResult(8, "vertex-redistribution contrast", ok,
                            "; ".join(notes if ok else problems))

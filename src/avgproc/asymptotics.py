@@ -100,6 +100,9 @@ class AsymptoticsRow(NamedTuple):
     target: float
     deviation: float      # rescaled - target
 
+    def csv_row(self) -> tuple:
+        return (self.n, *map(repr, self[1:]))
+
 
 def asymptotics_check(seq: SequenceTable, ns: list[int] | None = None,
                       constants: AsymptoticConstants | None = None) -> list[AsymptoticsRow]:

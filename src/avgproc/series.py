@@ -197,6 +197,11 @@ class IdentityReport:
     def first_defect(self):
         return self.residual.first_nonzero()
 
+    def csv_row(self) -> tuple:
+        defect = self.first_defect
+        return (self.name, self.dimension, self.order, "ok" if self.ok else "fail",
+                *(("", "") if defect is None else (defect[0], str(defect[1]))))
+
     def summary(self) -> str:
         if self.ok:
             return f"{self.name} (d={self.dimension}): residual == 0 through z^{self.order}"
@@ -221,7 +226,7 @@ def gf_tables(d: int, n_max: int) -> dict[str, SequenceTable]:
     return out
 
 
-def verify_gf_relations(d: int, n_max: int | None = None,
+def verify_gf_relations(d: int, n_max: int,
                         tables: dict[str, SequenceTable] | None = None) -> list[IdentityReport]:
     """Check the ten denominator-cleared series identities through z^n_max.
 
@@ -230,8 +235,6 @@ def verify_gf_relations(d: int, n_max: int | None = None,
     each identity come from independent DP passes, so a bug in any one of the
     kill/record rules shows up as a nonzero residual here.
     """
-    if n_max is None:
-        n_max = DEFAULT_ORDERS.get(d, 32)
     if tables is None:
         tables = gf_tables(d, n_max)
     G = series_from_sequence(tables["p"], n_max)

@@ -9,7 +9,7 @@ trial side, so every z-score is an honest measurement of simulator error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -22,7 +22,13 @@ from .walks import heat_kernel, poissonized_return, return_sequence
 
 @dataclass(frozen=True)
 class StatRecord:
-    """One scalar estimate with its uncertainty and exact target."""
+    """One scalar estimate with its uncertainty and exact target.
+
+    ``stderr`` or ``target`` is None where the record has none, and ``z`` is
+    then None too; the CSV row leaves each None cell blank.
+    """
+
+    COLUMNS = ("name", "d", "t", "trials", "seed", "value", "stderr", "target", "z")
 
     name: str
     dimension: int
@@ -30,18 +36,27 @@ class StatRecord:
     trials: int
     seed: int
     value: float
-    stderr: float
-    target: float
+    stderr: float | None
+    target: float | None
 
     @property
-    def z(self) -> float:
+    def z(self) -> float | None:
+        if self.stderr is None or self.target is None:
+            return None
         if self.stderr == 0.0:
             return 0.0 if self.value == self.target else math.inf
         return (self.value - self.target) / self.stderr
 
     def csv_row(self) -> tuple:
         return (self.name, self.dimension, repr(self.t), self.trials, self.seed,
-                repr(self.value), repr(self.stderr), repr(self.target), repr(self.z))
+                *("" if v is None else repr(v)
+                  for v in (self.value, self.stderr, self.target, self.z)))
+
+
+def _mean_record(name: str, cfg, values: np.ndarray, target: float | None) -> StatRecord:
+    """The trial mean of ``values`` with its standard error, for the run ``cfg``."""
+    return StatRecord(name, cfg.dimension, cfg.t, cfg.trials, cfg.seed, float(values.mean()),
+                      float(values.std(ddof=1) / math.sqrt(cfg.trials)), target)
 
 
 def _field_matrix(result: SimulationResult) -> np.ndarray:
@@ -50,7 +65,11 @@ def _field_matrix(result: SimulationResult) -> np.ndarray:
 
 @dataclass
 class MeanFieldReport:
-    """Per-site comparison of the empirical mean field with the heat kernel."""
+    """Per-site comparison of the empirical mean field with the heat kernel.
+
+    A site no trial reached has stderr 0; as 0 <= eta <= 1, its mean is below
+    3/n at 95% (the rule of three), so its z is 0 where h_t <= 3/n, else inf.
+    """
 
     sites: list[Point]
     empirical: np.ndarray
@@ -86,9 +105,10 @@ def estimate_mean_field(result: SimulationResult, radius: int | None = None,
     sites = ball(d, radius)
     idx = np.array([box.to_index(p) for p in sites])
     emp, err, exp_ = mean[idx], se[idx], hk[idx]
+    consistent = (emp == exp_) | ((emp == 0.0) & (exp_ <= 3.0 / cfg.trials))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(err > 0, (emp - exp_) / np.where(err > 0, err, 1.0),
-                     np.where(emp == exp_, 0.0, np.inf))
+                     np.where(consistent, 0.0, np.inf))
     return MeanFieldReport(sites, emp, err, exp_, z)
 
 
@@ -99,13 +119,20 @@ class MomentReport(NamedTuple):
     conservation_defect: float     # max_i |total_i - 1|
 
 
-def estimate_moments(result: SimulationResult, n_terms: int | None = None) -> MomentReport:
+def two_norm_target(d: int, t: float) -> float:
+    """E ||eta_t||^2 from the point mass: the coupled pair's coincidence
+    probability, i.e. p~ Poissonized at rate 1, with a Poisson tail below 1e-12."""
+    n_terms = int(t + 12 * math.sqrt(t + 25) + 25)
+    pt = return_sequence(avg_difference_kernel(d), n_terms, mode="float")
+    return poissonized_return(pt, 1.0, t).value
+
+
+def estimate_moments(result: SimulationResult) -> MomentReport:
     """Trial moments of the field against their dual-walk exact values.
 
-    E ||eta||^2 equals the coincidence probability of the coupled pair, i.e.
-    the Poissonized perturbed return sequence at rate 1; subtracting
-    ||h_t||^2 gives the centered second moment, since E eta = h_t for the
-    point-mass start.
+    E ||eta||^2 is compared with ``two_norm_target``; subtracting ||h_t||^2
+    gives the centered second moment, since E eta = h_t for the point-mass
+    start.
     """
     cfg = result.config
     if cfg.dynamics != "averaging":
@@ -113,13 +140,7 @@ def estimate_moments(result: SimulationResult, n_terms: int | None = None) -> Mo
     d, t = cfg.dimension, cfg.t
     box = result.box
     mat = _field_matrix(result)
-    trials = cfg.trials
-
-    if n_terms is None:
-        mu = t  # difference-walk uniformization rate is 1
-        n_terms = int(mu + 12 * math.sqrt(mu + 25) + 25)
-    pt = return_sequence(avg_difference_kernel(d), n_terms, mode="float")
-    coincidence, _ = poissonized_return(pt, 1.0, t)
+    coincidence = two_norm_target(d, t)
 
     hk = heat_kernel(d, t, box).data.reshape(-1)
     h_sq = float(np.sum(hk * hk))
@@ -129,16 +150,32 @@ def estimate_moments(result: SimulationResult, n_terms: int | None = None) -> Mo
     centered = sq - 2.0 * cross + h_sq
     one = np.abs(mat - hk).sum(axis=1)
 
-    def rec(name, vals, target):
-        return StatRecord(name, d, t, trials, cfg.seed, float(vals.mean()),
-                          float(vals.std(ddof=1) / math.sqrt(trials)), target)
-
     return MomentReport(
-        two_norm=rec("two-norm-sq", sq, coincidence),
-        centered_two_norm=rec("centered-two-norm-sq", centered, coincidence - h_sq),
-        centered_one_norm=rec("centered-one-norm", one, math.nan),
+        two_norm=_mean_record("two-norm-sq", cfg, sq, coincidence),
+        centered_two_norm=_mean_record("centered-two-norm-sq", cfg, centered,
+                                       coincidence - h_sq),
+        centered_one_norm=_mean_record("centered-one-norm", cfg, one, math.nan),
         conservation_defect=result.conservation_defect(),
     )
+
+
+def simulation_records(result: SimulationResult, mf_se: float) -> dict[str, StatRecord]:
+    """The records ``avgproc simulate`` writes and criterion 6 gates on, by name:
+    the norms (averaging: ``estimate_moments``'s; potlach: E ||eta_t||^2, no target
+    yet), the conservation defect and, for averaging, the fraction of mean-field
+    sites within ``mf_se`` standard errors of h_t."""
+    cfg = result.config
+    run = (cfg.dimension, cfg.t, cfg.trials, cfg.seed)
+    if cfg.dynamics == "averaging":
+        mo = estimate_moments(result)
+        frac = estimate_mean_field(result).fraction_within(mf_se)
+        records = [mo.two_norm, mo.centered_two_norm, mo.centered_one_norm,
+                   StatRecord("conservation-defect", *run, mo.conservation_defect, None, 0.0),
+                   StatRecord("mean-field-fraction", *run, frac, None, 1.0)]
+    else:
+        records = [_mean_record("two-norm-sq", cfg, result.two_norms_sq().astype(float), None),
+                   StatRecord("conservation-defect", *run, result.conservation_defect(), None, 0.0)]
+    return {rec.name: rec for rec in records}
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +207,12 @@ class CltReport(NamedTuple):
     fraction_within: float
     tolerance: float
 
+    @property
+    def fraction_record(self) -> StatRecord:
+        """The fraction of trials within ``tolerance`` of the limit, against 1."""
+        return replace(self.record, name="fraction-within", value=self.fraction_within,
+                       stderr=None, target=1.0)
+
 
 def clt_statistic(result: SimulationResult, fn: str = "cos", param: float = 1.0,
                   tolerance: float = 0.05) -> CltReport:
@@ -196,9 +239,7 @@ def clt_statistic(result: SimulationResult, fn: str = "cos", param: float = 1.0,
     mat = _field_matrix(result)
     values = mat @ weights
     target = limit_fn(d, param)
-    rec = StatRecord(f"clt-{fn}", d, cfg.t, cfg.trials, cfg.seed,
-                     float(values.mean()),
-                     float(values.std(ddof=1) / math.sqrt(cfg.trials)), target)
+    rec = _mean_record(f"clt-{fn}", cfg, values, target)
     frac = float(np.mean(np.abs(values - target) <= tolerance))
     return CltReport(rec, values, frac, tolerance)
 
@@ -237,8 +278,4 @@ def coupled_pair_mc(d: int, t: float, trials: int, seed: int = 0,
         hits += u == v
     p_hat = hits / trials
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / trials) / trials)
-
-    n_terms = int(t + 12 * math.sqrt(t + 25) + 25)
-    pt = return_sequence(avg_difference_kernel(d), n_terms, mode="float")
-    target, _ = poissonized_return(pt, 1.0, t)
-    return StatRecord("pair-coincidence", d, t, trials, seed, p_hat, se, target)
+    return StatRecord("pair-coincidence", d, t, trials, seed, p_hat, se, two_norm_target(d, t))

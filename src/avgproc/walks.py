@@ -33,10 +33,10 @@ class NoSeriesRouteError(ValueError):
 
 
 class SequenceTooShortError(ValueError):
-    """Poisson tail past the available entries exceeds the tolerance."""
+    """Poisson tail past the available entries exceeds the tolerance at time ``t``."""
 
-    def __init__(self, have: int, required: int, tail: float):
-        self.have, self.required, self.tail = have, required, tail
+    def __init__(self, have: int, required: int, tail: float, t: float):
+        self.have, self.required, self.tail, self.t = have, required, tail, t
         super().__init__(
             f"sequence has entries to n={have} but the Poisson tail there is "
             f"{tail:.3e}; need entries to about n={required}"
@@ -521,11 +521,24 @@ def poissonized_return(seq: SequenceTable, lam: float, t: float,
         return PoissonizedValue(float(seq[0]) if seq.first_index == 0 else 0.0, seq.error_bound)
     tail = float(pdtrc(seq.last_index, mu))
     if not tail <= tol:  # pdtrc is nan below 0, i.e. for an empty table from 0
-        raise SequenceTooShortError(seq.last_index, required_poisson_order(mu, tol), tail)
+        raise SequenceTooShortError(seq.last_index, required_poisson_order(mu, tol), tail, t)
     weights = _poisson_pmf(np.arange(seq.first_index, seq.last_index + 1), mu)
     terms = [w * float(p) for w, p in zip(weights, seq.entries)]
     rounding = _gamma(len(terms) + 2) * math.fsum(map(abs, terms))
     return PoissonizedValue(math.fsum(terms), tail + seq.error_bound + rounding)
+
+
+def potlach_contrast(d: int, n_steps: int, times: Iterable[float]
+                     ) -> tuple[SequenceTable, SequenceTable, list[float]]:
+    """(coupled, independent, ratios): the potlach pairs' float return sequences and,
+    per time t, their ratio Poissonized at rate 2, the pairs' jump rate. Raises
+    SequenceTooShortError at the first t that ``n_steps`` entries do not cover."""
+    ind, coup = potlach_kernels(d)
+    coupled = return_sequence(coup, n_steps, mode="float")
+    independent = return_sequence(ind, n_steps, mode="float")
+    ratios = [poissonized_return(coupled, 2.0, t).value
+              / poissonized_return(independent, 2.0, t).value for t in times]
+    return coupled, independent, ratios
 
 
 def heat_kernel(d: int, t: float, box: Box, start: Point | None = None,

@@ -115,6 +115,14 @@ def test_series_verify(capsys):
     assert "fail" not in out
 
 
+def test_series_verify_order_reaches_every_check(capsys):
+    # --order 0 is an order, not "unset": the d=1 closed-form checks stop at z^0 too
+    assert run(["series-verify", "--d", "1", "--order", "0"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert {row.split(",")[2] for row in rows} == {"0"}
+    assert "central-binomial-d1,1,0,ok,," in rows
+
+
 def test_asymptotics_command(capsys):
     assert run(["asymptotics", "--d", "1", "--kernel", "srw", "--steps", "400"]) == 0
     out = capsys.readouterr().out
@@ -186,6 +194,8 @@ def test_tolerance_flag_errors(capsys):
     (["simulate", "--t", "2", "--box-radius", "0"], "--box-radius must be >= 1"),
     (["clt", "--t", "0"], "--t must be > 0"),
     (["clt", "--t", "4", "--fn", "sine"], "--fn must be one of"),
+    (["clt", "--t", "4", "--window", "-1"], "--window must be >= 0"),
+    (["simulate", "--mode", "decimal"], "--mode must be one of ['exact', 'float'], got 'decimal'"),
     (["series-verify", "--order", "-1"], "--order must be >= 0"),
     (["potlach", "--order", "-1"], "--order must be >= 0"),
     (["accept", "--tol.not-a-gate=1"], "unknown tolerance names: ['not-a-gate']"),
@@ -194,6 +204,7 @@ def test_tolerance_flag_errors(capsys):
         "walk-dp-d-0", "walk-dp-d-neg", "walk-dp-srw-d-0", "series-verify-d-0",
         "asymptotics-d-0", "simulate-d-0", "clt-d-0", "potlach-d-0",
         "simulate-t-neg", "simulate-box-radius-0", "clt-t-0", "clt-unknown-fn",
+        "clt-window-neg", "simulate-unknown-mode",
         "series-verify-order-neg", "potlach-order-neg", "unknown-tolerance"])
 def test_out_of_range_options_are_usage_errors(argv, message, capsys):
     assert run(argv) == 2

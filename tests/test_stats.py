@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from avgproc.simulate import ExperimentConfig, simulate
+from avgproc.simulate import ExperimentConfig, SimulationResult, simulate
 from avgproc.stats import (
     TEST_FUNCTIONS,
     StatRecord,
@@ -12,6 +12,7 @@ from avgproc.stats import (
     coupled_pair_mc,
     estimate_mean_field,
     estimate_moments,
+    two_norm_target,
 )
 
 
@@ -54,6 +55,33 @@ def test_mean_field_against_heat_kernel(result_d1):
     # the empirical mean near the origin is dominated by the kernel peak
     i0 = rep.sites.index((0,))
     assert rep.empirical[i0] == pytest.approx(rep.expected[i0], rel=0.1)
+
+
+def test_mean_field_sites_no_trial_reached():
+    # stderr 0 there, so the rule of three decides: inside when h_t <= 3/n
+    res = simulate(ExperimentConfig(dimension=3, t=2.0, trials=30, seed=5, box_radius=6))
+    rep = estimate_mean_field(res)
+    unseen = (rep.stderr == 0) & (rep.empirical == 0)
+    assert unseen.sum() == 19 and np.all(rep.expected[unseen] <= 3 / 30)
+    assert np.all(rep.z[unseen] == 0.0)
+    assert rep.fraction_within(4.0) == 60 / 63
+    # every trial left at the start: off the origin, sites with h_t > 3/n fail
+    cfg = ExperimentConfig(dimension=1, t=16.0, trials=100, seed=0)
+    fields = np.zeros((cfg.trials, cfg.box.side))
+    fields[:, cfg.box.to_index((0,))] = 1.0
+    rep = estimate_mean_field(SimulationResult(cfg, cfg.box, fields))
+    off = np.array([p != (0,) for p in rep.sites])
+    h = rep.expected[off]
+    assert np.any(h > 0.03) and np.any(h <= 0.03)
+    assert np.array_equal(rep.z[off], np.where(h <= 0.03, 0.0, np.inf))
+
+
+def test_two_norm_target_is_shared(result_d1):
+    # the simulation estimator and the Gillespie sampler check against one number
+    want = two_norm_target(1, 32.0)
+    assert estimate_moments(result_d1).two_norm.target == want
+    assert coupled_pair_mc(1, t=32.0, trials=2, seed=0).target == want
+    assert two_norm_target(1, 16.0) == 0.10802702150312533
 
 
 def test_estimators_reject_potlach(potlach_result):
