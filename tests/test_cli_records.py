@@ -21,6 +21,9 @@ CASES = {
     "clt-d1": (["clt", "--d", "1", "--t", "16", "--trials", "20", "--seed", "3"],
                "c8a7191aa37e4163"),
     "potlach-order-24": (["potlach", "--order", "24"], "bc002ea607702011"),
+    "series-verify-d1": (["series-verify", "--d", "1"], "60f148ad6e325849"),
+    "series-verify-d3-order-20": (["series-verify", "--d", "3", "--order", "20"],
+                                  "5a42c0a532f8617e"),
 }
 
 

@@ -163,12 +163,13 @@ def test_identity_suite_detects_corruption(tables_d1):
     bad["p_tilde"] = SequenceTable(src.name, src.dimension, src.first_index,
                                    entries, src.exact, src.kernel_name)
     reports = {r.name: r for r in verify_gf_relations(1, 32, bad)}
-    involved = {"gtilde-from-g", "renewal-perturbed", "gtilde-from-s"}
+    involved = {"gtilde-from-g": (6, F(1, 500)),
+                "renewal-perturbed": (5, F(1, 1000)),
+                "gtilde-from-s": (5, F(1, 1000))}
     for name, rep in reports.items():
         if name in involved:
             assert not rep.ok, name
-            k, _ = rep.first_defect
-            assert k >= 5
+            assert rep.first_defect == involved[name], name
             assert "FAILS" in rep.summary()
         else:
             assert rep.ok, name
