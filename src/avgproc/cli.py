@@ -98,7 +98,7 @@ OPTIONS = {
         window=Option(float, 0.05, "|stat - limit| window to count", low=0), **OUTPUT),
     "potlach": dict(
         d=D, order=ORDER._replace(help="relation truncation order"),
-        steps=Option(int, 600, "float sequence length for the ratio"), **OUTPUT),
+        steps=Option(int, 600, "float sequence length for the ratio", low=0), **OUTPUT),
     # the suite fixes its own dimensions and modes
     "accept": dict(
         OUTPUT, quick=Option(None, False, "reduced sizes for a fast end-to-end check"),

@@ -1,11 +1,13 @@
-"""Truncated power series over Q and the generating-function identity suite.
+"""Fixed-order power series over Q and the generating-function identity suite.
 
-Everything here is exact: coefficients are Fractions, truncation orders are
-tracked through every operation, and an identity "holds" only when the
-residual series is identically zero through its computable order. The
-identities tie the eight walk sequences (return, first return, sphere taboo,
-sphere first return — for the plain SRW and for the perturbed difference
-walk) to each other, so each DP pass independently cross-checks the others.
+Everything here is exact: coefficients are Fractions. A series is known
+through one fixed order z^N, every sum and product is truncated at that N,
+and combining series of different orders raises, so no truncation error can
+enter an identity unnoticed. An identity "holds" only when its residual
+series is identically zero through z^N. The identities tie the eight walk
+sequences (return, first return, sphere taboo, sphere first return — for the
+plain SRW and for the perturbed difference walk) to each other, so each DP
+pass independently cross-checks the others.
 """
 from __future__ import annotations
 
@@ -22,79 +24,41 @@ DEFAULT_ORDERS = {1: 64, 2: 64, 3: 32}
 
 @dataclass(frozen=True)
 class RationalSeries:
-    """A power series known through z^order (order=None: exact polynomial)."""
+    """A power series known exactly through z^order: order + 1 Fractions.
+
+    Sums, differences, products and shifts are truncated at the same order;
+    an ``int`` or ``Fraction`` operand acts as a constant series, and two
+    series of different orders do not combine (``ValueError``).
+    """
 
     coeffs: tuple
-    order: int | None = None
+    order: int
 
     def __post_init__(self):
-        cs = [Fraction(c) for c in self.coeffs]
-        if self.order is None:
-            while cs and cs[-1] == 0:
-                cs.pop()
-        else:
-            if self.order < 0:
-                raise ValueError("order must be >= 0")
-            cs = cs[: self.order + 1]
-            cs += [Fraction(0)] * (self.order + 1 - len(cs))
+        if self.order < 0:
+            raise ValueError("order must be >= 0")
+        cs = [c if type(c) is Fraction else Fraction(c) for c in self.coeffs[: self.order + 1]]
+        cs += [Fraction(0)] * (self.order + 1 - len(cs))
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def constant(cls, c) -> "RationalSeries":
-        return cls((Fraction(c),), None)
-
-    @classmethod
-    def monomial(cls, k: int, c=1) -> "RationalSeries":
-        return cls((Fraction(0),) * k + (Fraction(c),), None)
-
-    @classmethod
-    def zero(cls) -> "RationalSeries":
-        return cls((), None)
-
-    # -- bookkeeping ---------------------------------------------------------
-
-    @property
-    def eff_order(self) -> float:
-        return math.inf if self.order is None else self.order
-
-    def c(self, k: int) -> Fraction:
-        if k > self.eff_order:
-            raise IndexError(f"coefficient {k} beyond known order {self.order}")
-        return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.coeffs)
 
     def first_nonzero(self):
         for k, v in enumerate(self.coeffs):
-            if v != 0:
+            if v:
                 return k, v
         return None
-
-    def truncate(self, order: int) -> "RationalSeries":
-        if order > self.eff_order:
-            raise ValueError(f"cannot extend known order {self.order} to {order}")
-        return RationalSeries(self.coeffs, order)
 
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other) -> "RationalSeries":
-        if isinstance(other, RationalSeries):
-            return other
-        return RationalSeries.constant(other)
+        if not isinstance(other, RationalSeries):
+            return RationalSeries((other,), self.order)
+        if other.order != self.order:
+            raise ValueError(f"series of orders {self.order} and {other.order} do not combine")
+        return other
 
     def __add__(self, other) -> "RationalSeries":
         other = self._coerce(other)
-        n = min(self.eff_order, other.eff_order)
-        if n is math.inf:
-            top = max(len(self.coeffs), len(other.coeffs))
-            return RationalSeries(
-                tuple(self.c(k) + other.c(k) for k in range(top)), None)
-        n = int(n)
-        return RationalSeries(
-            tuple(self.c(k) + other.c(k) for k in range(n + 1)), n)
+        return RationalSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.order)
 
     __radd__ = __add__
 
@@ -108,25 +72,19 @@ class RationalSeries:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "RationalSeries":
-        if not isinstance(other, RationalSeries):
-            return RationalSeries(
-                tuple(Fraction(other) * v for v in self.coeffs), self.order)
-        n = min(self.eff_order, other.eff_order)
-        if n is math.inf:
-            top = len(self.coeffs) + len(other.coeffs)
-            n_out = max(top - 1, 0)
-        else:
-            n_out = int(n)
-        out = [Fraction(0)] * (n_out + 1)
+        if isinstance(other, (int, Fraction)):
+            return RationalSeries(tuple(other * v for v in self.coeffs), self.order)
+        other = self._coerce(other)
+        n = self.order
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
+        out = [Fraction(0)] * (n + 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0 or i > n_out:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > n_out:
-                    break
-                if b != 0:
+            if a:
+                for j, b in terms:
+                    if i + j > n:
+                        break
                     out[i + j] += a * b
-        return RationalSeries(tuple(out), None if n is math.inf else n_out)
+        return RationalSeries(tuple(out), n)
 
     __rmul__ = __mul__
 
@@ -134,35 +92,12 @@ class RationalSeries:
         """Multiply by z^k."""
         if k < 0:
             raise ValueError("shift must be >= 0")
-        order = None if self.order is None else self.order + k
-        return RationalSeries((Fraction(0),) * k + self.coeffs, order)
-
-    def divide(self, other: "RationalSeries", order: int | None = None) -> "RationalSeries":
-        """Long division; the divisor needs an invertible constant term."""
-        other = self._coerce(other)
-        b0 = other.c(0)
-        if b0 == 0:
-            raise ZeroDivisionError("divisor has zero constant term")
-        n = min(self.eff_order, other.eff_order,
-                math.inf if order is None else order)
-        if n is math.inf:
-            raise ValueError("division of polynomials needs an explicit order")
-        n = int(n)
-        out = [Fraction(0)] * (n + 1)
-        for k in range(n + 1):
-            acc = self.c(k)
-            for j in range(1, k + 1):
-                bj = other.c(j) if j <= other.eff_order else Fraction(0)
-                if bj != 0:
-                    acc -= bj * out[k - j]
-            out[k] = acc / b0
-        return RationalSeries(tuple(out), n)
+        return RationalSeries((0,) * k + self.coeffs, self.order)
 
     def __repr__(self):
         head = ", ".join(str(v) for v in self.coeffs[:6])
         tail = ", ..." if len(self.coeffs) > 6 else ""
-        o = "poly" if self.order is None else f"O(z^{self.order + 1})"
-        return f"RationalSeries([{head}{tail}], {o})"
+        return f"RationalSeries([{head}{tail}], O(z^{self.order + 1}))"
 
 
 def series_from_sequence(table: SequenceTable, order: int | None = None) -> RationalSeries:
@@ -174,10 +109,8 @@ def series_from_sequence(table: SequenceTable, order: int | None = None) -> Rati
     if order > table.last_index:
         raise ValueError(
             f"table {table.name!r} has entries to n={table.last_index}, need n={order}")
-    coeffs = [Fraction(0)] * (order + 1)
-    for n in range(table.first_index, order + 1):
-        coeffs[n] = table[n]
-    return RationalSeries(tuple(coeffs), order)
+    return RationalSeries(tuple(table[n] if n >= table.first_index else 0
+                                for n in range(order + 1)), order)
 
 
 @dataclass(frozen=True)
@@ -191,7 +124,7 @@ class IdentityReport:
 
     @property
     def ok(self) -> bool:
-        return self.residual.is_zero()
+        return self.first_defect is None
 
     @property
     def first_defect(self):
@@ -211,7 +144,7 @@ class IdentityReport:
 
 
 def _report(name: str, d: int, residual: RationalSeries) -> IdentityReport:
-    return IdentityReport(name, d, int(residual.eff_order), residual)
+    return IdentityReport(name, d, residual.order, residual)
 
 
 def gf_tables(d: int, n_max: int) -> dict[str, SequenceTable]:
@@ -246,24 +179,22 @@ def verify_gf_relations(d: int, n_max: int,
     S = series_from_sequence(tables["s"], n_max)
     St = series_from_sequence(tables["s_tilde"], n_max)
 
-    z = RationalSeries.monomial(1)
-    one = RationalSeries.constant(1)
+    z = RationalSeries((0, 1), n_max)
     half = Fraction(1, 2)
-    omz2 = (one - z) * (one - z)          # (1-z)^2
+    omz2 = (1 - z) * (1 - z)          # (1-z)^2
 
     checks: list[tuple[str, RationalSeries]] = [
-        ("gtilde-from-g", Gt * (one - omz2 * G) - (one - (one - 2 * z) * G)),
-        ("renewal-perturbed", Gt - one - Gt * Qt),
+        ("gtilde-from-g", Gt * (1 - omz2 * G) - (1 - (1 - 2 * z) * G)),
+        ("renewal-perturbed", Gt - 1 - Gt * Qt),
         ("skeleton-perturbed", Qt - half * z - Fraction(1, 8 * d) * Rt.shift(2)),
-        ("sphere-renewal-perturbed", Rt - one - Rt * St),
+        ("sphere-renewal-perturbed", Rt - 1 - Rt * St),
         ("gtilde-from-s",
-         Gt * ((one - half * z) * (one - St) - RationalSeries.monomial(2, Fraction(1, 8 * d)))
-         - (one - St)),
+         Gt * ((1 - half * z) * (1 - St) - Fraction(1, 8 * d) * z.shift(1)) - (1 - St)),
         ("stilde-from-s", St - Fraction(1, 4 * d) * z - S),
-        ("s-from-g", 2 * d * S * (G - one) - 2 * d * (G - one) + G.shift(2)),
-        ("renewal-srw", G - one - G * Q),
+        ("s-from-g", 2 * d * S * (G - 1) - 2 * d * (G - 1) + G.shift(2)),
+        ("renewal-srw", G - 1 - G * Q),
         ("skeleton-srw", 2 * d * Q - R.shift(2)),
-        ("sphere-renewal-srw", R - one - R * S),
+        ("sphere-renewal-srw", R - 1 - R * S),
     ]
     return [_report(name, d, res) for name, res in checks]
 
@@ -279,8 +210,8 @@ def verify_closed_form_d1(n_max: int = 64) -> list[IdentityReport]:
     closed = [Fraction(math.comb(n, n // 2), 2**n) if n % 2 == 0 else Fraction(0)
               for n in range(n_max + 1)]
     direct = G - RationalSeries(tuple(closed), n_max)
-    z2 = RationalSeries.monomial(2)
-    algebraic = (RationalSeries.constant(1) - z2) * G * G - 1
+    z2 = RationalSeries((0, 0, 1), n_max)
+    algebraic = (1 - z2) * G * G - 1
     return [_report("central-binomial-d1", 1, direct),
             _report("closed-form-square-d1", 1, algebraic)]
 
@@ -294,7 +225,6 @@ def verify_potlach_relation(d: int, n_max: int = 48) -> IdentityReport:
     ind, coup = potlach_kernels(d)
     G = series_from_sequence(return_sequence(ind, n_max), n_max)
     Gt = series_from_sequence(return_sequence(coup, n_max), n_max)
-    z = RationalSeries.monomial(1)
-    one = RationalSeries.constant(1)
-    res = Gt * (one - (one - z) * (one - z) * G) - 2 * z * G
+    z = RationalSeries((0, 1), n_max)
+    res = Gt * (1 - (1 - z) * (1 - z) * G) - 2 * z * G
     return _report(f"potlach-coupling-d{d}", d, res)

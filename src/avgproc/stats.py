@@ -63,6 +63,11 @@ def _field_matrix(result: SimulationResult) -> np.ndarray:
     return np.asarray(result.fields.reshape(result.config.trials, -1), dtype=float)
 
 
+def _heat_field(result: SimulationResult) -> np.ndarray:
+    """h_t(0, .) on the simulation's torus, flattened like one row of ``_field_matrix``."""
+    return heat_kernel(result.config.dimension, result.config.t, result.box).data.reshape(-1)
+
+
 @dataclass
 class MeanFieldReport:
     """Per-site comparison of the empirical mean field with the heat kernel.
@@ -81,13 +86,14 @@ class MeanFieldReport:
         return float(np.mean(np.abs(self.z) <= k))
 
 
-def estimate_mean_field(result: SimulationResult, radius: int | None = None,
-                        tol: float = 1e-12) -> MeanFieldReport:
+def estimate_mean_field(result: SimulationResult,
+                        h_t: np.ndarray | None = None) -> MeanFieldReport:
     """Compare the trial-averaged field with h_t on the ball of radius 2 sqrt t.
 
     The dual-walk identity says E eta_t(x) = h_t(0, x) exactly, with h_t the
     heat kernel of the simulation's own torus, so no wrap-around error enters
-    and the per-site z-scores should look standard normal.
+    and the per-site z-scores should look standard normal. ``h_t`` is that
+    kernel over the whole box, flattened; it is computed here when not given.
     """
     cfg = result.config
     if cfg.dynamics != "averaging":
@@ -97,14 +103,11 @@ def estimate_mean_field(result: SimulationResult, radius: int | None = None,
     mat = _field_matrix(result)
     mean = mat.mean(axis=0)
     se = mat.std(axis=0, ddof=1) / math.sqrt(cfg.trials)
-    hk = heat_kernel(d, cfg.t, box, tol=tol).data.reshape(-1)
-
-    if radius is None:
-        radius = math.ceil(2.0 * math.sqrt(cfg.t))
-    radius = min(radius, box.radius)
-    sites = ball(d, radius)
+    if h_t is None:
+        h_t = _heat_field(result)
+    sites = ball(d, min(math.ceil(2.0 * math.sqrt(cfg.t)), box.radius))
     idx = np.array([box.to_index(p) for p in sites])
-    emp, err, exp_ = mean[idx], se[idx], hk[idx]
+    emp, err, exp_ = mean[idx], se[idx], h_t[idx]
     consistent = (emp == exp_) | ((emp == 0.0) & (exp_ <= 3.0 / cfg.trials))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(err > 0, (emp - exp_) / np.where(err > 0, err, 1.0),
@@ -127,28 +130,28 @@ def two_norm_target(d: int, t: float) -> float:
     return poissonized_return(pt, 1.0, t).value
 
 
-def estimate_moments(result: SimulationResult) -> MomentReport:
+def estimate_moments(result: SimulationResult,
+                     h_t: np.ndarray | None = None) -> MomentReport:
     """Trial moments of the field against their dual-walk exact values.
 
     E ||eta||^2 is compared with ``two_norm_target``; subtracting ||h_t||^2
     gives the centered second moment, since E eta = h_t for the point-mass
-    start.
+    start. ``h_t`` is as in ``estimate_mean_field``.
     """
     cfg = result.config
     if cfg.dynamics != "averaging":
         raise ValueError("moment targets are defined for the averaging dynamics")
-    d, t = cfg.dimension, cfg.t
-    box = result.box
     mat = _field_matrix(result)
-    coincidence = two_norm_target(d, t)
+    coincidence = two_norm_target(cfg.dimension, cfg.t)
 
-    hk = heat_kernel(d, t, box).data.reshape(-1)
-    h_sq = float(np.sum(hk * hk))
+    if h_t is None:
+        h_t = _heat_field(result)
+    h_sq = float(np.sum(h_t * h_t))
 
     sq = (mat * mat).sum(axis=1)
-    cross = mat @ hk
+    cross = mat @ h_t
     centered = sq - 2.0 * cross + h_sq
-    one = np.abs(mat - hk).sum(axis=1)
+    one = np.abs(mat - h_t).sum(axis=1)
 
     return MomentReport(
         two_norm=_mean_record("two-norm-sq", cfg, sq, coincidence),
@@ -167,8 +170,9 @@ def simulation_records(result: SimulationResult, mf_se: float) -> dict[str, Stat
     cfg = result.config
     run = (cfg.dimension, cfg.t, cfg.trials, cfg.seed)
     if cfg.dynamics == "averaging":
-        mo = estimate_moments(result)
-        frac = estimate_mean_field(result).fraction_within(mf_se)
+        h_t = _heat_field(result)
+        mo = estimate_moments(result, h_t)
+        frac = estimate_mean_field(result, h_t).fraction_within(mf_se)
         records = [mo.two_norm, mo.centered_two_norm, mo.centered_one_norm,
                    StatRecord("conservation-defect", *run, mo.conservation_defect, None, 0.0),
                    StatRecord("mean-field-fraction", *run, frac, None, 1.0)]

@@ -198,6 +198,7 @@ def test_tolerance_flag_errors(capsys):
     (["simulate", "--mode", "decimal"], "--mode must be one of ['exact', 'float'], got 'decimal'"),
     (["series-verify", "--order", "-1"], "--order must be >= 0"),
     (["potlach", "--order", "-1"], "--order must be >= 0"),
+    (["potlach", "--steps", "-1", "--order", "4"], "--steps must be >= 0, got -1"),
     (["accept", "--tol.not-a-gate=1"], "unknown tolerance names: ['not-a-gate']"),
 ], ids=["asymptotics-steps-1", "asymptotics-steps-3", "walk-dp-steps-neg",
         "walk-dp-float-steps-neg", "simulate-trials-1", "clt-trials-1",
@@ -205,7 +206,8 @@ def test_tolerance_flag_errors(capsys):
         "asymptotics-d-0", "simulate-d-0", "clt-d-0", "potlach-d-0",
         "simulate-t-neg", "simulate-box-radius-0", "clt-t-0", "clt-unknown-fn",
         "clt-window-neg", "simulate-unknown-mode",
-        "series-verify-order-neg", "potlach-order-neg", "unknown-tolerance"])
+        "series-verify-order-neg", "potlach-order-neg", "potlach-steps-neg",
+        "unknown-tolerance"])
 def test_out_of_range_options_are_usage_errors(argv, message, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()

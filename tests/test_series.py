@@ -18,10 +18,11 @@ from avgproc.walks import SequenceTable, return_sequence
 F = Fraction
 
 coeff_lists = st.lists(st.integers(-5, 5), max_size=5)
+orders = st.integers(0, 6)
 
 
-def poly(coeffs):
-    return RationalSeries(tuple(F(c) for c in coeffs), None)
+def series(coeffs, order):
+    return RationalSeries(tuple(F(c) for c in coeffs), order)
 
 
 # ---------------------------------------------------------------------------
@@ -29,77 +30,73 @@ def poly(coeffs):
 # ---------------------------------------------------------------------------
 
 
-@given(coeff_lists, coeff_lists, coeff_lists)
-def test_ring_laws(a, b, c):
-    A, B, C = poly(a), poly(b), poly(c)
+@given(coeff_lists, coeff_lists, coeff_lists, orders)
+def test_ring_laws(a, b, c, n):
+    A, B, C = series(a, n), series(b, n), series(c, n)
     assert (A + B) + C == A + (B + C)
     assert A + B == B + A
     assert A * B == B * A
     assert (A * B) * C == A * (B * C)
     assert A * (B + C) == A * B + A * C
+    assert A - A == series([], n)
 
 
-@given(coeff_lists, coeff_lists, st.integers(0, 6))
+@given(coeff_lists, coeff_lists, orders)
 def test_truncation_commutes_with_multiplication(a, b, n):
-    A, B = poly(a), poly(b)
-    assert (A * B).truncate(n) == A.truncate(n) * B
+    # at order len(a) + len(b) the product of the two polynomials is exact
+    top = len(a) + len(b)
+    exact = series(a, top) * series(b, top)
+    full = [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+            for k in range(top + 1)]
+    assert exact == series(full, top)
+    assert RationalSeries(exact.coeffs, n) == series(a, n) * series(b, n)
 
 
 def test_normalization_and_constructors():
-    assert poly([1, 2, 0, 0]).coeffs == (F(1), F(2))
-    assert RationalSeries.zero().coeffs == ()
-    assert RationalSeries.zero().is_zero()
-    assert RationalSeries.constant(3).coeffs == (F(3),)
-    assert RationalSeries.monomial(2, F(1, 2)).coeffs == (F(0), F(0), F(1, 2))
-    # truncated series keep explicit padding
+    # a series holds exactly order + 1 coefficients: padded or truncated
     assert RationalSeries((1,), 3).coeffs == (F(1), F(0), F(0), F(0))
+    assert RationalSeries((1, 2, 3), 1).coeffs == (F(1), F(2))
+    assert RationalSeries((), 0).coeffs == (F(0),)
+    assert all(type(v) is F for v in RationalSeries((1, F(1, 2)), 2).coeffs)
+    with pytest.raises(ValueError):
+        RationalSeries((1,), -1)
+    with pytest.raises(TypeError):
+        RationalSeries((1,))  # the order is required
 
 
 def test_order_propagation():
     t = RationalSeries((1, 1), 5)
-    p = poly([2, 3])
-    assert (t + p).order == 5
-    assert (t * p).order == 5
-    assert (p + p).order is None
-    assert (2 * t).order == 5
-    assert t.shift(3).order == 8
-    short = RationalSeries((1,), 2)
-    assert (t * short).order == 2
+    assert (t + t).order == (t * t).order == (2 * t).order == (1 - t).order == 5
+    assert t.shift(3) == RationalSeries((0, 0, 0, 1, 1), 5)
+    assert t.shift(5).coeffs[-1] == 1 and t.shift(6) == RationalSeries((), 5)
+    with pytest.raises(ValueError):
+        t.shift(-1)
+
+
+@pytest.mark.parametrize("op", ["add", "radd", "sub", "rsub", "mul", "rmul"])
+def test_mixing_orders_raises(op):
+    a, b = RationalSeries((1, 1), 5), RationalSeries((1,), 2)
+    ops = {"add": lambda: a + b, "radd": lambda: b + a, "sub": lambda: a - b,
+           "rsub": lambda: b - a, "mul": lambda: a * b, "rmul": lambda: b * a}
+    with pytest.raises(ValueError, match="orders"):
+        ops[op]()
 
 
 def test_coefficient_access_and_defects():
     t = RationalSeries((0, 0, 5, 7), 6)
-    assert t.c(2) == 5
-    assert t.c(6) == 0
-    with pytest.raises(IndexError):
-        t.c(7)
+    assert t.coeffs[2] == 5
+    assert t.coeffs[6] == 0
     assert t.first_nonzero() == (2, F(5))
-    with pytest.raises(ValueError):
-        t.truncate(9)
+    assert RationalSeries((0, 0), 3).first_nonzero() is None
 
 
 def test_scalar_and_reflected_ops():
     t = RationalSeries((1, 2), 3)
-    assert (1 - t).coeffs[:2] == (F(0), F(-2))
-    assert (F(1, 2) * t).c(1) == 1
-    assert (t - 1).c(0) == 0
-
-
-@given(coeff_lists, coeff_lists, st.integers(0, 8))
-def test_division_round_trip(a, b, n):
-    B = poly([1] + b)  # force invertible constant term
-    A = poly(a)
-    qout = A.divide(B, order=n)
-    assert qout.order == n
-    assert (qout * B.truncate(n)) == A.truncate(n)
-
-
-def test_division_errors():
-    z = RationalSeries.monomial(1)
-    with pytest.raises(ZeroDivisionError):
-        RationalSeries.constant(1).divide(z, order=4)
-    with pytest.raises(ValueError):
-        RationalSeries.constant(1).divide(RationalSeries.constant(2))
+    assert (1 - t).coeffs == (F(0), F(-2), F(0), F(0))
+    assert (F(1, 2) * t).coeffs[1] == 1
+    assert (t * 3).coeffs[:2] == (F(3), F(6))
+    assert (t - 1).coeffs[0] == 0
+    assert (t + F(1, 2)).coeffs[:2] == (F(3, 2), F(2))
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +106,10 @@ def test_division_errors():
 
 def test_series_from_sequence_layout(tables_d1):
     q = series_from_sequence(tables_d1["q_tilde"], 6)
-    assert q.c(0) == 0  # first_index = 1
-    assert q.c(1) == F(1, 2)
-    assert q.order == 6
+    assert q.coeffs[0] == 0  # first_index = 1
+    assert q.coeffs[1] == F(1, 2)
+    assert q.order == 6 and len(q.coeffs) == 7
+    assert series_from_sequence(tables_d1["q_tilde"]).order == 32
 
 
 def test_series_from_sequence_errors():
