@@ -1,13 +1,16 @@
 """Fixed-order power series over Q and the generating-function identity suite.
 
-Everything here is exact: coefficients are Fractions. A series is known
-through one fixed order z^N, every sum and product is truncated at that N,
-and combining series of different orders raises, so no truncation error can
-enter an identity unnoticed. An identity "holds" only when its residual
-series is identically zero through z^N. The identities tie the eight walk
-sequences (return, first return, sphere taboo, sphere first return — for the
-plain SRW and for the perturbed difference walk) to each other, so each DP
-pass independently cross-checks the others.
+Everything here is exact: coefficients are Fractions, built only from ints
+and Fractions (a float raises TypeError). A series is known through one
+fixed order z^N, every sum and product is truncated at that N, and combining
+series of different orders raises, so no truncation error can enter an
+identity unnoticed. A product brings each factor to integer numerators over
+the lcm of its denominators, convolves those ints, and makes one Fraction
+per output coefficient, so the inner loop takes no gcd. An identity "holds"
+only when its residual series is identically zero through z^N. The
+identities tie the eight walk sequences (return, first return, sphere taboo,
+sphere first return — for the plain SRW and for the perturbed difference
+walk) to each other, so each DP pass independently cross-checks the others.
 """
 from __future__ import annotations
 
@@ -22,13 +25,20 @@ from .walks import SequenceTable, first_passage_sequences, return_sequence
 DEFAULT_ORDERS = {1: 64, 2: 64, 3: 32}
 
 
+def _numerators(coeffs) -> tuple[list[int], int]:
+    """Integer numerators of ``coeffs`` over the lcm of their denominators, and that lcm."""
+    den = math.lcm(*(v.denominator for v in coeffs))
+    return [v.numerator * (den // v.denominator) for v in coeffs], den
+
+
 @dataclass(frozen=True)
 class RationalSeries:
     """A power series known exactly through z^order: order + 1 Fractions.
 
     Sums, differences, products and shifts are truncated at the same order;
-    an ``int`` or ``Fraction`` operand acts as a constant series, and two
-    series of different orders do not combine (``ValueError``).
+    an ``int`` or ``Fraction`` operand acts as a constant series, any other
+    coefficient or operand raises ``TypeError``, and two series of different
+    orders do not combine (``ValueError``).
     """
 
     coeffs: tuple
@@ -37,6 +47,10 @@ class RationalSeries:
     def __post_init__(self):
         if self.order < 0:
             raise ValueError("order must be >= 0")
+        for c in self.coeffs:  # a float or numpy scalar would enter rounded
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"exact series take int or Fraction values, "
+                                f"not {type(c).__name__}")
         cs = [c if type(c) is Fraction else Fraction(c) for c in self.coeffs[: self.order + 1]]
         cs += [Fraction(0)] * (self.order + 1 - len(cs))
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -76,15 +90,17 @@ class RationalSeries:
             return RationalSeries(tuple(other * v for v in self.coeffs), self.order)
         other = self._coerce(other)
         n = self.order
-        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in terms:
+        (a, da), (b, db) = _numerators(self.coeffs), _numerators(other.coeffs)
+        terms = [(j, v) for j, v in enumerate(b) if v]
+        out = [0] * (n + 1)
+        for i, u in enumerate(a):
+            if u:
+                for j, v in terms:
                     if i + j > n:
                         break
-                    out[i + j] += a * b
-        return RationalSeries(tuple(out), n)
+                    out[i + j] += u * v
+        den = da * db
+        return RationalSeries(tuple(Fraction(v, den) for v in out), n)
 
     __rmul__ = __mul__
 

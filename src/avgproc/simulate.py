@@ -19,14 +19,14 @@ One engine, ``run_events``, applies the events of every trial in lockstep.
 It holds all trials in one flat buffer of trials x (n_sites + 1) entries,
 float64 or, in exact mode, Python ints: integer numerators over one common
 denominator, 2**n_steps for averaging and (2d)**n_steps for potlach. Every
-event then divides by 2 (or 2d) exactly, and each site becomes a Fraction
-once, at the end. The last entry of each row is a sentinel site that holds
-zero. Shorter mark streams are padded with one extra mark whose endpoints
-are all the sentinel, so a padding event averages (or splits) zero with
-itself and no per-event mask is needed. Marks are stored in the smallest
-unsigned type that holds the padding mark; each step widens its row of
-marks to ``intp`` once and gathers the endpoints with 1-D ``take`` from a
-C-contiguous endpoint table.
+event then divides by 2 (or 2d) exactly, an averaging event by a right
+shift, and each site becomes a Fraction once, at the end. The last entry of
+each row is a sentinel site that holds zero. Shorter mark streams are padded
+with one extra mark whose endpoints are all the sentinel, so a padding event
+averages (or splits) zero with itself and no per-event mask is needed.
+Marks are stored in the smallest unsigned type that holds the padding mark;
+each step widens its row of marks to ``intp`` once and gathers the endpoints
+with 1-D ``take`` from a C-contiguous endpoint table.
 
 ``simulate`` feeds ``run_events`` one chunk of trials at a time. A chunk's
 generators first draw every event count; the padded (n_steps, chunk) mark
@@ -52,7 +52,6 @@ at most ``WRAP_TOL``; ``default_box_radius`` states the bound and its proof.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -280,7 +279,9 @@ def run_events(box: Box, dynamics: str, marks: np.ndarray,
     lockstep over one flat buffer of trials x (n_sites + 1) entries, float64
     or, with ``exact``, integer numerators over den = 2**n_steps (averaging)
     or (2d)**n_steps (potlach). After j events every numerator is a multiple
-    of den / 2**j (or den / (2d)**j), so ``// 2`` and ``// 2d`` are exact.
+    of den / 2**j (or den / (2d)**j), so halving by ``>> 1`` and ``// 2d`` are
+    exact; the shift equals ``// 2`` on every Python int and is cheaper on the
+    long numerators.
     Any integer dtype and layout of ``marks`` gives the same fields: each
     step widens its row to ``intp`` once, and every endpoint and buffer read
     is a 1-D ``take``, which is much cheaper than indexing a 2-D table with
@@ -300,7 +301,6 @@ def run_events(box: Box, dynamics: str, marks: np.ndarray,
     trials, width = marks.shape[1], box.n_sites + 1
     deg = 2 * box.dimension
     den = (2 if dynamics == "averaging" else deg) ** len(marks) if exact else 1
-    div = operator.floordiv if exact else operator.truediv
     buf = np.zeros(trials * width, dtype=object if exact else float)  # object zeros are int 0
     rows = np.arange(trials, dtype=np.intp) * width
     buf[rows + box.to_index(origin(box.dimension))] = den
@@ -309,11 +309,13 @@ def run_events(box: Box, dynamics: str, marks: np.ndarray,
         src = ends[0].take(m) + rows
         if dynamics == "averaging":
             dst = ends[1].take(m) + rows
-            mean = div(buf.take(src) + buf.take(dst), 2)
+            total = buf.take(src) + buf.take(dst)
+            mean = total >> 1 if exact else total / 2
             buf[src] = mean
             buf[dst] = mean
         else:
-            share = div(buf.take(src), deg)
+            mass = buf.take(src)
+            share = mass // deg if exact else mass / deg
             buf[src] = 0
             for k in range(1, deg + 1):
                 buf[ends[k].take(m) + rows] += share

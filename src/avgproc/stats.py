@@ -25,7 +25,8 @@ class StatRecord:
     """One scalar estimate with its uncertainty and exact target.
 
     ``stderr`` or ``target`` is None where the record has none, and ``z`` is
-    then None too; the CSV row leaves each None cell blank.
+    then None too; the CSV row leaves each None cell blank. A nan target (no
+    exact value exists) gives a nan ``z`` whatever the stderr.
     """
 
     COLUMNS = ("name", "d", "t", "trials", "seed", "value", "stderr", "target", "z")
@@ -43,6 +44,8 @@ class StatRecord:
     def z(self) -> float | None:
         if self.stderr is None or self.target is None:
             return None
+        if math.isnan(self.target):
+            return math.nan
         if self.stderr == 0.0:
             return 0.0 if self.value == self.target else math.inf
         return (self.value - self.target) / self.stderr

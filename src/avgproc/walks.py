@@ -4,10 +4,13 @@ Exact tables come from a dynamic program over the positive orthant, one
 independent pass per table: every start distribution used here and every
 kernel row pattern is invariant under coordinate sign flips, so only the
 nonnegative cone is stored, in integer numerators scaled by ``kernel.scale``
-per step. The stored cone is cut to the light cone of the recorded cells: a
-cell that cannot reach them within the remaining steps is dropped (see
-``_sequence``), which leaves every entry unchanged. Float tables take the
-series route: the SRW return sequence in closed form, then the identities
+per step. A step adds up the shifted copies of the cone that share a bulk
+coefficient and multiplies each sum once, so it costs one bigint multiply
+per distinct bulk coefficient and cell (see ``_orthant_step``). The stored
+cone is cut to the light cone of the recorded cells: a cell that cannot
+reach them within the remaining steps is dropped (see ``_sequence``), which
+leaves every entry unchanged. Float tables take the series route: the SRW
+return sequence in closed form, then the identities
 ``series.verify_gf_relations`` checks.
 Each float table carries ``error_bound``, a bound on every entry's error,
 proven for d <= 3 and infinite for d >= 4. Poisson weights, tails and orders
@@ -112,11 +115,14 @@ def float_window_radius(n: int, d: int, c: float | None = None) -> int:
     return math.ceil(c * math.sqrt(n * math.log(n + 2))) + 2
 
 
-def _orthant_step(cur: np.ndarray, bulk, deltas) -> np.ndarray:
+def _orthant_step(cur: np.ndarray, groups: dict[int, list], deltas) -> np.ndarray:
     """One exact kernel step on the stored orthant cone [0, r]^d, r = len(cur) - 1.
 
-    Bulk offsets must lie in {-1, 0, 1}^d: the low faces are mirror-padded by
-    one cell. Perturbed rows may jump farther.
+    ``groups`` maps each distinct bulk coefficient c to its offsets: the
+    shifted views of one group are added up and the sum is multiplied by c
+    once, not at all when c == 1, so a cell costs one bigint multiply per
+    distinct coefficient. Bulk offsets must lie in {-1, 0, 1}^d: the low faces
+    are mirror-padded by one cell. Perturbed rows may jump farther.
     """
     d, r = cur.ndim, len(cur) - 1
     r2 = max(r + 1, 2)
@@ -126,9 +132,18 @@ def _orthant_step(cur: np.ndarray, bulk, deltas) -> np.ndarray:
         face = np.moveaxis(padded, axis, 0)
         face[0] = face[2]
 
-    nxt = np.zeros((r2 + 1,) * d, dtype=object)
-    for o, c in bulk:
-        nxt += c * padded[tuple(slice(1 - oj, 2 - oj + r2) for oj in o)]
+    nxt = None
+    for c, offsets in groups.items():
+        views = [padded[tuple(slice(1 - oj, 2 - oj + r2) for oj in o)] for o in offsets]
+        acc = views[0].copy()
+        for view in views[1:]:
+            acc += view
+        if c != 1:
+            acc *= c
+        if nxt is None:
+            nxt = acc
+        else:
+            nxt += acc
     for site, delta in deltas:
         stored = tuple(abs(c) for c in site)
         val = cur[stored] if max(stored) <= r else 0
@@ -185,6 +200,9 @@ def _sequence(kernel: TransitionKernel, n_max: int, mode: str, name: str | None,
         if _linf(o) > 1:
             raise ValueError(f"exact orthant DP: bulk offset {o} is longer than one cell")
     scale, bulk, deltas = _kernel_box_data(kernel, exact=True)
+    groups: dict[int, list] = {}
+    for o, c in bulk:
+        groups.setdefault(c, []).append(o)
     reach, w = _reach(kernel), int(table in "rs")
     zero = (0,) * d
     watch, mult, den = (([zero], 1, 1) if table in "pq" else
@@ -199,7 +217,7 @@ def _sequence(kernel: TransitionKernel, n_max: int, mode: str, name: str | None,
     entries = [value()] if table in "pr" else []
     for k in range(1, n_max + 1):
         cone = (slice(0, reach * (n_max - k) + w + 1),) * d
-        cur, den = _orthant_step(cur, bulk, deltas)[cone], den * scale
+        cur, den = _orthant_step(cur, groups, deltas)[cone], den * scale
         if table == "q":
             entries.append(value())
         if table != "p":

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,7 +18,8 @@ from avgproc.walks import SequenceTable, return_sequence
 
 F = Fraction
 
-coeff_lists = st.lists(st.integers(-5, 5), max_size=5)
+# mixed denominators, so products run the lcm path of RationalSeries.__mul__
+frac_lists = st.lists(st.fractions(max_denominator=12), max_size=5)
 orders = st.integers(0, 6)
 
 
@@ -30,7 +32,7 @@ def series(coeffs, order):
 # ---------------------------------------------------------------------------
 
 
-@given(coeff_lists, coeff_lists, coeff_lists, orders)
+@given(frac_lists, frac_lists, frac_lists, orders)
 def test_ring_laws(a, b, c, n):
     A, B, C = series(a, n), series(b, n), series(c, n)
     assert (A + B) + C == A + (B + C)
@@ -41,9 +43,10 @@ def test_ring_laws(a, b, c, n):
     assert A - A == series([], n)
 
 
-@given(coeff_lists, coeff_lists, orders)
+@given(frac_lists, frac_lists, orders)
 def test_truncation_commutes_with_multiplication(a, b, n):
-    # at order len(a) + len(b) the product of the two polynomials is exact
+    # at order len(a) + len(b) the product of the two polynomials is exact;
+    # the oracle convolves the Fractions directly
     top = len(a) + len(b)
     exact = series(a, top) * series(b, top)
     full = [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
@@ -62,6 +65,24 @@ def test_normalization_and_constructors():
         RationalSeries((1,), -1)
     with pytest.raises(TypeError):
         RationalSeries((1,))  # the order is required
+
+
+@pytest.mark.parametrize("make", [
+    lambda a: RationalSeries((0.1, 1), 2),
+    lambda a: RationalSeries((np.float64(1),), 2),
+    lambda a: RationalSeries((np.int64(1),), 2),
+    lambda a: RationalSeries((1, 2, 0.5), 1),  # even past the order
+    lambda a: a * 0.5,
+    lambda a: 0.5 * a,
+    lambda a: a * np.float64(0.5),
+    lambda a: a + 0.1,
+    lambda a: 0.1 + a,
+    lambda a: a - 0.1,
+    lambda a: 0.1 - a,
+])
+def test_floats_never_enter_a_series(make):
+    with pytest.raises(TypeError, match="int or Fraction"):
+        make(RationalSeries((1, F(1, 2)), 3))
 
 
 def test_order_propagation():

@@ -36,6 +36,12 @@ def test_stat_record_z():
     assert row[0] == "x" and row[5] == repr(1.2)
 
 
+@pytest.mark.parametrize("stderr", [0.0, 0.1])
+def test_stat_record_z_nan_target(stderr):
+    # a record without an exact target has no z-score, whether or not the trials spread
+    assert math.isnan(StatRecord("x", 1, 0.0, 2, 0, 0.0, stderr, math.nan).z)
+
+
 def test_moments_against_dual_targets(result_d1):
     rep = estimate_moments(result_d1)
     assert rep.conservation_defect < 1e-12

@@ -87,6 +87,18 @@ def reference_tables(kernel, n_max):
 LONG_JUMP = TransitionKernel(1, F(1), {(1,): F(1, 2), (-1,): F(1, 2)},
                              {(2,): {(-2,): F(1)}, (-2,): {(2,): F(1)}}, name="long-jump")
 
+# Sign-symmetric d=2 kernel whose bulk has three distinct coefficients at
+# scale 32 (8 on (+-1, 0), 4 on (0, +-1) and (0, 0), 1 on the diagonals), so
+# the orthant DP sums and multiplies three offset groups, one of them with c == 1;
+# the diagonals read the mirror-padded corner. The origin row is perturbed.
+THREE_COEFF = TransitionKernel(
+    2, F(1),
+    {(1, 0): F(1, 4), (-1, 0): F(1, 4), (0, 1): F(1, 8), (0, -1): F(1, 8), (0, 0): F(1, 8),
+     (1, 1): F(1, 32), (1, -1): F(1, 32), (-1, 1): F(1, 32), (-1, -1): F(1, 32)},
+    {(0, 0): {(0, 0): F(1, 2), (1, 0): F(1, 8), (-1, 0): F(1, 8),
+              (0, 1): F(1, 8), (0, -1): F(1, 8)}},
+    name="three-coeff")
+
 
 @pytest.mark.parametrize(
     "kernel,n_max",
@@ -101,6 +113,7 @@ LONG_JUMP = TransitionKernel(1, F(1), {(1,): F(1, 2), (-1,): F(1, 2)},
         (avg_difference_kernel(3), 10),
         (potlach_kernels(2)[1], 12),
         (LONG_JUMP, 12),
+        (THREE_COEFF, 8),
     ],
     ids=lambda k: k.name if hasattr(k, "name") else str(k),
 )
