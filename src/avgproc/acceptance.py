@@ -196,7 +196,7 @@ def criterion_5_poissonized(quick: bool = False, tolerances: dict | None = None,
 
     t1 = 500.0 if quick else 2000.0
     p1 = _perturbed_float(1, 2500 if quick else 10_000)
-    v1, _ = poissonized_return(p1, 1.0, t1)
+    v1, _ = poissonized_return(p1, t1)
     r1 = v1 * math.sqrt(2 * math.pi * t1)
     notes.append(f"d=1 t={t1:g}: rescaled={r1:.5f}")
     if not tol["c5-lo"] <= r1 <= tol["c5-hi"]:
@@ -204,7 +204,7 @@ def criterion_5_poissonized(quick: bool = False, tolerances: dict | None = None,
 
     t2 = 500.0 if quick else 1000.0
     p2 = _perturbed_float(2, 1024 if quick else 4096)
-    v2, _ = poissonized_return(p2, 1.0, t2)
+    v2, _ = poissonized_return(p2, t2)
     r2 = v2 * (2 * math.pi * t2 / 2.0)
     notes.append(f"d=2 t={t2:g}: rescaled={r2:.5f}")
     if not tol["c5-lo"] <= r2 <= tol["c5-hi"]:
@@ -212,8 +212,8 @@ def criterion_5_poissonized(quick: bool = False, tolerances: dict | None = None,
 
     td = 400.0 if quick else 1000.0
     ps = srw_return_sequence_float(1, 2500 if quick else 10_000)
-    a, _ = poissonized_return(p1, 1.0, td)
-    b, _ = poissonized_return(ps, 1.0, td)
+    a, _ = poissonized_return(p1, td)
+    b, _ = poissonized_return(ps, td)
     diff, cap = a - b, tol["c5-diff"] / math.sqrt(td)
     notes.append(f"d=1 t={td:g}: excess={diff:.3e} (cap {cap:.3e})")
     if not 0.0 < diff <= cap:
@@ -302,7 +302,7 @@ def criterion_8_potlach(quick: bool = False, tolerances: dict | None = None, **_
                             f"[{tol['c8-lo']}, {tol['c8-hi']}]")
     notes.append("coincidence ratio " +
                  ", ".join(f"{r:.3f}" for r in ratios) +
-                 f" at rate-2 event counts {[int(2 * t) for t in ts]}")
+                 f" at rate-{pc.rate} event counts {[int(pc.rate * t) for t in ts]}")
     notes.append(f"(raw even-n entry ratio at n=200: {pc[200] / pi[200]:.3f}, "
                  "tending to 1 as expected)")
     ok = not problems

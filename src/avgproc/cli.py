@@ -16,9 +16,9 @@ the same producers the acceptance criteria gate on.
 Configuration can come from ``--config FILE`` with one ``key=value`` per
 line and ``#`` comments; explicit flags override the file, and unknown keys
 in the file are rejected. Tolerance gates are overridden with
-``--tol.<name> <value>``. Exit codes: 0 success, 1 a tolerance/acceptance
-gate failed, 2 usage or configuration error, 3 internal error (the traceback
-goes to stderr).
+``--tol.<name> <value>``, on a command that reads them (``TOLERANCES_READ``).
+Exit codes: 0 success, 1 a tolerance/acceptance gate failed, 2 usage or
+configuration error, 3 internal error (the traceback goes to stderr).
 """
 from __future__ import annotations
 
@@ -104,6 +104,11 @@ OPTIONS = {
         OUTPUT, quick=Option(None, False, "reduced sizes for a fast end-to-end check"),
         seed=OUTPUT["seed"]._replace(default=acceptance.DEFAULT_SEED)),
 }
+
+
+#: the --tol.<name> gates each command reads; any other is a usage error there
+TOLERANCES_READ = {"simulate": ("c6-mf-se",), "potlach": ("c8-lo", "c8-hi"),
+                   "accept": tuple(acceptance.DEFAULT_TOLERANCES)}
 
 
 class UsageError(Exception):
@@ -413,6 +418,9 @@ def run(argv: list[str] | None = None) -> int:
             tol = acceptance.merged_tolerances(overrides)
         except KeyError as exc:  # an unknown --tol.<name>
             raise UsageError(exc.args[0]) from exc
+        unread = sorted(set(overrides) - set(TOLERANCES_READ.get(args.command, ())))
+        if unread:
+            raise UsageError(f"{args.command} does not read the tolerances {unread}")
         opts = resolve_options(args)
         return COMMANDS[args.command](opts, tol)
     except UsageError as exc:

@@ -3,7 +3,10 @@
 Each kernel is a discrete-time stochastic stencil obtained by uniformizing a
 continuous-time difference walk at rate ``rate`` (events per unit time): a
 translation-invariant bulk row plus a finite set of perturbed rows near the
-origin. All probabilities are exact rationals.
+origin. All probabilities are exact rationals, and sequence tables carry
+their kernel's ``rate`` for Poissonization. One dual walker jumps at
+``WALK_RATE``; two coupled walkers follow the edge-ring rule of
+``pair_transition_rates``, which projects onto ``avg_difference_kernel``.
 """
 from __future__ import annotations
 
@@ -11,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from .lattice import Point, ball, check_dimension, l1_norm, origin, sphere, unit_vectors
 
@@ -18,6 +22,10 @@ Row = dict[Point, Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+#: jump rate of one dual walker: averaging rings each of its 2d edges at rate
+#: 1/(2d) and moves it with probability 1/2; potlach rings its vertex at rate 1
+WALK_RATE = {"averaging": 0.5, "potlach": 1.0}
 
 
 def _check_row(label: str, row: Row) -> None:
@@ -165,39 +173,24 @@ def potlach_kernels(d: int) -> tuple[TransitionKernel, TransitionKernel]:
 def pair_transition_rates(u: Point, v: Point) -> dict[tuple[Point, Point], Fraction]:
     """Transition rates of the coupled two-token walk out of the pair (u, v).
 
-    Edge rates on Z^d are 1/(2d). Tokens at distinct, non-adjacent sites move
-    independently (each neighbor at rate 1/(4d)); an adjacent pair adds merge
-    and swap moves at rate 1/(8d) each; a coincident pair moves off the
-    diagonal or along it at rate 1/(8d) per neighbor and case.
+    The edge-ring rule, written over the tuple of token positions: each edge
+    rings at rate 1/(2d), and every token on it moves to a uniform endpoint,
+    independently of the others; outcomes that change nothing are dropped.
+    Edges are taken in ``unit_vectors`` order from each token in turn, once each.
     """
-    d = len(u)
-    r = Fraction(1, 2 * d)
-    units = unit_vectors(d)
+    config, d = (u, v), len(u)
+    edges: dict[frozenset, tuple[Point, Point]] = {}
+    for p in config:
+        for e in unit_vectors(d):
+            q = tuple(a + b for a, b in zip(p, e))
+            edges.setdefault(frozenset((p, q)), (p, q))
     rates: dict[tuple[Point, Point], Fraction] = {}
-
-    def add(pair: tuple[Point, Point], rate: Fraction) -> None:
-        rates[pair] = rates.get(pair, ZERO) + rate
-
-    if u == v:
-        for e in units:
-            w = tuple(a + b for a, b in zip(u, e))
-            add((u, w), r / 4)
-            add((w, u), r / 4)
-            add((w, w), r / 4)
-        return rates
-
-    adjacent = l1_norm(tuple(a - b for a, b in zip(u, v))) == 1
-    for e in units:
-        w = tuple(a + b for a, b in zip(v, e))
-        if w != u:
-            add((u, w), r / 2)
-        w = tuple(a + b for a, b in zip(u, e))
-        if w != v:
-            add((w, v), r / 2)
-    if adjacent:
-        add((v, v), r / 4)
-        add((u, u), r / 4)
-        add((v, u), r / 4)
+    for edge in edges.values():
+        on = [i for i, p in enumerate(config) if p in edge]
+        for ends in product(edge, repeat=len(on)):
+            new = tuple(dict(zip(on, ends)).get(i, p) for i, p in enumerate(config))
+            if new != config:
+                rates[new] = rates.get(new, ZERO) + Fraction(1, 2 * d * 2 ** len(on))
     return rates
 
 
@@ -213,9 +206,8 @@ def difference_kernel_from_pair_rates(d: int) -> TransitionKernel:
     bulk = {e: Fraction(1, 2 * d) for e in unit_vectors(d)}
     pert: dict[Point, Row] = {}
     for x in ball(d, 2):
-        rates = pair_transition_rates(x, zero)
         row: Row = {}
-        for (u2, v2), rate in rates.items():
+        for (u2, v2), rate in pair_transition_rates(x, zero).items():
             off = tuple(a - b - c for a, b, c in zip(u2, v2, x))
             if any(off):
                 row[off] = row.get(off, ZERO) + rate

@@ -7,8 +7,9 @@ it rings the vertex splits its entire mass evenly over its 2d neighbours.
 Both conserve total mass exactly.
 
 Events are drawn by superposition: the number of rings in [0, t] is Poisson
-(total rate x t), marks are iid uniform over edges (or vertices), times are
-sorted uniforms. That is the standard order-statistics representation of the
+(total rate x t; the total rate is n_sites x ``kernels.WALK_RATE``, the jump
+rate of one dual walker), marks are iid uniform over edges (or vertices),
+times are sorted uniforms. That is the order-statistics representation of the
 superposed Poisson processes, so the sampled schedule is exact in
 distribution. Only the order of events matters for the final field, so the
 simulator draws counts and marks and skips the times. Trials are seeded from
@@ -57,12 +58,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from .kernels import WALK_RATE
 from .lattice import Box, check_dimension, origin, unit_vectors
 
 DYNAMICS = ("averaging", "potlach")
-
-#: uniformization rate of the dual single-particle walk, used for box sizing
-WALK_RATE = {"averaging": 0.5, "potlach": 1.0}
 
 #: largest wrap-around bound the default torus may have (see default_box_radius)
 WRAP_TOL = 1e-6
@@ -183,9 +182,7 @@ class EventSchedule:
 
     @classmethod
     def total_rate(cls, box: Box, dynamics: str) -> float:
-        if dynamics == "averaging":
-            return box.n_sites / 2.0  # d * n_sites edges, rate 1/(2d) each
-        return float(box.n_sites)
+        return WALK_RATE[dynamics] * box.n_sites  # d n_sites edges at 1/(2d), or n_sites at 1
 
     @classmethod
     def n_marks(cls, box: Box, dynamics: str) -> int:
@@ -334,7 +331,14 @@ class SimulationResult:
     fields: np.ndarray  # (trials, side, ..., side): float64, or Fractions in exact mode
 
     def totals(self) -> np.ndarray:
-        return self.fields.reshape(self.config.trials, -1).sum(axis=1)
+        """Total mass of each trial; an exact row adds its integer numerators over
+        the lcm of its denominators and makes one Fraction, not one per site."""
+        flat = self.fields.reshape(self.config.trials, -1)
+        if self.config.mode == "float":
+            return flat.sum(axis=1)
+        dens = [math.lcm(*(v.denominator for v in row)) for row in flat]
+        return np.array([Fraction(sum(v.numerator * (m // v.denominator) for v in row), m)
+                         for row, m in zip(flat, dens)], dtype=object)
 
     def conservation_defect(self) -> float:
         """max over trials of |total mass - 1|, summed exactly in exact mode."""

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .kernels import avg_difference_kernel, pair_transition_rates
+from .kernels import WALK_RATE, avg_difference_kernel, pair_transition_rates
 from .lattice import Point, ball, origin
 from .simulate import SimulationResult
 from .walks import heat_kernel, poissonized_return, return_sequence
@@ -127,10 +127,10 @@ class MomentReport(NamedTuple):
 
 def two_norm_target(d: int, t: float) -> float:
     """E ||eta_t||^2 from the point mass: the coupled pair's coincidence
-    probability, i.e. p~ Poissonized at rate 1, with a Poisson tail below 1e-12."""
+    probability, i.e. p~ Poissonized at its kernel's rate 1, with a Poisson tail below 1e-12."""
     n_terms = int(t + 12 * math.sqrt(t + 25) + 25)
     pt = return_sequence(avg_difference_kernel(d), n_terms, mode="float")
-    return poissonized_return(pt, 1.0, t).value
+    return poissonized_return(pt, t).value
 
 
 def estimate_moments(result: SimulationResult,
@@ -227,9 +227,9 @@ def clt_statistic(result: SimulationResult, fn: str = "cos", param: float = 1.0,
 
     On the diffusive scale the field behaves like a Gaussian point: the
     statistic converges in probability to the integral of f against
-    N(0, I_d/d) (per-axis variance of the dual walk is t/(2d), and the
-    normalization is sqrt(t/2)). Unknown test-function names are an error;
-    the registry keys are cos, one, tanh, gauss.
+    N(0, I_d/d) (the dual walker jumps at WALK_RATE = 1/2, so its per-axis
+    variance is t/(2d), and the normalization is sqrt(t/2)). Unknown
+    test-function names are an error; the keys are cos, one, tanh, gauss.
     """
     cfg = result.config
     if fn not in TEST_FUNCTIONS:
@@ -239,7 +239,7 @@ def clt_statistic(result: SimulationResult, fn: str = "cos", param: float = 1.0,
     weight_fn, limit_fn = TEST_FUNCTIONS[fn]
     box = result.box
     d = box.dimension
-    sigma = math.sqrt(cfg.t / 2.0)
+    sigma = math.sqrt(WALK_RATE["averaging"] * cfg.t)
 
     coords = np.array(list(box.points()), dtype=float) / sigma  # index order
     weights = weight_fn(coords.reshape((box.side,) * d + (d,)).reshape(-1, d), param)

@@ -11,23 +11,26 @@ cone is cut to the light cone of the recorded cells: a cell that cannot
 reach them within the remaining steps is dropped (see ``_sequence``), which
 leaves every entry unchanged. Float tables take the series route: the SRW
 return sequence in closed form, then the identities
-``series.verify_gf_relations`` checks.
-Each float table carries ``error_bound``, a bound on every entry's error,
-proven for d <= 3 and infinite for d >= 4. Poisson weights, tails and orders
-come from the ``scipy.special`` ufuncs ``xlogy``, ``gammaln``, ``pdtr``,
-``pdtrc`` and ``pdtrik``, the same calls ``scipy.stats.poisson`` makes.
+``series.verify_gf_relations`` checks; each carries ``error_bound``, a bound
+on every entry's error, proven for d <= 3 and infinite for d >= 4.
+Every table carries its kernel's ``rate``, at which ``poissonized_return``
+mixes it. ``dp_distribution`` and ``heat_kernel`` step one torus walk,
+``_box_walk``. Poisson weights, tails and orders come from the
+``scipy.special`` ufuncs ``xlogy``, ``gammaln``, ``pdtr``, ``pdtrc`` and
+``pdtrik``, the same calls ``scipy.stats.poisson`` makes.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 from scipy.special import gammaln, pdtr, pdtrc, pdtrik, xlogy
 
-from .kernels import TransitionKernel, avg_difference_kernel, potlach_kernels, srw_kernel
+from .kernels import WALK_RATE, TransitionKernel, avg_difference_kernel, potlach_kernels, srw_kernel
 from .lattice import Box, Point, check_dimension, origin
 
 
@@ -51,7 +54,8 @@ class SequenceTable:
     """Entries of one of the walk sequences, indexed from ``first_index``.
 
     Exact tables hold Fractions; float tables hold doubles, each within
-    ``error_bound`` of the exact value.
+    ``error_bound`` of the exact value. ``rate`` is the uniformization rate of
+    the kernel the table counts steps of; ``poissonized_return`` reads it.
     """
 
     name: str
@@ -59,7 +63,7 @@ class SequenceTable:
     first_index: int
     entries: list
     exact: bool
-    kernel_name: str = ""
+    rate: Fraction
     error_bound: float = 0.0
 
     @property
@@ -129,8 +133,8 @@ def _orthant_step(cur: np.ndarray, groups: dict[int, list], deltas) -> np.ndarra
     padded = np.zeros((r2 + 3,) * d, dtype=object)
     padded[(slice(1, r + 2),) * d] = cur
     for axis in range(d):  # mirror-pad the low faces
-        face = np.moveaxis(padded, axis, 0)
-        face[0] = face[2]
+        lead = (slice(None),) * axis
+        padded[lead + (0,)] = padded[lead + (2,)]
 
     nxt = None
     for c, offsets in groups.items():
@@ -172,8 +176,7 @@ def _reach(kernel: TransitionKernel) -> int:
     return reach
 
 
-def _sequence(kernel: TransitionKernel, n_max: int, mode: str, name: str | None,
-              table: str) -> SequenceTable:
+def _sequence(kernel: TransitionKernel, n_max: int, mode: str, table: str) -> SequenceTable:
     """Table p, q, r or s: the series route in float mode, else one orthant DP pass.
 
     p and q start at the origin, r and s uniform on the unit sphere (each
@@ -191,8 +194,7 @@ def _sequence(kernel: TransitionKernel, n_max: int, mode: str, name: str | None,
     """
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
-    if name is None:
-        name = table if not kernel.perturbation else f"{table}_tilde"
+    name = table if not kernel.perturbation else f"{table}_tilde"
     if mode == "float":
         return _float_table(kernel, n_max, table, name)
     d = kernel.dimension
@@ -227,35 +229,34 @@ def _sequence(kernel: TransitionKernel, n_max: int, mode: str, name: str | None,
         if table == "s":
             for e in watch:
                 cur[e] = 0
-    return SequenceTable(name, d, 0 if table in "pr" else 1, entries, True, kernel.name)
+    return SequenceTable(name, d, 0 if table in "pr" else 1, entries, True, kernel.rate)
 
 
-def return_sequence(kernel: TransitionKernel, n_max: int, mode: str = "exact",
-                    name: str | None = None) -> SequenceTable:
+def return_sequence(kernel: TransitionKernel, n_max: int, mode: str = "exact") -> SequenceTable:
     """p_n = Pr_0(walk at origin after n steps), n = 0..n_max."""
-    return _sequence(kernel, n_max, mode, name, "p")
+    return _sequence(kernel, n_max, mode, "p")
 
 
-def first_return_sequence(kernel: TransitionKernel, n_max: int, mode: str = "exact",
-                          name: str | None = None) -> SequenceTable:
+def first_return_sequence(kernel: TransitionKernel, n_max: int,
+                          mode: str = "exact") -> SequenceTable:
     """q_n = Pr_0(first return to the origin at step n), n = 1..n_max."""
-    return _sequence(kernel, n_max, mode, name, "q")
+    return _sequence(kernel, n_max, mode, "q")
 
 
-def sphere_taboo_sequence(kernel: TransitionKernel, n_max: int, mode: str = "exact",
-                          name: str | None = None) -> SequenceTable:
+def sphere_taboo_sequence(kernel: TransitionKernel, n_max: int,
+                          mode: str = "exact") -> SequenceTable:
     """r_n = Pr_sphere(on the unit sphere at step n, origin avoided), n >= 0.
 
     The start is uniform on S_d(1); the entries do not depend on the start
     point, and the uniform choice preserves the sign symmetry the DP uses.
     """
-    return _sequence(kernel, n_max, mode, name, "r")
+    return _sequence(kernel, n_max, mode, "r")
 
 
-def sphere_first_return_sequence(kernel: TransitionKernel, n_max: int, mode: str = "exact",
-                                 name: str | None = None) -> SequenceTable:
+def sphere_first_return_sequence(kernel: TransitionKernel, n_max: int,
+                                 mode: str = "exact") -> SequenceTable:
     """s_n = Pr_sphere(first return to the sphere at step n, origin avoided)."""
-    return _sequence(kernel, n_max, mode, name, "s")
+    return _sequence(kernel, n_max, mode, "s")
 
 
 def first_passage_sequences(kernel: TransitionKernel, n_max: int,
@@ -385,7 +386,7 @@ def _srw_closed_form(d: int, n_max: int) -> _Series:
 def srw_return_sequence_float(d: int, n_max: int) -> SequenceTable:
     """SRW return probabilities p_0..p_n_max from the closed form, in floats."""
     p = _srw_closed_form(d, n_max)
-    return SequenceTable("p", d, 0, p.c.tolist(), exact=False, kernel_name="srw",
+    return SequenceTable("p", d, 0, p.c.tolist(), exact=False, rate=srw_kernel(d).rate,
                          error_bound=float(np.max(p.err)))
 
 
@@ -435,7 +436,7 @@ def _float_table(kernel: TransitionKernel, n_max: int, table: str, name: str) ->
         out = (x.times(4 * d if avg else 2 * d) if table == "r" else
                _Series(np.r_[0.0, 1.0 - h, h * x.c[:-2]], np.r_[0.0, 0.0, h * x.err[:-2]]))
     first = 0 if table in "pr" else 1
-    return SequenceTable(name, d, first, out.c[first: n_max + 1].tolist(), False, kernel.name,
+    return SequenceTable(name, d, first, out.c[first: n_max + 1].tolist(), False, kernel.rate,
                          float(np.max(out.err[first: n_max + 1], initial=0.0)))
 
 
@@ -472,22 +473,23 @@ def _kernel_box_data(kernel: TransitionKernel, exact: bool):
     return scale, coeffs, deltas
 
 
-def _point_mass(box: Box, start: Point) -> np.ndarray:
-    """Unit mass at ``start`` (wrapped) on the box; ValueError if the dimensions differ."""
+def _box_walk(kernel: TransitionKernel, start: Point, box: Box) -> Iterator[np.ndarray]:
+    """Distributions after 0, 1, 2, ... steps of the walk from ``start`` (wrapped)
+    on the torus ``box``; ValueError, at the first draw, if the dimensions differ
+    or the box is too small for the perturbation zone."""
+    if kernel.perturbation and box.radius < kernel.max_step + 2:
+        raise ValueError("box too small for the perturbation zone")
+    _, coeffs, deltas = _kernel_box_data(kernel, exact=False)
     cur = np.zeros((box.side,) * box.dimension)
     cur.flat[box.to_index(start)] = 1.0
-    return cur
+    while True:
+        yield cur
+        cur = _box_step(box, cur, coeffs, deltas)
 
 
 def dp_distribution(kernel: TransitionKernel, start: Point, n: int, box: Box) -> DistVector:
     """Distribution of the walk after n steps from ``start`` on the torus ``box``."""
-    if kernel.perturbation and box.radius < kernel.max_step + 2:
-        raise ValueError("box too small for the perturbation zone")
-    _, coeffs, deltas = _kernel_box_data(kernel, exact=False)
-    cur = _point_mass(box, start)
-    for _ in range(n):
-        cur = _box_step(box, cur, coeffs, deltas)
-    return DistVector(box=box, step=n, data=cur)
+    return DistVector(box=box, step=n, data=next(islice(_box_walk(kernel, start, box), n, None)))
 
 
 def _poisson_pmf(k: np.ndarray, mu: float) -> np.ndarray:
@@ -504,8 +506,8 @@ def required_poisson_order(mu: float, tol: float) -> int:
     floor(mu), since every smaller n has a tail of at least 1/2 (the Poisson
     median is at least mu - log 2).
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and mu >= 0):
+        raise ValueError(f"tol must be positive and mu nonnegative, got tol={tol}, mu={mu}")
     q = 1.0 - tol
     if q == 1.0:
         n = math.floor(mu)
@@ -523,18 +525,17 @@ class PoissonizedValue(NamedTuple):
     error: float
 
 
-def poissonized_return(seq: SequenceTable, lam: float, t: float,
-                       tol: float = 1e-12) -> PoissonizedValue:
-    """e^{-lam t} sum (lam t)^n / n! * p_n with an error bound.
+def poissonized_return(seq: SequenceTable, t: float, tol: float = 1e-12) -> PoissonizedValue:
+    """e^{-mu} sum mu^n / n! * p_n, mu = seq.rate * t, with an error bound.
 
-    The kernel's uniformization rate ``lam`` rescales time; raises
+    The table's uniformization rate rescales time; raises
     SequenceTooShortError when the Poisson tail past the table is above tol.
     ``error`` is the tail plus the table's ``error_bound`` plus the rounding
     of the N-term sum, gamma_{N+2} sum w_n |p_n|.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    mu = lam * t
+    mu = float(seq.rate) * t
     if mu == 0:
         return PoissonizedValue(float(seq[0]) if seq.first_index == 0 else 0.0, seq.error_bound)
     tail = float(pdtrc(seq.last_index, mu))
@@ -549,13 +550,13 @@ def poissonized_return(seq: SequenceTable, lam: float, t: float,
 def potlach_contrast(d: int, n_steps: int, times: Iterable[float]
                      ) -> tuple[SequenceTable, SequenceTable, list[float]]:
     """(coupled, independent, ratios): the potlach pairs' float return sequences and,
-    per time t, their ratio Poissonized at rate 2, the pairs' jump rate. Raises
+    per time t, their ratio Poissonized at the pairs' jump rate. Raises
     SequenceTooShortError at the first t that ``n_steps`` entries do not cover."""
     ind, coup = potlach_kernels(d)
     coupled = return_sequence(coup, n_steps, mode="float")
     independent = return_sequence(ind, n_steps, mode="float")
-    ratios = [poissonized_return(coupled, 2.0, t).value
-              / poissonized_return(independent, 2.0, t).value for t in times]
+    ratios = [poissonized_return(coupled, t).value / poissonized_return(independent, t).value
+              for t in times]
     return coupled, independent, ratios
 
 
@@ -563,20 +564,14 @@ def heat_kernel(d: int, t: float, box: Box, start: Point | None = None,
                 tol: float = 1e-12) -> DistVector:
     """Continuous-time SRW kernel h_t(start, .) on the box.
 
-    The walk jumps at total rate 1/2 (rate 1/(4d) per neighbor), so h_t is
-    the Poisson(t/2) mixture of the discrete SRW powers; the mixture is
-    truncated where the floating-point Poisson tail is at most ``tol``, and
-    that tail is reported in tail_bound (an estimate, not a proven bound).
+    One dual walker jumps at ``WALK_RATE["averaging"]`` = 1/2, so h_t is the
+    Poisson(t/2) mixture of the discrete SRW powers (the point mass at t = 0),
+    truncated where the floating-point Poisson tail is at most ``tol``; that
+    tail is reported in tail_bound (an estimate, not a proven bound).
     """
     start = origin(d) if start is None else start
-    mu = t / 2.0
-    n_max = required_poisson_order(mu, tol) if mu > 0 else 0
-    _, coeffs, deltas = _kernel_box_data(srw_kernel(d), exact=False)
-    cur = _point_mass(box, start)
-    weights = _poisson_pmf(np.arange(n_max + 1), mu) if mu > 0 else np.array([1.0])
-    acc = weights[0] * cur
-    for n in range(1, n_max + 1):
-        cur = _box_step(box, cur, coeffs, deltas)
-        acc = acc + weights[n] * cur
-    return DistVector(box=box, step=n_max, data=acc, time=t,
-                      tail_bound=float(pdtrc(n_max, mu)) if mu > 0 else 0.0)
+    mu = WALK_RATE["averaging"] * t
+    n_max = required_poisson_order(mu, tol)
+    weights = _poisson_pmf(np.arange(n_max + 1), mu)
+    acc = sum(w * cur for w, cur in zip(weights, _box_walk(srw_kernel(d), start, box)))
+    return DistVector(box, n_max, acc, tail_bound=float(pdtrc(n_max, mu)), time=t)

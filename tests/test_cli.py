@@ -200,6 +200,12 @@ def test_tolerance_flag_errors(capsys):
     (["potlach", "--order", "-1"], "--order must be >= 0"),
     (["potlach", "--steps", "-1", "--order", "4"], "--steps must be >= 0, got -1"),
     (["accept", "--tol.not-a-gate=1"], "unknown tolerance names: ['not-a-gate']"),
+    (["walk-dp", "--steps", "2", "--tol.c6-z", "9"],
+     "walk-dp does not read the tolerances ['c6-z']"),
+    (["clt", "--tol.c7-window", "0.5"], "clt does not read the tolerances ['c7-window']"),
+    (["simulate", "--tol.c6-z", "1e-4"], "simulate does not read the tolerances ['c6-z']"),
+    (["potlach", "--tol.c8-lo=1.9", "--tol.c6-z=1", "--tol.alpha-lo=1"],
+     "potlach does not read the tolerances ['alpha-lo', 'c6-z']"),
 ], ids=["asymptotics-steps-1", "asymptotics-steps-3", "walk-dp-steps-neg",
         "walk-dp-float-steps-neg", "simulate-trials-1", "clt-trials-1",
         "walk-dp-d-0", "walk-dp-d-neg", "walk-dp-srw-d-0", "series-verify-d-0",
@@ -207,7 +213,8 @@ def test_tolerance_flag_errors(capsys):
         "simulate-t-neg", "simulate-box-radius-0", "clt-t-0", "clt-unknown-fn",
         "clt-window-neg", "simulate-unknown-mode",
         "series-verify-order-neg", "potlach-order-neg", "potlach-steps-neg",
-        "unknown-tolerance"])
+        "unknown-tolerance", "walk-dp-unread-tolerance", "clt-unread-tolerance",
+        "simulate-unread-tolerance", "potlach-unread-tolerances"])
 def test_out_of_range_options_are_usage_errors(argv, message, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()
@@ -257,6 +264,16 @@ def test_threads_option_is_gone(tmp_path, capsys):
     capsys.readouterr()
     assert run(["walk-dp", "--config", str(cfg)]) == 2
     assert "unknown config key 'threads'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(cli.TOLERANCES_READ))
+def test_tolerances_a_command_reads_are_accepted(command, monkeypatch):
+    # every gate a command reads reaches it as overridden; the command is stubbed out
+    seen = {}
+    monkeypatch.setitem(cli.COMMANDS, command, lambda opts, tol: seen.update(tol) or 0)
+    names = cli.TOLERANCES_READ[command]
+    assert run([command, *(f"--tol.{name}=0.5" for name in names)]) == 0
+    assert all(seen[name] == 0.5 for name in names)
 
 
 def test_potlach_short_sequence_is_usage_error(capsys):

@@ -10,7 +10,8 @@ from avgproc.kernels import (
     potlach_kernels,
     srw_kernel,
 )
-from avgproc.lattice import ball, origin, unit_vectors
+from avgproc.lattice import ball, l1_norm, origin, unit_vectors
+from avgproc.walks import return_sequence
 
 F = Fraction
 
@@ -100,6 +101,56 @@ def test_pair_rates_distant_pair_moves_independently():
     assert rates[((0, 0), (3, 1))] == F(1, 8)
 
 
+def hand_written_pair_rates(u, v):
+    """The pair rates written out case by case: distinct tokens move to each
+    neighbour at rate 1/(4d), except onto the partner; an adjacent pair adds
+    merge and swap moves at 1/(8d) each; a coincident pair moves off the
+    diagonal or along it at 1/(8d) per neighbour and case."""
+    d = len(u)
+    r = F(1, 2 * d)
+    rates = {}
+
+    def add(pair, rate):
+        rates[pair] = rates.get(pair, 0) + rate
+
+    if u == v:
+        for e in unit_vectors(d):
+            w = tuple(a + b for a, b in zip(u, e))
+            add((u, w), r / 4)
+            add((w, u), r / 4)
+            add((w, w), r / 4)
+        return rates
+    for e in unit_vectors(d):
+        w = tuple(a + b for a, b in zip(v, e))
+        if w != u:
+            add((u, w), r / 2)
+        w = tuple(a + b for a, b in zip(u, e))
+        if w != v:
+            add((w, v), r / 2)
+    if l1_norm(tuple(a - b for a, b in zip(u, v))) == 1:
+        add((v, v), r / 4)
+        add((u, u), r / 4)
+        add((v, u), r / 4)
+    return rates
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ring_rule_matches_hand_written_rates(d):
+    pts = ball(d, 3)
+    for u in pts:
+        for v in pts:
+            assert pair_transition_rates(u, v) == hand_written_pair_rates(u, v), (u, v)
+
+
+def test_ring_rule_order_is_deterministic():
+    # the Gillespie sampler draws from list(rates): the edges of u come first, in
+    # unit_vectors order, then the edges of v not already seen
+    assert list(pair_transition_rates((0,), (3,))) == [
+        ((1,), (3,)), ((-1,), (3,)), ((0,), (4,)), ((0,), (2,))]
+    assert list(pair_transition_rates((0,), (1,))) == [
+        ((0,), (0,)), ((1,), (0,)), ((1,), (1,)), ((-1,), (1,)), ((0,), (2,))]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_difference_kernel_matches_pair_projection(d):
     reference = avg_difference_kernel(d)
@@ -141,3 +192,10 @@ def test_kernel_validation_rejects_bad_rows():
 def test_builders_reject_bad_dimension(builder, d):
     with pytest.raises(ValueError, match="dimension must be >= 1"):
         builder(d)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("kernel", [srw_kernel(2), avg_difference_kernel(2), *potlach_kernels(2)],
+                         ids=["srw", "avg-diff", "potlach-ind", "potlach-coup"])
+def test_tables_carry_the_kernel_rate(kernel, mode):
+    assert return_sequence(kernel, 4, mode=mode).rate == kernel.rate

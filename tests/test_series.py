@@ -180,7 +180,7 @@ def test_identity_suite_detects_corruption(tables_d1):
     entries = list(src.entries)
     entries[5] += F(1, 1000)
     bad["p_tilde"] = SequenceTable(src.name, src.dimension, src.first_index,
-                                   entries, src.exact, src.kernel_name)
+                                   entries, src.exact, src.rate)
     reports = {r.name: r for r in verify_gf_relations(1, 32, bad)}
     involved = {"gtilde-from-g": (6, F(1, 500)),
                 "renewal-perturbed": (5, F(1, 1000)),

@@ -8,13 +8,13 @@ import pytest
 from scipy.special import ive
 
 from avgproc import simulate as simulate_module
+from avgproc.kernels import WALK_RATE
 from avgproc.lattice import Box, origin, unit_vectors
 from avgproc.simulate import (
     BUFFER_BYTES,
     DYNAMICS,
     MAX_MARK_ENTRIES,
     MIN_CHUNK_TRIALS,
-    WALK_RATE,
     WRAP_TOL,
     EventSchedule,
     ExperimentConfig,
@@ -234,6 +234,17 @@ def test_exact_conservation(dynamics):
     for nsq in res.two_norms_sq():
         assert isinstance(nsq, Fraction)
         assert nsq <= 1
+
+
+def test_exact_totals_add_numerators_over_the_row_lcm():
+    # a hand-made exact result whose rows have mixed denominators and lose mass
+    cfg = ExperimentConfig(dimension=1, t=1.0, trials=2, mode="exact", box_radius=1)
+    rows = [[F(1, 3), F(1, 6), F(1, 4)], [F(0), F(1), F(-1, 7)]]
+    fields = np.empty((2, 3), dtype=object)
+    fields[:] = rows
+    res = SimulationResult(cfg, cfg.box, fields)
+    assert res.totals().tolist() == [sum(row, F(0)) for row in rows] == [F(3, 4), F(6, 7)]
+    assert res.conservation_defect() == 0.25
 
 
 def test_float_conservation_and_smoothing():

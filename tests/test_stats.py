@@ -150,3 +150,10 @@ def test_coupled_pair_mc_matches_poissonized():
     assert rec.name == "pair-coincidence"
     assert 0.0 < rec.target < 1.0
     assert abs(rec.z) < 4.0
+
+
+def test_coupled_pair_mc_seeded_values_pinned():
+    # the sampler draws from list(pair_transition_rates(u, v)), so these values
+    # pin the edge-ring rule's outcome order as well as the seeding
+    assert coupled_pair_mc(1, t=8.0, trials=300, seed=17).value == 41 / 300
+    assert coupled_pair_mc(2, t=4.0, trials=200, seed=3).value == 34 / 200

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -445,8 +446,8 @@ def test_box_dp_float_matches_exact():
 
 
 def test_poissonized_constant_sequence():
-    ones = SequenceTable("ones", 1, 0, [1.0] * 201, exact=False)
-    out = poissonized_return(ones, 1.0, 50.0)
+    ones = SequenceTable("ones", 1, 0, [1.0] * 201, exact=False, rate=F(1))
+    out = poissonized_return(ones, 50.0)
     assert isinstance(out, PoissonizedValue)
     assert out.value == pytest.approx(1.0, abs=1e-11)
     assert 0 <= out.error < 1e-11
@@ -454,24 +455,34 @@ def test_poissonized_constant_sequence():
 
 def test_poissonized_error_budget():
     seq = return_sequence(avg_difference_kernel(1), 400, mode="float")
-    out = poissonized_return(seq, 1.0, 100.0)
+    out = poissonized_return(seq, 100.0)
     weights = poisson.pmf(np.arange(401), 100.0)
     assert out.value == math.fsum(w * p for w, p in zip(weights, seq.entries))
     tail = poisson.sf(400, 100.0)
     assert tail + seq.error_bound < out.error < tail + seq.error_bound + 1e-13
 
 
+def test_poissonized_at_the_table_rate():
+    # a table at rate 2 (the potlach pairs') at time t is the rate-1 table at time 2t
+    seq = return_sequence(avg_difference_kernel(1), 400, mode="float")
+    doubled = replace(seq, rate=F(2))
+    assert poissonized_return(doubled, 40.0) == poissonized_return(seq, 80.0)
+    coupled = return_sequence(potlach_kernels(1)[1], 400, mode="float")
+    assert coupled.rate == 2
+    assert poissonized_return(coupled, 40.0) == poissonized_return(replace(coupled, rate=F(1)), 80.0)
+
+
 def test_poissonized_at_zero_time():
     seq = return_sequence(srw_kernel(1), 4)
-    assert poissonized_return(seq, 1.0, 0.0) == (1.0, 0.0)
+    assert poissonized_return(seq, 0.0) == (1.0, 0.0)
     with pytest.raises(ValueError):
-        poissonized_return(seq, 1.0, -1.0)
+        poissonized_return(seq, -1.0)
 
 
 def test_poissonized_short_sequence_raises():
     seq = return_sequence(srw_kernel(1), 50)
     with pytest.raises(SequenceTooShortError) as err:
-        poissonized_return(seq, 1.0, 100.0)
+        poissonized_return(seq, 100.0)
     assert err.value.have == 50
     assert err.value.required > 100
     assert err.value.tail > 1e-12
@@ -522,6 +533,14 @@ def test_required_poisson_order_rejects_nonpositive_tol():
             required_poisson_order(10.0, tol)
 
 
+def test_negative_time_is_rejected():
+    for mu in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="mu nonnegative"):
+            required_poisson_order(mu, 1e-12)
+    with pytest.raises(ValueError, match="mu nonnegative"):
+        heat_kernel(1, -1.0, Box(1, 5))
+
+
 def test_heat_kernel_with_tol_below_double_resolution():
     hk = heat_kernel(1, 10.0, Box(1, 40), tol=1e-17)
     assert hk.tail_bound <= 1e-17
@@ -531,7 +550,7 @@ def test_heat_kernel_with_tol_below_double_resolution():
 
 def test_poissonized_empty_table_raises():
     with pytest.raises(SequenceTooShortError):
-        poissonized_return(SequenceTable("p", 1, 0, [], exact=False), 1.0, 5.0)
+        poissonized_return(SequenceTable("p", 1, 0, [], exact=False, rate=F(1)), 5.0)
 
 
 def test_heat_kernel_matches_bessel_d1():
@@ -549,3 +568,14 @@ def test_heat_kernel_zero_time():
     hk = heat_kernel(2, 0.0, Box(2, 3), start=(1, -1))
     assert hk.data[1 + 3, -1 + 3] == 1.0
     assert np.sum(hk.data) == 1.0
+    assert (hk.step, hk.tail_bound) == (0, 0.0)
+
+
+def test_heat_kernel_is_the_poisson_mixture_of_dp_distributions():
+    # one stepping loop: the mixture's terms are dp_distribution's, bit for bit
+    box, t = Box(2, 6), 3.0
+    hk = heat_kernel(2, t, box, start=(1, 0))
+    weights = poisson.pmf(np.arange(hk.step + 1), t / 2)
+    mix = sum(w * dp_distribution(srw_kernel(2), (1, 0), n, box).data
+              for n, w in enumerate(weights))
+    assert np.array_equal(hk.data, mix)
