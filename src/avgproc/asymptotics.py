@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from scipy.special import gamma as _gamma
-
 from .lattice import check_dimension
 from .walks import SequenceTable, srw_return_sequence_float
 
@@ -31,8 +29,8 @@ def beta_constant(d: int) -> float:
     check_dimension(d)
     scale = d ** (d / 2.0) / (2 * math.pi) ** (d / 2.0)
     if d % 2 == 1:
-        return scale * float(_gamma(-(d - 2) / 2.0))
-    return scale * (-1.0) ** ((d - 2) // 2) / float(_gamma(d / 2.0))
+        return scale * math.gamma(-(d - 2) / 2.0)
+    return scale * (-1.0) ** ((d - 2) // 2) / math.gamma(d / 2.0)
 
 
 class AlphaEstimate(NamedTuple):

@@ -267,6 +267,20 @@ def coupled_pair_mc(d: int, t: float, trials: int, seed: int = 0,
     """
     if start is None:
         start = (origin(d), origin(d))
+    # The rule is translation invariant, outcome order included, so the jump
+    # law out of (u, v) is built once per relative position v - u, as moves
+    # of both tokens relative to u.
+    laws: dict[Point, tuple[list, float, np.ndarray]] = {}
+
+    def law(u: Point, v: Point) -> tuple[list, float, np.ndarray]:
+        rel = tuple(b - a for a, b in zip(u, v))
+        if rel not in laws:
+            rates = pair_transition_rates(origin(d), rel)
+            weights = np.array([float(r) for r in rates.values()])
+            total = weights.sum()
+            laws[rel] = list(rates), total, weights / total
+        return laws[rel]
+
     children = np.random.SeedSequence(seed).spawn(trials)
     hits = 0
     for ss in children:
@@ -274,14 +288,12 @@ def coupled_pair_mc(d: int, t: float, trials: int, seed: int = 0,
         u, v = start
         clock = 0.0
         while True:
-            rates = pair_transition_rates(u, v)
-            targets = list(rates)
-            weights = np.array([float(rates[k]) for k in targets])
-            total = weights.sum()
+            moves, total, probs = law(u, v)
             clock += rng.exponential(1.0 / total)
             if clock > t:
                 break
-            u, v = targets[rng.choice(len(targets), p=weights / total)]
+            du, dv = moves[rng.choice(len(moves), p=probs)]
+            u, v = (tuple(a + b for a, b in zip(u, du)), tuple(a + b for a, b in zip(u, dv)))
         hits += u == v
     p_hat = hits / trials
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / trials) / trials)

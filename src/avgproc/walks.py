@@ -15,9 +15,11 @@ return sequence in closed form, then the identities
 on every entry's error, proven for d <= 3 and infinite for d >= 4.
 Every table carries its kernel's ``rate``, at which ``poissonized_return``
 mixes it. ``dp_distribution`` and ``heat_kernel`` step one torus walk,
-``_box_walk``. Poisson weights, tails and orders come from the
-``scipy.special`` ufuncs ``xlogy``, ``gammaln``, ``pdtr``, ``pdtrc`` and
-``pdtrik``, the same calls ``scipy.stats.poisson`` makes.
+``_box_walk``. Poisson weights are exp(k log mu - log k! - mu), with log k!
+from Stirling's series (``_log_factorial``); for mu <= 4000 each was within
+a measured 1.5e-11 relative of its exact value, as ``scipy.stats.poisson.pmf``
+is. Poisson tails are a proven ratio bound (``_poisson_tail``), so the package
+needs no scipy at run time.
 """
 from __future__ import annotations
 
@@ -28,7 +30,6 @@ from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, pdtr, pdtrc, pdtrik, xlogy
 
 from .kernels import WALK_RATE, TransitionKernel, avg_difference_kernel, potlach_kernels, srw_kernel
 from .lattice import Box, Point, check_dimension, origin
@@ -99,10 +100,11 @@ class FirstPassageTables(NamedTuple):
 class DistVector:
     """Float distribution of a walk on a torus box after ``step`` kernel steps.
 
-    ``data`` is indexed by coordinates shifted by +L. ``tail_bound`` is the
-    mass a truncated Poisson mixture such as the heat kernel leaves out, as
-    the floating-point value of the Poisson tail (an estimate, not a proven
-    bound), and ``time`` is the mixture's time.
+    ``data`` is indexed by coordinates shifted by +L. ``tail_bound`` bounds
+    the mass a truncated Poisson mixture such as the heat kernel leaves out
+    (``_poisson_tail``: proven for exactly evaluated weights, which are
+    evaluated to a measured 1.5e-11 relative), and ``time`` is the mixture's
+    time.
     """
 
     box: Box
@@ -492,32 +494,73 @@ def dp_distribution(kernel: TransitionKernel, start: Point, n: int, box: Box) ->
     return DistVector(box=box, step=n, data=next(islice(_box_walk(kernel, start, box), n, None)))
 
 
+_SMALL_LOG_FACTORIALS = np.array([math.lgamma(k + 1.0) for k in range(16)])
+
+
+def _log_factorial(k: np.ndarray) -> np.ndarray:
+    """log k! for an array of integers k >= 0.
+
+    Below 16 the values are ``math.lgamma``'s. From 16 on, x = k + 1 >= 17 and
+    Stirling's series log Gamma(x) = (x - 1/2)(log x - 1) + (log 2 pi - 1)/2
+    + 1/(12x) - 1/(360x^3) + 1/(1260x^5) - 1/(1680x^7) + 1/(1188x^9) is cut
+    with an error below 691/(360360 x^11) < 6e-17. Measured against mpmath
+    for 16 <= k < 2e5, the result is within 2 ulp (``math.lgamma``: 1.7), and
+    one numpy pass costs a tenth of a ``math.lgamma`` call per entry.
+    """
+    x = np.maximum(k + 1.0, 17.0)
+    r = 1.0 / x
+    r2 = r * r
+    series = r * (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 * (1 / 1680 - r2 / 1188))))
+    stirling = (x - 0.5) * (np.log(x) - 1.0) + (0.5 * math.log(2 * math.pi) - 0.5) + series
+    return np.where(k < 16, _SMALL_LOG_FACTORIALS[np.minimum(k, 15)], stirling)
+
+
 def _poisson_pmf(k: np.ndarray, mu: float) -> np.ndarray:
-    """Pr(Po(mu) = k), evaluated as scipy.stats.poisson.pmf evaluates it."""
-    return np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
+    """Pr(Po(mu) = k) for integers k >= 0, as exp(k log mu - log k! - mu);
+    Po(0) is the point mass at 0."""
+    k = np.asarray(k)
+    if mu == 0:
+        return (k == 0).astype(float)
+    return np.exp(k * math.log(mu) - _log_factorial(k) - mu)
+
+
+def _poisson_tail(n: int, mu: float) -> float:
+    """A proven upper bound on Pr(Po(mu) > n).
+
+    For k > n the weights fall by w_{k+1}/w_k = mu/(k+1) <= mu/(n+2), so when
+    n + 2 > mu the tail is at most the geometric sum w_{n+1} (n+2)/(n+2-mu);
+    otherwise, and wherever that exceeds it, the bound is 1. At the orders
+    ``required_poisson_order`` returns for tol <= 1e-6 it is at most 1.04
+    times the exact tail (measured for mu in [1e-3, 4000]). It is proven for
+    exactly evaluated weights; w_{n+1} is evaluated with ``math.lgamma``, to
+    about the 1.5e-11 relative of ``_poisson_pmf``'s weights.
+    """
+    if n < 0 or not n + 2 > mu:
+        return 1.0
+    if mu == 0:
+        return 0.0
+    w = math.exp((n + 1) * math.log(mu) - math.lgamma(n + 2) - mu)
+    return min(1.0, w * (n + 2) / (n + 2 - mu))
 
 
 def required_poisson_order(mu: float, tol: float) -> int:
-    """Smallest N with Pr(Po(mu) > N) <= tol.
+    """Smallest N >= 0 with ``_poisson_tail(N, mu)`` <= tol, so Pr(Po(mu) > N) <= tol.
 
-    The start is scipy.stats.poisson.isf(tol, mu): ceil of pdtrik, one step
-    down when the cdf there already reaches 1 - tol. Below tol ~ 1.1e-16,
-    1 - tol rounds to 1 and pdtrik returns nan; the search then starts at
-    floor(mu), since every smaller n has a tail of at least 1/2 (the Poisson
-    median is at least mu - log 2).
+    The bound falls in N (its ratio from N to N + 1 is below 1 for every
+    mu < N + 2), so a bracket that doubles past floor(mu) and a bisection
+    find N in a few dozen evaluations. For tol <= 1e-6, N is the order of the
+    exact tail or one more.
     """
-    if not (tol > 0 and mu >= 0):
-        raise ValueError(f"tol must be positive and mu nonnegative, got tol={tol}, mu={mu}")
-    q = 1.0 - tol
-    if q == 1.0:
-        n = math.floor(mu)
-    else:
-        n = math.ceil(pdtrik(q, mu))
-        if n > 0 and pdtr(n - 1, mu) >= q:
-            n -= 1
-    while pdtrc(n, mu) > tol:
-        n += 1
-    return n
+    if not (tol > 0 and 0 <= mu < math.inf):
+        raise ValueError("tol must be positive and mu nonnegative and finite, "
+                         f"got tol={tol}, mu={mu}")
+    lo, step = -1, 1  # the order lies in (lo, hi] once hi is found
+    while _poisson_tail(hi := math.floor(mu) + step, mu) > tol:
+        lo, step = hi, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _poisson_tail(mid, mu) > tol else (lo, mid)
+    return hi
 
 
 class PoissonizedValue(NamedTuple):
@@ -530,16 +573,18 @@ def poissonized_return(seq: SequenceTable, t: float, tol: float = 1e-12) -> Pois
 
     The table's uniformization rate rescales time; raises
     SequenceTooShortError when the Poisson tail past the table is above tol.
-    ``error`` is the tail plus the table's ``error_bound`` plus the rounding
-    of the N-term sum, gamma_{N+2} sum w_n |p_n|.
+    ``error`` is the proven tail bound (``_poisson_tail``) plus the table's
+    ``error_bound`` plus the rounding of the N-term sum, gamma_{N+2} sum
+    w_n |p_n|; the weights w_n themselves are evaluated to a measured 1.5e-11
+    relative, which is not in ``error``.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     mu = float(seq.rate) * t
     if mu == 0:
         return PoissonizedValue(float(seq[0]) if seq.first_index == 0 else 0.0, seq.error_bound)
-    tail = float(pdtrc(seq.last_index, mu))
-    if not tail <= tol:  # pdtrc is nan below 0, i.e. for an empty table from 0
+    tail = _poisson_tail(seq.last_index, mu)
+    if tail > tol:
         raise SequenceTooShortError(seq.last_index, required_poisson_order(mu, tol), tail, t)
     weights = _poisson_pmf(np.arange(seq.first_index, seq.last_index + 1), mu)
     terms = [w * float(p) for w, p in zip(weights, seq.entries)]
@@ -566,12 +611,13 @@ def heat_kernel(d: int, t: float, box: Box, start: Point | None = None,
 
     One dual walker jumps at ``WALK_RATE["averaging"]`` = 1/2, so h_t is the
     Poisson(t/2) mixture of the discrete SRW powers (the point mass at t = 0),
-    truncated where the floating-point Poisson tail is at most ``tol``; that
-    tail is reported in tail_bound (an estimate, not a proven bound).
+    truncated at ``required_poisson_order``, where the proven tail bound is at
+    most ``tol``; that bound is reported in tail_bound. The weights are
+    evaluated to a measured 1.5e-11 relative (``_poisson_pmf``).
     """
     start = origin(d) if start is None else start
     mu = WALK_RATE["averaging"] * t
     n_max = required_poisson_order(mu, tol)
     weights = _poisson_pmf(np.arange(n_max + 1), mu)
     acc = sum(w * cur for w, cur in zip(weights, _box_walk(srw_kernel(d), start, box)))
-    return DistVector(box, n_max, acc, tail_bound=float(pdtrc(n_max, mu)), time=t)
+    return DistVector(box, n_max, acc, tail_bound=_poisson_tail(n_max, mu), time=t)

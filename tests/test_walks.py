@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import ive, pdtrc
+from scipy.special import ive
 from scipy.stats import poisson
 
 from avgproc.kernels import (
@@ -33,7 +33,7 @@ from avgproc.walks import (
     sphere_taboo_sequence,
     srw_return_sequence_float,
 )
-from avgproc.walks import _conv, _poisson_pmf, _reach
+from avgproc.walks import _conv, _log_factorial, _poisson_pmf, _poisson_tail, _reach
 
 F = Fraction
 
@@ -456,9 +456,10 @@ def test_poissonized_constant_sequence():
 def test_poissonized_error_budget():
     seq = return_sequence(avg_difference_kernel(1), 400, mode="float")
     out = poissonized_return(seq, 100.0)
-    weights = poisson.pmf(np.arange(401), 100.0)
+    weights = _poisson_pmf(np.arange(401), 100.0)
     assert out.value == math.fsum(w * p for w, p in zip(weights, seq.entries))
-    tail = poisson.sf(400, 100.0)
+    tail = _poisson_tail(400, 100.0)
+    assert poisson.sf(400, 100.0) <= tail
     assert tail + seq.error_bound < out.error < tail + seq.error_bound + 1e-13
 
 
@@ -498,33 +499,77 @@ def test_required_poisson_order():
 POISSON_MUS = np.geomspace(1e-3, 4000.0, 15).tolist() + [50.0, 100.0, 200.0, 300.0, 400.0]
 
 
-def _bits(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64).view(np.uint64)
+POISSON_TOLS = [1e-6, 1e-9, 1e-12, 1e-14]
+
+
+def _exact_order(mu: float, tol: float) -> int:
+    """Smallest n with scipy's Pr(Po(mu) > n) <= tol."""
+    n = int(poisson.isf(tol, mu)) if tol > 1e-16 else 0
+    while poisson.sf(n, mu) > tol:
+        n += 1
+    return n
+
+
+def test_log_factorial_matches_lgamma():
+    # math.lgamma's values below 16, Stirling's series from 16 on
+    k = np.r_[np.arange(5000), np.geomspace(5000, 1e6, 50).astype(int)]
+    want = np.array([math.lgamma(v + 1.0) for v in k.tolist()])
+    got = _log_factorial(k)
+    assert np.array_equal(got[:16], want[:16])
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.maximum(want, 1.0)))
 
 
 @pytest.mark.parametrize("mu", POISSON_MUS)
-def test_poisson_ufuncs_match_scipy_stats_bitwise(mu):
+def test_poisson_pmf_matches_scipy_stats(mu):
     k = np.arange(int(mu + 50 * math.sqrt(mu)) + 1)
-    assert np.array_equal(_bits(_poisson_pmf(k, mu)), _bits(poisson.pmf(k, mu)))
-    for n in {0, 1, 5, int(mu), int(mu + 5 * math.sqrt(mu)), len(k) - 1}:
-        assert _bits(pdtrc(n, mu)) == _bits(poisson.sf(n, mu))
-    # a tolerance equal to a tail value sits where isf steps down from ceil(pdtrik)
-    edges = [float(poisson.sf(n, mu)) for n in (int(mu), int(mu + 3 * math.sqrt(mu)))]
-    for tol in [1e-6, 1e-9, 1e-12, 1e-14] + [e for e in edges if 1e-15 < e < 1]:
-        n = int(poisson.isf(tol, mu))
-        while poisson.sf(n, mu) > tol:
-            n += 1
-        assert required_poisson_order(mu, tol) == n
+    want = poisson.pmf(k, mu)
+    got = _poisson_pmf(k, mu)
+    normal = want > 1e-300
+    np.testing.assert_allclose(got[normal], want[normal], rtol=1e-10, atol=0)
+    assert np.all(got[~normal] < 1e-290)
+
+
+@pytest.mark.parametrize("mu", POISSON_MUS)
+def test_poisson_tail_bounds_scipy_sf(mu):
+    # a bound at every n where the exact tail is a normal double; within 1.1x of it
+    # at the orders the tolerances give
+    for n in range(-1, int(mu + 50 * math.sqrt(mu)) + 1):
+        sf = poisson.sf(n, mu)
+        if sf > 1e-300:
+            assert _poisson_tail(n, mu) >= sf
+    for tol in POISSON_TOLS:
+        n = required_poisson_order(mu, tol)
+        assert _poisson_tail(n, mu) <= 1.1 * poisson.sf(n, mu)
+
+
+@pytest.mark.parametrize("mu", POISSON_MUS)
+def test_required_poisson_order_is_minimal_for_the_bound(mu):
+    for tol in POISSON_TOLS:
+        n = required_poisson_order(mu, tol)
+        assert _poisson_tail(n, mu) <= tol
+        assert n == 0 or _poisson_tail(n - 1, mu) > tol
+        assert n - _exact_order(mu, tol) in (0, 1)
+
+
+def test_poisson_helpers_at_zero_rate():
+    assert _poisson_pmf(np.arange(3), 0.0).tolist() == [1.0, 0.0, 0.0]
+    assert (_poisson_tail(-1, 0.0), _poisson_tail(0, 0.0)) == (1.0, 0.0)
+    assert required_poisson_order(0.0, 1e-12) == 0
+
+
+def test_required_poisson_order_rejects_nonfinite_mu():
+    for mu in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            required_poisson_order(mu, 1e-12)
 
 
 @pytest.mark.parametrize("mu", [1e-3, 0.5, 5.0, 50.0, 400.0])
 @pytest.mark.parametrize("tol", [1e-17, 1e-40, 1e-300])
 def test_required_poisson_order_below_double_resolution(mu, tol):
-    # 1 - tol rounds to 1 here, where pdtrik returns nan
-    n = 0
-    while pdtrc(n, mu) > tol:
-        n += 1
-    assert required_poisson_order(mu, tol) == n
+    # below double resolution, where 1 - tol rounds to 1
+    n = required_poisson_order(mu, tol)
+    assert _poisson_tail(n, mu) <= tol < _poisson_tail(n - 1, mu)
+    assert n - _exact_order(mu, tol) in (0, 1)
 
 
 def test_required_poisson_order_rejects_nonpositive_tol():
@@ -575,7 +620,7 @@ def test_heat_kernel_is_the_poisson_mixture_of_dp_distributions():
     # one stepping loop: the mixture's terms are dp_distribution's, bit for bit
     box, t = Box(2, 6), 3.0
     hk = heat_kernel(2, t, box, start=(1, 0))
-    weights = poisson.pmf(np.arange(hk.step + 1), t / 2)
+    weights = _poisson_pmf(np.arange(hk.step + 1), t / 2)
     mix = sum(w * dp_distribution(srw_kernel(2), (1, 0), n, box).data
               for n, w in enumerate(weights))
     assert np.array_equal(hk.data, mix)
