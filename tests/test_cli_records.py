@@ -13,14 +13,14 @@ from avgproc.cli import run
 
 CASES = {
     "simulate-float-d1": (["simulate", "--d", "1", "--t", "16", "--trials", "40",
-                           "--seed", "3", "--dump-field", "{field}"], "54ec03233a487309"),
+                           "--seed", "3", "--dump-field", "{field}"], "2e04834e5631d0f0"),
     "simulate-exact-d1": (["simulate", "--mode", "exact", "--d", "1", "--t", "8",
-                           "--trials", "20", "--seed", "3"], "cc69652ac56827e9"),
+                           "--trials", "20", "--seed", "3"], "19b01c29733f5d91"),
     "simulate-potlach-d1": (["simulate", "--dynamics", "potlach", "--d", "1", "--t", "16",
                              "--trials", "40", "--seed", "3"], "09cc2fa01f42fd92"),
     "clt-d1": (["clt", "--d", "1", "--t", "16", "--trials", "20", "--seed", "3"],
                "c8a7191aa37e4163"),
-    "potlach-order-24": (["potlach", "--order", "24"], "506ff23cca2697c5"),
+    "potlach-order-24": (["potlach", "--order", "24"], "bc002ea607702011"),
     "series-verify-d1": (["series-verify", "--d", "1"], "60f148ad6e325849"),
     "series-verify-d3-order-20": (["series-verify", "--d", "3", "--order", "20"],
                                   "5a42c0a532f8617e"),

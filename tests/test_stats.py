@@ -87,7 +87,7 @@ def test_two_norm_target_is_shared(result_d1):
     want = two_norm_target(1, 32.0)
     assert estimate_moments(result_d1).two_norm.target == want
     assert coupled_pair_mc(1, t=32.0, trials=2, seed=0).target == want
-    assert two_norm_target(1, 16.0) == 0.10802702150312535
+    assert two_norm_target(1, 16.0) == 0.10802702150312533
 
 
 def test_estimators_reject_potlach(potlach_result):

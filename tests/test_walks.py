@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import ive
+from scipy.special import gammaln, ive
 from scipy.stats import poisson
 
 from avgproc.kernels import (
@@ -499,6 +499,10 @@ def test_required_poisson_order():
 POISSON_MUS = np.geomspace(1e-3, 4000.0, 15).tolist() + [50.0, 100.0, 200.0, 300.0, 400.0]
 
 
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
 POISSON_TOLS = [1e-6, 1e-9, 1e-12, 1e-14]
 
 
@@ -510,23 +514,23 @@ def _exact_order(mu: float, tol: float) -> int:
     return n
 
 
-def test_log_factorial_matches_lgamma():
-    # math.lgamma's values below 16, Stirling's series from 16 on
-    k = np.r_[np.arange(5000), np.geomspace(5000, 1e6, 50).astype(int)]
-    want = np.array([math.lgamma(v + 1.0) for v in k.tolist()])
-    got = _log_factorial(k)
-    assert np.array_equal(got[:16], want[:16])
-    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.maximum(want, 1.0)))
+def test_log_factorial_matches_scipy_gammaln_bitwise():
+    # every branch of Cephes' lgam: the exact factorials below 12, the polynomial
+    # correction below x = 1000, the series below 1e8 and none above
+    k = np.r_[np.arange(5000), np.geomspace(5000, 1e9, 200).astype(np.int64)]
+    assert np.array_equal(_bits(_log_factorial(k)), _bits(gammaln(k + 1.0)))
 
 
 @pytest.mark.parametrize("mu", POISSON_MUS)
-def test_poisson_pmf_matches_scipy_stats(mu):
+def test_poisson_ufuncs_match_scipy_stats_bitwise(mu):
     k = np.arange(int(mu + 50 * math.sqrt(mu)) + 1)
-    want = poisson.pmf(k, mu)
-    got = _poisson_pmf(k, mu)
-    normal = want > 1e-300
-    np.testing.assert_allclose(got[normal], want[normal], rtol=1e-10, atol=0)
-    assert np.all(got[~normal] < 1e-290)
+    assert np.array_equal(_bits(_poisson_pmf(k, mu)), _bits(poisson.pmf(k, mu)))
+    # a tolerance equal to a value of the bound sits where the order steps down
+    for n in {int(mu), int(mu + 3 * math.sqrt(mu)), int(mu + 10 * math.sqrt(mu)) + 5}:
+        tol = _poisson_tail(n, mu)
+        if 1e-300 < tol < 1:
+            assert required_poisson_order(mu, tol) == n
+            assert poisson.sf(n, mu) <= tol
 
 
 @pytest.mark.parametrize("mu", POISSON_MUS)
