@@ -24,6 +24,13 @@ CASES = {
     "series-verify-d1": (["series-verify", "--d", "1"], "60f148ad6e325849"),
     "series-verify-d3-order-20": (["series-verify", "--d", "3", "--order", "20"],
                                   "5a42c0a532f8617e"),
+    "walk-dp-potlach-coup-d2": (["walk-dp", "--kernel", "potlach-coup", "--d", "2",
+                                 "--steps", "24", "--tables", "p,q,r,s"], "da0031b183a7c98b"),
+    "walk-dp-avg-diff-d3": (["walk-dp", "--kernel", "avg-diff", "--d", "3", "--steps", "24",
+                             "--tables", "p,q,r,s"], "0bac6ee8354fa61e"),
+    "walk-dp-float-potlach-coup-d3": (["walk-dp", "--kernel", "potlach-coup", "--mode", "float",
+                                       "--d", "3", "--steps", "24", "--tables", "p,q"],
+                                      "8088a1029519c803"),
 }
 
 
