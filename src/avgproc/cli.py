@@ -342,6 +342,10 @@ def cmd_clt(opts, tol) -> int:
     """rescaled linear statistic over trials"""
     if opts["t"] <= 0:
         raise UsageError(f"--t must be > 0 for the rescaled statistic, got {opts['t']}")
+    try:  # the limit must exist before any trial runs
+        TEST_FUNCTIONS[opts["fn"]][1](opts["d"], opts["param"])
+    except ValueError as exc:
+        raise UsageError(f"--param: {exc}") from exc
     cfg = ExperimentConfig(dimension=opts["d"], t=opts["t"], trials=opts["trials"],
                            seed=opts["seed"], mode="float")
     rep = clt_statistic(simulate(cfg), opts["fn"], opts["param"], tolerance=opts["window"])

@@ -1,12 +1,12 @@
 """Transition kernels for the dual walks of the averaging and potlach dynamics.
 
-Each kernel is a discrete-time stochastic stencil obtained by uniformizing a
-continuous-time difference walk at rate ``rate`` (events per unit time): a
-translation-invariant bulk row plus a finite set of perturbed rows near the
-origin. All probabilities are exact rationals, and sequence tables carry
-their kernel's ``rate`` for Poissonization. One dual walker jumps at
-``WALK_RATE``; two coupled walkers follow the edge-ring rule of
-``pair_transition_rates``, which projects onto ``avg_difference_kernel``.
+Each kernel is a discrete-time stochastic stencil in exact rationals: a
+translation-invariant bulk row plus perturbed rows near the origin, obtained
+by uniformizing a continuous-time difference walk at ``rate``, which sequence
+tables carry for Poissonization. The dual dynamics is stated once, as the
+two-token ring rule of ``pair_transition_rates``. Every coupled kernel is its
+projection onto u - v at rate 2 * ``WALK_RATE[dynamics]``; away from the unit
+ball, where two tokens share no clock, that projection is the SRW stencil.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .lattice import Point, ball, check_dimension, l1_norm, origin, sphere, unit_vectors
+from .lattice import Point, ball, check_dimension, l1_norm, origin, unit_vectors
 
 Row = dict[Point, Fraction]
 
@@ -99,121 +99,102 @@ class TransitionKernel:
         return worst
 
 
+def _stencil(d: int) -> Row:
+    """The SRW step: probability 1/(2d) to each unit offset."""
+    return {e: Fraction(1, 2 * d) for e in unit_vectors(d)}
+
+
 @lru_cache(maxsize=None)
 def srw_kernel(d: int) -> TransitionKernel:
-    """Simple random walk on Z^d: 1/(2d) to each unit neighbor, rate 1.
+    """Simple random walk on Z^d: 1/(2d) to each unit neighbor.
 
-    This is the uniformization of the difference of two independent dual
-    walks of the averaging process.
+    This is the difference of two independent dual walkers of the averaging
+    process, uniformized at 2 * ``WALK_RATE["averaging"]`` = 1.
     """
     check_dimension(d)
-    p = Fraction(1, 2 * d)
-    return TransitionKernel(d, ONE, {e: p for e in unit_vectors(d)}, name="srw")
+    return TransitionKernel(d, Fraction(2 * WALK_RATE["averaging"]), _stencil(d), name="srw")
 
 
 @lru_cache(maxsize=None)
 def avg_difference_kernel(d: int) -> TransitionKernel:
     """Coupled-difference walk of the averaging process, uniformized at rate 1.
 
-    Simple random walk outside the unit ball; inside it, the origin row is
-    lazy (stay 1/2, each neighbor 1/(4d)), and each unit vector x steps to 0
-    with 1/(4d), reflects to -x with 1/(8d), stays with 1/(8d), and makes
-    ordinary 1/(2d) steps to its neighbors outside the ball. The resulting
+    The edge-ring rule projected onto u - v: SRW outside the unit ball, a lazy
+    origin, and merge, reflect and stay moves from each unit vector. The
     matrix is symmetric.
     """
-    check_dimension(d)
-    bulk = {e: Fraction(1, 2 * d) for e in unit_vectors(d)}
-    zero = origin(d)
-    pert: dict[Point, Row] = {
-        zero: {zero: Fraction(1, 2)} | {e: Fraction(1, 4 * d) for e in unit_vectors(d)}
-    }
-    for x in sphere(d, 1):
-        row: Row = {
-            tuple(-c for c in x): Fraction(1, 4 * d),        # offset to the origin
-            tuple(-2 * c for c in x): Fraction(1, 8 * d),    # reflection x -> -x
-            zero: Fraction(1, 8 * d),                        # lazy stay
-        }
-        for e in unit_vectors(d):
-            y = tuple(a + b for a, b in zip(x, e))
-            if l1_norm(y) > 1:
-                row[e] = Fraction(1, 2 * d)
-        pert[x] = row
-    return TransitionKernel(d, ONE, bulk, pert, name="avg-diff")
+    return difference_kernel_from_pair_rates(d, "averaging")
 
 
 @lru_cache(maxsize=None)
 def potlach_kernels(d: int) -> tuple[TransitionKernel, TransitionKernel]:
-    """(independent, coupled) difference kernels of the potlach process.
+    """(independent, coupled) difference kernels of the potlach process, at rate 2.
 
-    Both walks jump at total rate 2 (two rate-1 tokens), so both kernels are
-    uniformized at rate 2. The independent difference is a plain SRW step
-    every event. When the coupled tokens share a vertex they share its clock:
-    from 0 the event rate is only 1, and the displacement is Y1 - Y2 with Y1,
-    Y2 independent uniform unit offsets; uniformized, P(0, .) becomes
-    (1/2) law(Y1 - Y2) + (1/2) delta_0.
+    The coupled kernel is the vertex-ring rule projected onto u - v. Tokens on
+    one vertex share its clock, so P(0, .) = (1/2) law(Y1 - Y2) + (1/2) delta_0
+    with Y1, Y2 independent uniform unit offsets. The independent kernel is
+    its bulk, a plain SRW step every event.
     """
-    check_dimension(d)
-    stencil = {e: Fraction(1, 2 * d) for e in unit_vectors(d)}
-    independent = TransitionKernel(d, Fraction(2), dict(stencil), name="potlach-ind")
-
-    zero = origin(d)
-    law: Row = {}
-    units = unit_vectors(d)
-    w = Fraction(1, (2 * d) ** 2)
-    for y1 in units:
-        for y2 in units:
-            off = tuple(a - b for a, b in zip(y1, y2))
-            law[off] = law.get(off, ZERO) + w
-    row = {off: p / 2 for off, p in law.items()}
-    row[zero] = row.get(zero, ZERO) + Fraction(1, 2)
-    coupled = TransitionKernel(d, Fraction(2), dict(stencil), {zero: row}, name="potlach-coup")
-    return independent, coupled
+    coupled = difference_kernel_from_pair_rates(d, "potlach")
+    return TransitionKernel(d, coupled.rate, coupled.bulk, name="potlach-ind"), coupled
 
 
-def pair_transition_rates(u: Point, v: Point) -> dict[tuple[Point, Point], Fraction]:
+def pair_transition_rates(u: Point, v: Point,
+                          dynamics: str = "averaging") -> dict[tuple[Point, Point], Fraction]:
     """Transition rates of the coupled two-token walk out of the pair (u, v).
 
-    The edge-ring rule, written over the tuple of token positions: each edge
-    rings at rate 1/(2d), and every token on it moves to a uniform endpoint,
-    independently of the others; outcomes that change nothing are dropped.
-    Edges are taken in ``unit_vectors`` order from each token in turn, once each.
+    The ring rule, written over the tuple of token positions. Averaging rings
+    each edge at rate 1/(2d), and every token on it moves to a uniform
+    endpoint; potlach rings each vertex at rate 1, and every token on it
+    moves to a uniform neighbour. Tokens on one ringing clock move
+    independently of each other; outcomes that change nothing are dropped.
+    Clocks are taken from each token in turn, edges in ``unit_vectors``
+    order, once each; the Gillespie sampler draws from this order.
     """
+    if dynamics not in WALK_RATE:
+        raise ValueError(f"unknown dynamics {dynamics!r}")
     config, d = (u, v), len(u)
-    edges: dict[frozenset, tuple[Point, Point]] = {}
+    clocks: dict[frozenset, tuple[Point, ...]] = {}  # the sites a clock covers -> its targets
     for p in config:
-        for e in unit_vectors(d):
-            q = tuple(a + b for a, b in zip(p, e))
-            edges.setdefault(frozenset((p, q)), (p, q))
+        nbrs = tuple(tuple(a + b for a, b in zip(p, e)) for e in unit_vectors(d))
+        if dynamics == "potlach":
+            clocks.setdefault(frozenset((p,)), nbrs)
+        else:
+            for q in nbrs:
+                clocks.setdefault(frozenset((p, q)), (p, q))
+    ring = Fraction(1, 2 * d) if dynamics == "averaging" else ONE
     rates: dict[tuple[Point, Point], Fraction] = {}
-    for edge in edges.values():
-        on = [i for i, p in enumerate(config) if p in edge]
-        for ends in product(edge, repeat=len(on)):
+    for sites, targets in clocks.items():
+        on = [i for i, p in enumerate(config) if p in sites]
+        for ends in product(targets, repeat=len(on)):
             new = tuple(dict(zip(on, ends)).get(i, p) for i, p in enumerate(config))
             if new != config:
-                rates[new] = rates.get(new, ZERO) + Fraction(1, 2 * d * 2 ** len(on))
+                rates[new] = rates.get(new, ZERO) + ring / len(targets) ** len(on)
     return rates
 
 
-def difference_kernel_from_pair_rates(d: int) -> TransitionKernel:
-    """Project the coupled pair rates onto the difference coordinate.
+def difference_kernel_from_pair_rates(d: int, dynamics: str = "averaging") -> TransitionKernel:
+    """``pair_transition_rates`` projected onto x = u - v, at rate 2 * ``WALK_RATE[dynamics]``.
 
-    Builds rows for every |x| <= 2 from the pair (x, 0), uniformizes at rate
-    1, and fills in the SRW bulk elsewhere; by translation invariance this
-    reconstructs the averaging difference kernel exactly, which is asserted
-    in tests.
+    Tokens interact only through a shared clock, an edge (|x|_1 <= 1) or a
+    vertex (x = 0), so rows are projected from the pair (x, 0) over the unit
+    ball; every other site takes the SRW stencil, the projection there.
     """
-    zero = origin(d)
-    bulk = {e: Fraction(1, 2 * d) for e in unit_vectors(d)}
+    check_dimension(d)
+    zero, bulk = origin(d), _stencil(d)
+    pairs = {x: pair_transition_rates(x, zero, dynamics) for x in ball(d, 1)}
+    rate = Fraction(2 * WALK_RATE[dynamics])
     pert: dict[Point, Row] = {}
-    for x in ball(d, 2):
+    for x, rates in pairs.items():
         row: Row = {}
-        for (u2, v2), rate in pair_transition_rates(x, zero).items():
+        for (u2, v2), r in rates.items():
             off = tuple(a - b - c for a, b, c in zip(u2, v2, x))
             if any(off):
-                row[off] = row.get(off, ZERO) + rate
+                row[off] = row.get(off, ZERO) + r / rate
         stay = ONE - sum(row.values(), start=ZERO)
         if stay:
             row[zero] = stay
         if row != bulk:
             pert[x] = row
-    return TransitionKernel(d, ONE, bulk, pert, name="avg-diff-from-pairs")
+    name = "avg-diff" if dynamics == "averaging" else "potlach-coup"
+    return TransitionKernel(d, rate, bulk, pert, name=name)

@@ -195,7 +195,9 @@ def _limit_cos(d: int, a: float) -> float:
 
 
 def _limit_gauss(d: int, a: float) -> float:
-    # integral of exp(-a |u|^2 / 2) against N(0, I/d)
+    # integral of exp(-a |u|^2 / 2) against N(0, I/d); it diverges unless a > -d
+    if not a > -d:
+        raise ValueError(f"the gauss limit diverges for param <= -d, got param={a!r}, d={d}")
     return (1.0 + a / d) ** (-d / 2.0)
 
 
@@ -239,13 +241,13 @@ def clt_statistic(result: SimulationResult, fn: str = "cos", param: float = 1.0,
     weight_fn, limit_fn = TEST_FUNCTIONS[fn]
     box = result.box
     d = box.dimension
+    target = limit_fn(d, param)
     sigma = math.sqrt(WALK_RATE["averaging"] * cfg.t)
 
     coords = np.array(list(box.points()), dtype=float) / sigma  # index order
     weights = weight_fn(coords.reshape((box.side,) * d + (d,)).reshape(-1, d), param)
     mat = _field_matrix(result)
     values = mat @ weights
-    target = limit_fn(d, param)
     rec = _mean_record(f"clt-{fn}", cfg, values, target)
     frac = float(np.mean(np.abs(values - target) <= tolerance))
     return CltReport(rec, values, frac, tolerance)

@@ -24,6 +24,7 @@ ratio bound (``_poisson_tail``), so the package needs no scipy at run time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -543,13 +544,15 @@ def _poisson_tail(n: int, mu: float) -> float:
     ``required_poisson_order`` returns for tol <= 1e-6 it is at most 1.04
     times the exact tail (measured for mu in [1e-3, 4000]). It is proven for
     exactly evaluated weights; w_{n+1} is evaluated with ``math.lgamma``, to
-    about the 1.7e-11 relative of ``_poisson_pmf``'s weights.
+    about the 1.7e-11 relative of ``_poisson_pmf``'s weights, and floored at
+    the least normal double, since a subnormal weight keeps too few digits
+    to stay above the tail.
     """
     if n < 0 or not n + 2 > mu:
         return 1.0
     if mu == 0:
         return 0.0
-    w = math.exp((n + 1) * math.log(mu) - math.lgamma(n + 2) - mu)
+    w = max(math.exp((n + 1) * math.log(mu) - math.lgamma(n + 2) - mu), sys.float_info.min)
     return min(1.0, w * (n + 2) / (n + 2 - mu))
 
 
@@ -559,11 +562,13 @@ def required_poisson_order(mu: float, tol: float) -> int:
     The bound falls in N (its ratio from N to N + 1 is below 1 for every
     mu < N + 2), so a bracket that doubles past floor(mu) and a bisection
     find N in a few dozen evaluations. For tol <= 1e-6, N is the order of the
-    exact tail or one more.
+    exact tail or one more. A tol below 1e-300 is refused: no bound is below 2.2e-308.
     """
     if not (tol > 0 and 0 <= mu < math.inf):
         raise ValueError("tol must be positive and mu nonnegative and finite, "
                          f"got tol={tol}, mu={mu}")
+    if tol < 1e-300:
+        raise ValueError(f"tol must be at least 1e-300, got {tol}")
     lo, step = -1, 1  # the order lies in (lo, hi] once hi is found
     while _poisson_tail(hi := math.floor(mu) + step, mu) > tol:
         lo, step = hi, 2 * step

@@ -195,6 +195,9 @@ def test_tolerance_flag_errors(capsys):
     (["clt", "--t", "0"], "--t must be > 0"),
     (["clt", "--t", "4", "--fn", "sine"], "--fn must be one of"),
     (["clt", "--t", "4", "--window", "-1"], "--window must be >= 0"),
+    (["clt", "--t", "4", "--fn", "gauss", "--param", "-1"], "--param: the gauss limit diverges"),
+    (["clt", "--t", "4", "--d", "2", "--fn", "gauss", "--param", "-3"],
+     "--param: the gauss limit diverges"),
     (["simulate", "--mode", "decimal"], "--mode must be one of ['exact', 'float'], got 'decimal'"),
     (["series-verify", "--order", "-1"], "--order must be >= 0"),
     (["potlach", "--order", "-1"], "--order must be >= 0"),
@@ -211,7 +214,8 @@ def test_tolerance_flag_errors(capsys):
         "walk-dp-d-0", "walk-dp-d-neg", "walk-dp-srw-d-0", "series-verify-d-0",
         "asymptotics-d-0", "simulate-d-0", "clt-d-0", "potlach-d-0",
         "simulate-t-neg", "simulate-box-radius-0", "clt-t-0", "clt-unknown-fn",
-        "clt-window-neg", "simulate-unknown-mode",
+        "clt-window-neg", "clt-gauss-diverges-d1", "clt-gauss-diverges-d2",
+        "simulate-unknown-mode",
         "series-verify-order-neg", "potlach-order-neg", "potlach-steps-neg",
         "unknown-tolerance", "walk-dp-unread-tolerance", "clt-unread-tolerance",
         "simulate-unread-tolerance", "potlach-unread-tolerances"])

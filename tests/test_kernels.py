@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from avgproc.kernels import (
+    WALK_RATE,
     TransitionKernel,
     avg_difference_kernel,
     difference_kernel_from_pair_rates,
@@ -10,7 +11,7 @@ from avgproc.kernels import (
     potlach_kernels,
     srw_kernel,
 )
-from avgproc.lattice import ball, l1_norm, origin, unit_vectors
+from avgproc.lattice import ball, l1_norm, origin, sphere, unit_vectors
 from avgproc.walks import return_sequence
 
 F = Fraction
@@ -151,12 +152,90 @@ def test_ring_rule_order_is_deterministic():
         ((0,), (0,)), ((1,), (0,)), ((1,), (1,)), ((-1,), (1,)), ((0,), (2,))]
 
 
+def stencil(d):
+    return {e: F(1, 2 * d) for e in unit_vectors(d)}
+
+
+def hand_written_avg_difference_rows(d):
+    """The averaging difference rows inside the unit ball, written out: the
+    origin is lazy (stay 1/2, each neighbour 1/(4d)); a unit vector x steps
+    to 0 with 1/(4d), reflects to -x with 1/(8d), stays with 1/(8d), and
+    steps 1/(2d) to each neighbour outside the ball."""
+    zero = origin(d)
+    rows = {zero: {zero: F(1, 2)} | {e: F(1, 4 * d) for e in unit_vectors(d)}}
+    for x in sphere(d, 1):
+        row = {tuple(-c for c in x): F(1, 4 * d), tuple(-2 * c for c in x): F(1, 8 * d),
+               zero: F(1, 8 * d)}
+        for e in unit_vectors(d):
+            if l1_norm(tuple(a + b for a, b in zip(x, e))) > 1:
+                row[e] = F(1, 2 * d)
+        rows[x] = row
+    return rows
+
+
+def hand_written_potlach_origin_row(d):
+    """(1/2) law(Y1 - Y2) + (1/2) delta_0, Y1 and Y2 independent uniform unit offsets."""
+    row = {origin(d): F(1, 2)}
+    for y1 in unit_vectors(d):
+        for y2 in unit_vectors(d):
+            off = tuple(a - b for a, b in zip(y1, y2))
+            row[off] = row.get(off, 0) + F(1, 2 * (2 * d) ** 2)
+    return row
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_difference_kernel_matches_pair_projection(d):
-    reference = avg_difference_kernel(d)
-    projected = difference_kernel_from_pair_rates(d)
+def test_avg_difference_rows_match_hand_written_oracle(d):
+    kernel, rows = avg_difference_kernel(d), hand_written_avg_difference_rows(d)
+    assert kernel.rate == 1 and kernel.bulk == stencil(d)
+    assert kernel.perturbation == rows
     for x in ball(d, 3):
-        assert projected.row(x) == reference.row(x), x
+        assert kernel.row(x) == rows.get(x, stencil(d)), x
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_potlach_rows_match_hand_written_oracle(d):
+    ind, coup = potlach_kernels(d)
+    assert coup.rate == ind.rate == 2
+    assert coup.bulk == ind.bulk == stencil(d)
+    assert coup.perturbation == {origin(d): hand_written_potlach_origin_row(d)}
+    assert ind.perturbation == {}
+
+
+def test_vertex_rule_rates():
+    # potlach rings each vertex at rate 1 and sends every token on it to a
+    # uniform neighbour, independently
+    assert pair_transition_rates((0,), (0,), "potlach") == {
+        ((1,), (1,)): F(1, 4), ((1,), (-1,)): F(1, 4),
+        ((-1,), (1,)): F(1, 4), ((-1,), (-1,)): F(1, 4)}
+    # adjacent tokens share no clock; u may land on v
+    assert list(pair_transition_rates((0,), (1,), "potlach").items()) == [
+        (((1,), (1,)), F(1, 2)), (((-1,), (1,)), F(1, 2)),
+        (((0,), (2,)), F(1, 2)), (((0,), (0,)), F(1, 2))]
+    rates = pair_transition_rates((0, 0), (3, 0), "potlach")
+    assert len(rates) == 8 and set(rates.values()) == {F(1, 4)}
+    assert rates[((0, 1), (3, 0))] == rates[((0, 0), (2, 0))] == F(1, 4)
+
+
+def test_unknown_dynamics_is_rejected():
+    with pytest.raises(ValueError, match="unknown dynamics"):
+        pair_transition_rates((0,), (1,), "voter")
+    with pytest.raises(ValueError, match="unknown dynamics"):
+        difference_kernel_from_pair_rates(1, "voter")
+
+
+@pytest.mark.parametrize("dynamics", ["averaging", "potlach"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_rule_projects_to_the_bulk_outside_the_unit_ball(d, dynamics):
+    # tokens at l1 distance 2 or 3 share no clock, so the projected rule is
+    # the SRW stencil that the builder fills in there
+    rate = 2 * F(WALK_RATE[dynamics])
+    for x in sphere(d, 2) + sphere(d, 3):
+        row = {}
+        for (u, v), r in pair_transition_rates(x, origin(d), dynamics).items():
+            off = tuple(a - b - c for a, b, c in zip(u, v, x))
+            row[off] = row.get(off, 0) + r / rate
+        assert row == stencil(d), x
+    assert difference_kernel_from_pair_rates(d, dynamics).bulk == stencil(d)
 
 
 def test_potlach_coupled_origin_row():

@@ -121,6 +121,11 @@ def test_clt_statistic_errors(result_d1):
     zero_t = simulate(ExperimentConfig(dimension=1, t=0.0, trials=1, box_radius=2))
     with pytest.raises(ValueError):
         clt_statistic(zero_t)
+    for a in (-1.0, -3.0, math.nan):
+        with pytest.raises(ValueError, match="gauss limit diverges"):
+            clt_statistic(result_d1, fn="gauss", param=a)
+    assert clt_statistic(result_d1, fn="gauss", param=-0.5).record.target == pytest.approx(
+        math.sqrt(2.0))
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])

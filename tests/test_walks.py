@@ -535,11 +535,11 @@ def test_poisson_ufuncs_match_scipy_stats_bitwise(mu):
 
 @pytest.mark.parametrize("mu", POISSON_MUS)
 def test_poisson_tail_bounds_scipy_sf(mu):
-    # a bound at every n where the exact tail is a normal double; within 1.1x of it
-    # at the orders the tolerances give
+    # a bound at every n where the exact tail is a positive double, subnormal
+    # included; within 1.1x of it at the orders the tolerances give
     for n in range(-1, int(mu + 50 * math.sqrt(mu)) + 1):
         sf = poisson.sf(n, mu)
-        if sf > 1e-300:
+        if sf > 0:
             assert _poisson_tail(n, mu) >= sf
     for tol in POISSON_TOLS:
         n = required_poisson_order(mu, tol)
@@ -579,6 +579,14 @@ def test_required_poisson_order_below_double_resolution(mu, tol):
 def test_required_poisson_order_rejects_nonpositive_tol():
     for tol in (0.0, -1e-3):
         with pytest.raises(ValueError, match="tol must be positive"):
+            required_poisson_order(10.0, tol)
+
+
+def test_subnormal_poisson_tail_stays_a_bound():
+    # w_{n+1} is subnormal here; unfloored, the bound came out at 1.36e-321
+    assert _poisson_tail(6657, 4000.0) >= poisson.sf(6657, 4000.0) > 0
+    for tol in (1e-301, 5e-324):
+        with pytest.raises(ValueError, match="at least 1e-300"):
             required_poisson_order(10.0, tol)
 
 
