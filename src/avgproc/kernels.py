@@ -153,23 +153,24 @@ def pair_transition_rates(u: Point, v: Point,
     """
     if dynamics not in WALK_RATE:
         raise ValueError(f"unknown dynamics {dynamics!r}")
-    config, d = (u, v), len(u)
+    config, units = (u, v), unit_vectors(len(u))
     clocks: dict[frozenset, tuple[Point, ...]] = {}  # the sites a clock covers -> its targets
     for p in config:
-        nbrs = tuple(tuple(a + b for a, b in zip(p, e)) for e in unit_vectors(d))
+        nbrs = tuple(tuple(a + b for a, b in zip(p, e)) for e in units)
         if dynamics == "potlach":
             clocks.setdefault(frozenset((p,)), nbrs)
         else:
             for q in nbrs:
                 clocks.setdefault(frozenset((p, q)), (p, q))
-    ring = Fraction(1, 2 * d) if dynamics == "averaging" else ONE
+    ring = Fraction(1, len(units)) if dynamics == "averaging" else ONE
     rates: dict[tuple[Point, Point], Fraction] = {}
     for sites, targets in clocks.items():
         on = [i for i, p in enumerate(config) if p in sites]
+        w = ring / len(targets) ** len(on)
         for ends in product(targets, repeat=len(on)):
             new = tuple(dict(zip(on, ends)).get(i, p) for i, p in enumerate(config))
             if new != config:
-                rates[new] = rates.get(new, ZERO) + ring / len(targets) ** len(on)
+                rates[new] = rates[new] + w if new in rates else w
     return rates
 
 
@@ -186,11 +187,12 @@ def difference_kernel_from_pair_rates(d: int, dynamics: str = "averaging") -> Tr
     rate = Fraction(2 * WALK_RATE[dynamics])
     pert: dict[Point, Row] = {}
     for x, rates in pairs.items():
-        row: Row = {}
+        moves: Row = {}
         for (u2, v2), r in rates.items():
             off = tuple(a - b - c for a, b, c in zip(u2, v2, x))
             if any(off):
-                row[off] = row.get(off, ZERO) + r / rate
+                moves[off] = moves[off] + r if off in moves else r
+        row = {off: r / rate for off, r in moves.items()}
         stay = ONE - sum(row.values(), start=ZERO)
         if stay:
             row[zero] = stay

@@ -396,9 +396,10 @@ def srw_return_sequence_float(d: int, n_max: int) -> SequenceTable:
 def _route(kernel: TransitionKernel) -> str:
     """The family whose rows the kernel has: 'srw', 'avg-diff' or 'potlach-coup'."""
     d = kernel.dimension
-    for route, family in (("srw", srw_kernel(d)), ("avg-diff", avg_difference_kernel(d)),
-                          ("potlach-coup", potlach_kernels(d)[1])):
-        if (kernel.bulk, kernel.perturbation) == (family.bulk, family.perturbation):
+    for route, family in (("srw", srw_kernel), ("avg-diff", avg_difference_kernel),
+                          ("potlach-coup", lambda d: potlach_kernels(d)[1])):
+        ref = family(d)  # built only until one matches
+        if (kernel.bulk, kernel.perturbation) == (ref.bulk, ref.perturbation):
             return route
     raise NoSeriesRouteError(f"float mode has no series route for kernel {kernel.name!r} "
                              "(its rows match none of srw, avg-diff, potlach-coup); "
