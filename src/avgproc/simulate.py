@@ -45,7 +45,26 @@ two, 0.69 s in four of 2500, 0.68 s in five of 2000 and 0.75 s in eight of
 16 MB buffer) it took 1.04 s in one chunk, 1.12 s in two and 1.56 s in four:
 below about 2000 trials the fixed cost of each step outweighs the cache
 misses, hence the floor. On its present 65-site torus (a 5.3 MB buffer)
-criterion 6 runs in three chunks of 3333-3334 trials.
+criterion 6 runs in three chunks of 3333-3334 trials on one core.
+
+Cores. A float run of at least ``MIN_FORK_EVENTS`` expected events (trials
+x mu) is split into contiguous trial shares, one per usable core
+(``os.sched_getaffinity``) but none narrower than ``MIN_SHARE_TRIALS``, and
+each share is chunked as above (on two cores criterion 6 runs two shares of
+two chunks of 2500). Shares 1.. run in forked worker processes and share 0
+in the calling one; each writes its trials straight into the anonymous
+shared ``mmap`` that backs the float fields, so nothing is sent back. The
+process that runs trial i builds the i-th spawned child itself, so the
+fields are bitwise the same on any number of cores. Exact runs stay in one
+process: their Fraction fields cannot live in shared memory. Measured on
+the 2-vCPU VM above (medians of 7-9 alternating runs, one process against
+two; fork and join cost about 3 ms): at d=1, t=16, 200 trials (5.6e4
+events) took 11.6 -> 13.8 ms, 500 trials (1.4e5) 24.1 -> 21.8 ms and 800
+trials (2.2e5) 35.6 -> 24.5 ms; 400 trials at t=100 (1.6e6) 91.7 -> 77.0 ms;
+criterion 6 (2.1e7) 0.81 -> 0.52 s. Every process pays the fixed cost of
+every step, so few trials over many steps gain nothing: at t=400, 20 trials
+(6.2e5 events) took 218 -> 264 ms, 100 trials (3.1e6, shares of 50) 289 ->
+303 ms and 200 trials (shares of 100) 484 -> 369 ms. Hence both floors.
 
 The default torus is the smallest whose wrap-around bound ``wrap_bound`` is
 at most ``WRAP_TOL``; ``default_box_radius`` states the bound and its proof.
@@ -53,6 +72,8 @@ at most ``WRAP_TOL``; ``default_box_radius`` states the bound and its proof.
 from __future__ import annotations
 
 import math
+import mmap
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,6 +91,9 @@ WRAP_TOL = 1e-6
 MAX_MARK_ENTRIES = 50_000_000  # entries of the padded mark matrix
 BUFFER_BYTES = 2 << 20         # float64 lockstep buffer: one core's L2 cache
 MIN_CHUNK_TRIALS = 2000        # narrower chunks lose to per-step overhead
+#: limits on splitting one simulate run over processes (see the module docstring)
+MIN_FORK_EVENTS = 1_000_000    # fewer expected events (trials x mu) run in one process
+MIN_SHARE_TRIALS = 100         # narrower shares lose to per-step overhead
 
 
 def _axis_variance(t: float, dynamics: str, dimension: int) -> float:
@@ -352,26 +376,90 @@ class SimulationResult:
         return self.fields.mean(axis=0)
 
 
+def _worker_count(trials: int, events: float, exact: bool) -> int:
+    """Processes that share one ``simulate`` run: one per usable core, with at
+    least ``MIN_SHARE_TRIALS`` trials each. Exact runs (Fraction fields cannot
+    live in shared memory), runs of fewer than ``MIN_FORK_EVENTS`` expected
+    events and platforms without ``os.sched_getaffinity`` run in one process."""
+    if exact or events < MIN_FORK_EVENTS or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), trials // MIN_SHARE_TRIALS))
+
+
+def _children(seeds: np.random.SeedSequence, lo: int, hi: int) -> list[np.random.SeedSequence]:
+    """Children lo..hi-1 of ``seeds``: the entries lo.. of ``seeds.spawn(hi)``,
+    built without spawning (or holding) the children before lo."""
+    return [np.random.SeedSequence(seeds.entropy, spawn_key=seeds.spawn_key + (i,),
+                                   pool_size=seeds.pool_size) for i in range(lo, hi)]
+
+
+def _fork_shares(run_share, workers: int) -> None:
+    """Run ``run_share(k)`` for k = 1..workers-1 in forked processes and k = 0 here.
+
+    Every worker is joined before this returns or raises. An exception in the
+    parent's share terminates the workers and propagates; a worker that fails
+    raises ``RuntimeError`` once all are joined. The workers are forked, not
+    spawned: a spawned worker would re-import numpy and this package, which
+    takes longer than most runs, and could not inherit the anonymous mmap
+    or the closure. Workers call no BLAS routine, so OpenBLAS's thread pool,
+    the only other thread in the process, is never needed in them.
+    """
+    import multiprocessing  # ~8 ms and 0.7 MB, paid only by runs that fork
+
+    ctx = multiprocessing.get_context("fork")
+    procs = []
+    try:
+        for k in range(1, workers):
+            procs.append(ctx.Process(target=run_share, args=(k,)))
+            procs[-1].start()
+        run_share(0)
+    except BaseException:
+        for p in procs:
+            p.terminate()
+        raise
+    finally:
+        for p in procs:
+            p.join()
+    failed = [p.exitcode for p in procs if p.exitcode != 0]
+    if failed:
+        raise RuntimeError(f"{len(failed)} of {workers - 1} simulate workers failed "
+                           f"(exit codes {failed})")
+
+
 def simulate(config: ExperimentConfig) -> SimulationResult:
     """Run ``config.trials`` independent trials from the point-mass start.
 
     Deterministic in the config: trial i is driven by the i-th spawned child
     of SeedSequence(config.seed) in both modes, so exact and float runs with
-    the same seed see identical event streams.
+    the same seed see identical event streams. The fields do not depend on
+    how many cores the run is split over.
     """
     box = config.box
     exact = config.mode == "exact"
     seeds = np.random.SeedSequence(config.seed)
     mu = EventSchedule.total_rate(box, config.dynamics) * config.t
-    fields = np.empty((config.trials,) + (box.side,) * box.dimension,
-                      dtype=object if exact else float)
+    shape = (config.trials,) + (box.side,) * box.dimension
+    if exact:
+        fields = np.empty(shape, dtype=object)
+    else:
+        # shared with forked workers, which write their trials in place
+        fields = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
     pad = EventSchedule.n_marks(box, config.dynamics)
-    bounds = _chunk_bounds(config.trials, int(mu + 10 * math.sqrt(mu + 1) + 10),
-                           box.n_sites + 1)
-    for lo, hi in zip(bounds, bounds[1:]):
-        # successive spawns continue one child sequence, so these are children
-        # lo..hi-1; no name holds the marks, so they are freed before the next
-        # chunk allocates its own
-        fields[lo:hi] = run_events(box, config.dynamics,
-                                   _padded_marks(seeds.spawn(hi - lo), mu, pad), exact)
+    max_steps = int(mu + 10 * math.sqrt(mu + 1) + 10)
+    workers = _worker_count(config.trials, config.trials * mu, exact)
+
+    def run_share(k: int) -> None:
+        start, stop = k * config.trials // workers, (k + 1) * config.trials // workers
+        bounds = _chunk_bounds(stop - start, max_steps, box.n_sites + 1)
+        for lo, hi in zip(bounds, bounds[1:]):
+            lo, hi = start + lo, start + hi
+            # no name holds the marks, so they are freed before the next chunk
+            # allocates its own
+            fields[lo:hi] = run_events(box, config.dynamics,
+                                       _padded_marks(_children(seeds, lo, hi), mu, pad), exact)
+
+    if workers == 1:
+        run_share(0)
+    else:
+        _fork_shares(run_share, workers)
     return SimulationResult(config, box, fields)

@@ -1,7 +1,13 @@
 import hashlib
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +21,13 @@ from avgproc.simulate import (
     DYNAMICS,
     MAX_MARK_ENTRIES,
     MIN_CHUNK_TRIALS,
+    MIN_SHARE_TRIALS,
     WRAP_TOL,
     EventSchedule,
     ExperimentConfig,
     SimulationResult,
     _chunk_bounds,
+    _worker_count,
     default_box_radius,
     run_events,
     simulate,
@@ -402,27 +410,130 @@ def test_chunked_simulate_matches_one_chunk(d, dynamics, mode, t, radius, limits
         assert 0 in counts and max(counts) > 0
 
 
-def test_chunk_memory_stays_bounded():
-    # Peak traced memory stays within 1.25x one chunk's padded mark matrix,
-    # its lockstep buffer and the fields: no second copy of the marks and no
-    # matrix of the previous chunk may be alive next to them. Measured: 1.07x;
-    # 1.52x with a per-trial stream list beside the matrix.
-    cfg = ExperimentConfig(dimension=1, t=64.0, trials=6000)
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr(simulate_module, "_worker_count", lambda *_: workers)
+
+
+def _share_peak_and_bound(cfg, workers, monkeypatch):
+    """Peak traced memory of the calling process, and 1.25x the padded mark
+    matrix plus lockstep buffer of one chunk of its own share (share 0)."""
+    _force_workers(monkeypatch, workers)
     tracemalloc.start()
     try:
-        fields = simulate(cfg).fields
+        simulate(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     box = cfg.box
+    share = cfg.trials // workers
     mu = EventSchedule.total_rate(box, cfg.dynamics) * cfg.t
-    bounds = _chunk_bounds(cfg.trials, int(mu + 10 * math.sqrt(mu + 1) + 10),
-                           box.n_sites + 1)
+    bounds = _chunk_bounds(share, int(mu + 10 * math.sqrt(mu + 1) + 10), box.n_sites + 1)
     chunk = int(np.diff(bounds).max())
-    assert len(bounds) > 2
     longest = max(int(np.random.default_rng(ss).poisson(mu))
-                  for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.trials))
+                  for ss in np.random.SeedSequence(cfg.seed).spawn(share))
     pad = EventSchedule.n_marks(box, cfg.dynamics)
     matrix = chunk * longest * np.min_scalar_type(pad).itemsize
     buffer = chunk * (box.n_sites + 1) * 8
-    assert peak < 1.25 * (matrix + buffer + fields.nbytes)
+    return peak, 1.25 * (matrix + buffer), len(bounds) - 1
+
+
+def test_chunk_memory_stays_bounded(monkeypatch):
+    # Peak traced memory stays within 1.25x one chunk's padded mark matrix and
+    # its lockstep buffer: no second copy of the marks and no matrix of the
+    # previous chunk may be alive next to them. The float fields live in an
+    # anonymous mmap, which tracemalloc does not see, so they are not in the
+    # bound. Measured: 1.16x (1.11x when the fields were traced and in the
+    # bound; 1.52x of that bound with a per-trial stream list beside the matrix).
+    peak, bound, chunks = _share_peak_and_bound(
+        ExperimentConfig(dimension=1, t=64.0, trials=6000), 1, monkeypatch)
+    assert chunks > 1
+    assert peak < bound
+
+
+def test_forked_share_memory_stays_bounded(monkeypatch):
+    # with two processes the caller holds only its own share's chunks: the
+    # workers' mark matrices live in the workers
+    peak, bound, _ = _share_peak_and_bound(
+        ExperimentConfig(dimension=1, t=64.0, trials=6000), 2, monkeypatch)
+    assert peak < bound
+
+
+@pytest.mark.parametrize("workers", [2, 3, 7])  # 7: one trial each, more than the cores
+@pytest.mark.parametrize("dynamics", DYNAMICS)
+@pytest.mark.parametrize("d,t,radius", [(1, 8.0, 6), (2, 3.0, 3), (3, 2.0, 2)])
+def test_forked_simulate_matches_one_process(d, t, radius, dynamics, workers, monkeypatch):
+    cfg = ExperimentConfig(dimension=d, t=t, trials=7, seed=5, box_radius=radius,
+                           dynamics=dynamics)
+    _force_workers(monkeypatch, 1)
+    serial = simulate(cfg).fields
+    _force_workers(monkeypatch, workers)
+    assert simulate(cfg).fields.tobytes() == serial.tobytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    events = simulate_module.MIN_FORK_EVENTS
+    assert _worker_count(10**4, events, exact=False) == 3
+    assert _worker_count(2 * MIN_SHARE_TRIALS, events, exact=False) == 2
+    assert _worker_count(2 * MIN_SHARE_TRIALS - 1, events, exact=False) == 1
+    assert _worker_count(10**4, events - 1, exact=False) == 1
+    assert _worker_count(10**4, 10 * events, exact=True) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _worker_count(10**4, events, exact=False) == 1
+
+
+def test_exact_simulate_starts_no_process(monkeypatch):
+    # with every floor at zero and spare cores, only exactness keeps the run
+    # in one process; a fork would raise here
+    monkeypatch.setattr(simulate_module, "MIN_FORK_EVENTS", 0)
+    monkeypatch.setattr(simulate_module, "MIN_SHARE_TRIALS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert _worker_count(7, 0.0, exact=False) == 4
+
+    def no_fork():
+        raise AssertionError("exact simulate forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg = ExperimentConfig(dimension=1, t=4.0, trials=7, seed=3, box_radius=4, mode="exact")
+    assert all(type(v) is Fraction for v in simulate(cfg).fields.flat)
+
+
+def _failing_run_events(fail_in_parent: bool):
+    parent = os.getpid()
+
+    def run_events_or_fail(*args):
+        if (os.getpid() == parent) == fail_in_parent:
+            raise ValueError("share failed")
+        if fail_in_parent:
+            time.sleep(0.5)  # a worker still running when the parent fails
+        return run_events(*args)
+
+    return run_events_or_fail
+
+
+def test_failed_worker_raises_and_leaves_no_child(monkeypatch):
+    _force_workers(monkeypatch, 3)
+    monkeypatch.setattr(simulate_module, "run_events", _failing_run_events(False))
+    with pytest.raises(RuntimeError, match="2 of 2 simulate workers failed"):
+        simulate(ExperimentConfig(dimension=1, t=4.0, trials=7, seed=3, box_radius=4))
+    assert multiprocessing.active_children() == []
+
+
+def test_failed_parent_share_joins_every_worker(monkeypatch):
+    _force_workers(monkeypatch, 3)
+    monkeypatch.setattr(simulate_module, "run_events", _failing_run_events(True))
+    with pytest.raises(ValueError, match="share failed"):
+        simulate(ExperimentConfig(dimension=1, t=4.0, trials=7, seed=3, box_radius=4))
+    assert multiprocessing.active_children() == []
+
+
+def test_one_process_run_does_not_import_multiprocessing():
+    # the import costs about 8 ms and 0.7 MB; only runs that fork pay it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = ("import sys; from avgproc.simulate import ExperimentConfig, simulate; "
+            "simulate(ExperimentConfig(t=16.0, trials=50)); "
+            "print('multiprocessing' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
