@@ -25,27 +25,34 @@ shift, and each site becomes a Fraction once, at the end. The last entry of
 each row is a sentinel site that holds zero. Shorter mark streams are padded
 with one extra mark whose endpoints are all the sentinel, so a padding event
 averages (or splits) zero with itself and no per-event mask is needed.
-Marks are stored in the smallest unsigned type that holds the padding mark;
-each step widens its row of marks to ``intp`` once and gathers the endpoints
-with 1-D ``take`` from a C-contiguous endpoint table.
+Marks are stored in the smallest unsigned type that holds the padding mark,
+trial-major. Each block of ``BLOCK_ENTRIES // trials`` steps widens its
+marks to ``intp`` once and gathers every endpoint's flat buffer indices with
+``take`` into one C-contiguous (steps, trials) array; each step then updates
+the buffer through rows of those arrays, in six NumPy calls for averaging,
+so a step's fixed cost is about 3-4 us. On fixed marks (medians of 7),
+blocks of 2^13 ... 2^17 entries lay within 8 % of each other, at 216-232 ms
+for a 200-trial share of criterion 7 and 122-132 ms for a 2500-trial chunk
+of criterion 6; 2^11 took 263 and 140 ms, 2^18 261 and 129 ms. 2^14 keeps
+one index array at 128 KiB, small next to the buffer.
 
 ``simulate`` feeds ``run_events`` one chunk of trials at a time. A chunk's
-generators first draw every event count; the padded (n_steps, chunk) mark
-matrix is allocated once, at the chunk's largest count, and each trial's
-marks are drawn straight into its column, so the marks exist once. The
+generators first draw every event count; the padded mark matrix is
+allocated once, at the chunk's largest count, and each trial's marks are
+drawn straight into its contiguous row, so the marks exist once. The
 chunks are the fewest equal ones such that (1) the mark matrix holds at most
 ``MAX_MARK_ENTRIES`` entries, and (2) the float64 buffer fits in
 ``BUFFER_BYTES`` (2 MiB, the L2 cache of one core), unless that would leave
 fewer than ``MIN_CHUNK_TRIALS`` trials in a chunk. Measured on a 2-vCPU Xeon
-VM with 2 MiB of L2 per core (medians of 5-6 runs), on boxes sized by an
-earlier, wider rule: on the marks of criterion 6 (10^4 trials on a 79-site
-torus, a 6.4 MB buffer) ``run_events`` took 1.13 s in one chunk, 0.76 s in
-two, 0.69 s in four of 2500, 0.68 s in five of 2000 and 0.75 s in eight of
-1250. At d=2, t=16 with 1000 trials on a torus of radius 22 (2025 sites, a
-16 MB buffer) it took 1.04 s in one chunk, 1.12 s in two and 1.56 s in four:
-below about 2000 trials the fixed cost of each step outweighs the cache
-misses, hence the floor. On its present 65-site torus (a 5.3 MB buffer)
-criterion 6 runs in three chunks of 3333-3334 trials on one core.
+VM with 2 MiB of L2 per core (medians of 7, ``run_events`` over one mark
+matrix in equal chunks): on criterion 6's marks (10^4 trials on its 65-site
+torus, a 5.0 MiB buffer) it took 0.61 s in one chunk, 0.53 s in two, 0.52 s
+in four and 0.50 s in ten. At d=2, t=16 on a torus of radius 22 (2025
+sites), 1000 trials took 0.58-0.60 s in one chunk, 0.48-0.53 s in two of
+500 and 0.56-0.64 s in four of 250; 2000 trials took 1.27 s in one chunk,
+0.94 s in four of 500 and 1.15 s in eight of 250. Below about 500 trials the
+fixed cost of each step outweighs the cache misses, hence the floor.
+Criterion 6 runs in three chunks of 3333-3334 trials on one core.
 
 Cores. A float run of at least ``MIN_FORK_EVENTS`` expected events (trials
 x mu) is split into contiguous trial shares, one per usable core
@@ -57,14 +64,15 @@ shared ``mmap`` that backs the float fields, so nothing is sent back. The
 process that runs trial i builds the i-th spawned child itself, so the
 fields are bitwise the same on any number of cores. Exact runs stay in one
 process: their Fraction fields cannot live in shared memory. Measured on
-the 2-vCPU VM above (medians of 7-9 alternating runs, one process against
+the 2-vCPU VM above (medians of 9-11 alternating runs, one process against
 two; fork and join cost about 3 ms): at d=1, t=16, 200 trials (5.6e4
-events) took 11.6 -> 13.8 ms, 500 trials (1.4e5) 24.1 -> 21.8 ms and 800
-trials (2.2e5) 35.6 -> 24.5 ms; 400 trials at t=100 (1.6e6) 91.7 -> 77.0 ms;
-criterion 6 (2.1e7) 0.81 -> 0.52 s. Every process pays the fixed cost of
-every step, so few trials over many steps gain nothing: at t=400, 20 trials
-(6.2e5 events) took 218 -> 264 ms, 100 trials (3.1e6, shares of 50) 289 ->
-303 ms and 200 trials (shares of 100) 484 -> 369 ms. Hence both floors.
+events) took 10.9 -> 12.4 ms, 500 trials (1.4e5) 20.2 -> 18.0 ms and 800
+trials (2.2e5) 37.6 -> 31.3 ms; 400 trials at t=100 (1.6e6) 73.6 -> 54.1
+ms; criterion 6 (2.1e7) 0.98 -> 0.52 s. Every process pays the fixed cost
+of every step, so few trials over many steps gain little: at t=400, 20
+trials (6.2e5 events, shares of 10) took 94 -> 114 ms, 40 trials (shares of
+20) 114 -> 121 ms, 60 (shares of 30) 145 -> 131 ms, 100 (shares of 50) 173
+-> 152 ms and 200 trials 238 -> 204 ms. Hence both floors.
 
 The default torus is the smallest whose wrap-around bound ``wrap_bound`` is
 at most ``WRAP_TOL``; ``default_box_radius`` states the bound and its proof.
@@ -90,10 +98,11 @@ WRAP_TOL = 1e-6
 #: limits on one lockstep chunk of trials (see the module docstring)
 MAX_MARK_ENTRIES = 50_000_000  # entries of the padded mark matrix
 BUFFER_BYTES = 2 << 20         # float64 lockstep buffer: one core's L2 cache
-MIN_CHUNK_TRIALS = 2000        # narrower chunks lose to per-step overhead
+MIN_CHUNK_TRIALS = 500         # narrower chunks lose to per-step overhead
+BLOCK_ENTRIES = 1 << 14        # endpoint indices gathered per block of lockstep steps
 #: limits on splitting one simulate run over processes (see the module docstring)
 MIN_FORK_EVENTS = 1_000_000    # fewer expected events (trials x mu) run in one process
-MIN_SHARE_TRIALS = 100         # narrower shares lose to per-step overhead
+MIN_SHARE_TRIALS = 50          # narrower shares lose to per-step overhead
 
 
 def _axis_variance(t: float, dynamics: str, dimension: int) -> float:
@@ -242,14 +251,16 @@ def _padded_marks(seeds: list[np.random.SeedSequence], mu: float, pad: int) -> n
     largest of them, and each stream is then drawn straight into its column.
     Each generator still draws its count and then its marks, so every column
     is the stream ``EventSchedule.sample`` draws from the same seed. Marks are
-    stored in the smallest unsigned type that holds the padding mark ``pad``.
+    stored in the smallest unsigned type that holds the padding mark ``pad``,
+    trial-major: the matrix is the transposed view of a C-contiguous
+    (trials, n_steps) one, so each stream is written to contiguous memory.
     """
     rngs = [np.random.default_rng(ss) for ss in seeds]
     counts = [_draw_count(rng, mu) for rng in rngs]
-    marks = np.full((max(counts), len(rngs)), pad, dtype=np.min_scalar_type(pad))
-    for i, (rng, n) in enumerate(zip(rngs, counts)):
-        marks[:n, i] = _draw_stream(rng, n, pad)
-    return marks
+    marks = np.full((len(rngs), max(counts)), pad, dtype=np.min_scalar_type(pad))
+    for row, rng, n in zip(marks, rngs, counts):
+        row[:n] = _draw_stream(rng, n, pad)
+    return marks.T
 
 
 def _chunk_bounds(trials: int, max_steps: int, width: int) -> list[int]:
@@ -304,9 +315,9 @@ def run_events(box: Box, dynamics: str, marks: np.ndarray,
     exact; the shift equals ``// 2`` on every Python int and is cheaper on the
     long numerators.
     Any integer dtype and layout of ``marks`` gives the same fields: each
-    step widens its row to ``intp`` once, and every endpoint and buffer read
-    is a 1-D ``take``, which is much cheaper than indexing a 2-D table with
-    a small-integer row.
+    block of ``BLOCK_ENTRIES // trials`` steps widens its marks to ``intp``
+    once and gathers every endpoint's buffer indices with 1-D ``take``, and
+    each step reads and writes the buffer through rows of those indices.
     Returns the fields with shape (trials, side, ..., side), float64 or
     Fractions.
     """
@@ -325,21 +336,28 @@ def run_events(box: Box, dynamics: str, marks: np.ndarray,
     buf = np.zeros(trials * width, dtype=object if exact else float)  # object zeros are int 0
     rows = np.arange(trials, dtype=np.intp) * width
     buf[rows + box.to_index(origin(box.dimension))] = den
-    for m in marks:
-        m = m.astype(np.intp)
-        src = ends[0].take(m) + rows
+    if dynamics == "averaging":  # x * 0.5 rounds as x / 2 does
+        scale, by = (np.right_shift, 1) if exact else (np.multiply, 0.5)
+    else:
+        scale, by = np.floor_divide if exact else np.true_divide, deg
+    block = max(1, BLOCK_ENTRIES // max(trials, 1))
+    for lo in range(0, len(marks), block):
+        # one C-contiguous (steps, trials) array of buffer indices per endpoint
+        step_marks = np.ascontiguousarray(marks[lo:lo + block], dtype=np.intp)
+        idx = [e.take(step_marks) + rows for e in ends]
         if dynamics == "averaging":
-            dst = ends[1].take(m) + rows
-            total = buf.take(src) + buf.take(dst)
-            mean = total >> 1 if exact else total / 2
-            buf[src] = mean
-            buf[dst] = mean
+            for src, dst in zip(*idx):
+                mean = buf[src]
+                mean += buf[dst]
+                scale(mean, by, mean)
+                buf[src] = mean
+                buf[dst] = mean
         else:
-            mass = buf.take(src)
-            share = mass // deg if exact else mass / deg
-            buf[src] = 0
-            for k in range(1, deg + 1):
-                buf[ends[k].take(m) + rows] += share
+            for src, *nbs in zip(*idx):
+                share = scale(buf[src], by)
+                buf[src] = 0
+                for nb in nbs:
+                    buf[nb] += share
     fields = buf.reshape(trials, width)[:, :-1]
     if exact:
         fields = np.frompyfunc(lambda num: Fraction(num, den), 1, 1)(fields)

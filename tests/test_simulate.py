@@ -27,6 +27,7 @@ from avgproc.simulate import (
     ExperimentConfig,
     SimulationResult,
     _chunk_bounds,
+    _padded_marks,
     _worker_count,
     default_box_radius,
     run_events,
@@ -224,6 +225,24 @@ def test_event_schedule_sample():
         assert sched.marks.max() < EventSchedule.n_marks(box, "averaging")
 
 
+def test_padded_marks_are_a_transposed_trial_major_matrix():
+    box, t, dynamics = Box(2, 3), 3.0, "averaging"
+    pad = EventSchedule.n_marks(box, dynamics)
+    children = np.random.SeedSequence(5).spawn(4)
+    marks = _padded_marks(children, EventSchedule.total_rate(box, dynamics) * t, pad)
+    # each stream was written to one contiguous row of a (trials, n_steps) matrix
+    assert marks.base.shape == (4, len(marks)) and marks.base.flags.c_contiguous
+    assert marks.base.T.base is marks.base and np.array_equal(marks.base.T, marks)
+    assert marks.dtype == np.min_scalar_type(pad)
+    lengths = []
+    for i, ss in enumerate(children):
+        stream = EventSchedule.sample(np.random.default_rng(ss), box, t, dynamics).marks
+        lengths.append(len(stream))
+        assert np.array_equal(marks[:len(stream), i], stream)
+        assert np.all(marks[len(stream):, i] == pad)
+    assert min(lengths) < max(lengths) == len(marks)  # some column is padded
+
+
 def test_event_rates():
     box = Box(2, 3)
     assert EventSchedule.total_rate(box, "averaging") == box.n_sites / 2
@@ -293,6 +312,29 @@ def test_lockstep_matches_single_trial_replay(d, dynamics, mode):
         assert len(sched) > 0
         ref = replay(cfg.box, cfg.dynamics, sched.marks, mode == "exact")
         assert np.array_equal(res.fields[i], ref)
+
+
+@pytest.mark.parametrize("block", [1, 3, None], ids=["block1", "block3", "one-block"])
+@pytest.mark.parametrize("mode", ["float", "exact"])
+@pytest.mark.parametrize("dynamics", DYNAMICS)
+@pytest.mark.parametrize("d,t,radius", [(1, 8.0, 6), (2, 3.0, 3), (3, 2.0, 2)])
+def test_lockstep_blocks_match_replay(d, t, radius, dynamics, mode, block, monkeypatch):
+    # run_events gathers BLOCK_ENTRIES // trials steps of endpoint indices at a
+    # time; no block boundary may change a field
+    cfg = ExperimentConfig(dimension=d, t=t, trials=5, seed=9, box_radius=radius,
+                           dynamics=dynamics, mode=mode)
+    whole = simulate(cfg).fields
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
+    streams = [EventSchedule.sample(np.random.default_rng(ss), cfg.box, t, dynamics).marks
+               for ss in children]
+    n_steps = max(map(len, streams))
+    assert n_steps % 3 and n_steps < simulate_module.BLOCK_ENTRIES // cfg.trials
+    if block is not None:
+        monkeypatch.setattr(simulate_module, "BLOCK_ENTRIES", block * cfg.trials)
+    fields = simulate(cfg).fields
+    assert _same_fields(fields, whole)
+    for i, stream in enumerate(streams):
+        assert np.array_equal(fields[i], replay(cfg.box, dynamics, stream, mode == "exact"))
 
 
 def _sha(data: bytes) -> str:
