@@ -290,9 +290,8 @@ def criterion_8_potlach(quick: bool = False, tolerances: dict | None = None, **_
     else:
         notes.append(f"coupling relation residual zero through z^{n_rel}")
 
-    n_f = 420 if quick else 600
     ts = (60.0, 120.0) if quick else (100.0, 150.0, 200.0)
-    pc, pi, ratios = potlach_contrast(1, n_f, ts)
+    pc, pi, ratios = potlach_contrast(1, ts)
     for t, ratio in zip(ts, ratios):
         if not tol["c8-lo"] <= ratio <= tol["c8-hi"]:
             problems.append(f"t={t:g}: ratio {ratio:.4f} outside "

@@ -36,9 +36,8 @@ from .series import (DEFAULT_ORDERS, verify_closed_form_d1, verify_gf_relations,
                      verify_potlach_relation)
 from .simulate import DYNAMICS, WRAP_TOL, ExperimentConfig, simulate
 from .stats import TEST_FUNCTIONS, StatRecord, clt_statistic, simulation_records
-from .walks import (NoSeriesRouteError, SequenceTooShortError, first_return_sequence,
-                    potlach_contrast, return_sequence, sphere_first_return_sequence,
-                    sphere_taboo_sequence)
+from .walks import (NoSeriesRouteError, first_return_sequence, potlach_contrast,
+                    return_sequence, sphere_first_return_sequence, sphere_taboo_sequence)
 
 TABLES = {"p": return_sequence, "q": first_return_sequence,
           "r": sphere_taboo_sequence, "s": sphere_first_return_sequence}
@@ -91,8 +90,7 @@ OPTIONS = {
         param=Option(float, 1.0, "test-function parameter"),
         window=Option(float, 0.05, "|stat - limit| window to count", low=0), **OUTPUT),
     "potlach": dict(
-        d=D, order=ORDER._replace(help="relation truncation order"),
-        steps=Option(int, 600, "float sequence length for the ratio", low=0), **OUTPUT),
+        d=D, order=ORDER._replace(help="relation truncation order"), **OUTPUT),
     # the suite fixes its own dimensions and modes
     "accept": dict(
         OUTPUT, quick=Option(None, False, "reduced sizes for a fast end-to-end check"),
@@ -359,19 +357,16 @@ def cmd_clt(opts, tol) -> int:
 
 def cmd_potlach(opts, tol) -> int:
     """vertex-redistribution series relation and contrast"""
-    d, steps, times = opts["d"], opts["steps"], (100.0, 150.0, 200.0)
+    d, times = opts["d"], (100.0, 150.0, 200.0)
     rep = verify_potlach_relation(d, opts["order"])
-    try:
-        _, _, ratios = potlach_contrast(d, steps, times)
-    except SequenceTooShortError as exc:
-        raise UsageError(f"--steps too small for t={exc.t:g}: {exc}") from exc
+    coupled, _, ratios = potlach_contrast(d, times)
     rows = [("series-relation", d, rep.order, "ok" if rep.ok else "fail", "", "")]
     ok = rep.ok
     for t, ratio in zip(times, ratios):
         inside = tol["c8-lo"] <= ratio <= tol["c8-hi"]
         ok = ok and inside
-        rows.append((f"coincidence-ratio-t{t:g}", d, steps, "ok" if inside else "fail", "",
-                     repr(ratio)))
+        rows.append((f"coincidence-ratio-t{t:g}", d, coupled.last_index,
+                     "ok" if inside else "fail", "", repr(ratio)))
     _emit(opts, ("check", "d", "order", "status", "defect_order", "value"), rows)
     _summary(opts, {"command": "potlach", "ok": ok})
     return 0 if ok else 1

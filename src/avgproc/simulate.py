@@ -8,11 +8,12 @@ Both conserve total mass exactly.
 
 Events are drawn by superposition: the number of rings in [0, t] is Poisson
 (total rate x t; the total rate is n_sites x ``kernels.WALK_RATE``, the jump
-rate of one dual walker), marks are iid uniform over edges (or vertices),
-times are sorted uniforms. That is the order-statistics representation of the
-superposed Poisson processes, so the sampled schedule is exact in
-distribution. Only the order of events matters for the final field, so the
-simulator draws counts and marks and skips the times. Trials are seeded from
+rate of one dual walker), and the marks, in time order, are iid uniform over
+edges (or vertices). Given the count, the ring times are sorted uniforms
+independent of the marks (the order-statistics representation of the
+superposed Poisson processes). Only the order of events matters for the
+final field, so the simulator draws counts and marks and never times; the
+sampled event sequence is exact in distribution. Trials are seeded from
 spawned SeedSequence children, each consumed in the same order as
 ``EventSchedule.sample``, so any single trial can be reproduced in isolation.
 
@@ -54,25 +55,23 @@ sites), 1000 trials took 0.58-0.60 s in one chunk, 0.48-0.53 s in two of
 fixed cost of each step outweighs the cache misses, hence the floor.
 Criterion 6 runs in three chunks of 3333-3334 trials on one core.
 
-Cores. A float run of at least ``MIN_FORK_EVENTS`` expected events (trials
-x mu) is split into contiguous trial shares, one per usable core
-(``os.sched_getaffinity``) but none narrower than ``MIN_SHARE_TRIALS``, and
-each share is chunked as above (on two cores criterion 6 runs two shares of
-two chunks of 2500). Shares 1.. run in forked worker processes and share 0
+Cores. A float run is split into contiguous trial shares, one per usable
+core (``os.sched_getaffinity``) but none narrower than ``MIN_SHARE_TRIALS``,
+and each share is chunked as above (on two cores criterion 6 runs two shares
+of two chunks of 2500). Shares 1.. run in forked worker processes and share 0
 in the calling one; each writes its trials straight into the anonymous
 shared ``mmap`` that backs the float fields, so nothing is sent back. The
 process that runs trial i builds the i-th spawned child itself, so the
 fields are bitwise the same on any number of cores. Exact runs stay in one
-process: their Fraction fields cannot live in shared memory. Measured on
-the 2-vCPU VM above (medians of 9-11 alternating runs, one process against
-two; fork and join cost about 3 ms): at d=1, t=16, 200 trials (5.6e4
-events) took 10.9 -> 12.4 ms, 500 trials (1.4e5) 20.2 -> 18.0 ms and 800
-trials (2.2e5) 37.6 -> 31.3 ms; 400 trials at t=100 (1.6e6) 73.6 -> 54.1
-ms; criterion 6 (2.1e7) 0.98 -> 0.52 s. Every process pays the fixed cost
-of every step, so few trials over many steps gain little: at t=400, 20
-trials (6.2e5 events, shares of 10) took 94 -> 114 ms, 40 trials (shares of
-20) 114 -> 121 ms, 60 (shares of 30) 145 -> 131 ms, 100 (shares of 50) 173
--> 152 ms and 200 trials 238 -> 204 ms. Hence both floors.
+process: their Fraction fields cannot live in shared memory. Fork and join
+cost about 3 ms, and seeding a trial about 30 us in whichever process runs
+it, so the trials, not the expected events, decide whether a split pays.
+Every process pays the fixed cost of every step, so few trials over many
+steps gain little: on the 2-vCPU VM above (medians of 9-11 alternating runs,
+one process against two) at t=400, 20 trials (shares of 10) took 94 -> 114
+ms, 40 trials (shares of 20) 114 -> 121 ms, 60 (shares of 30) 145 -> 131 ms,
+100 (shares of 50) 173 -> 152 ms and 200 trials 238 -> 204 ms. Hence the
+floor.
 
 The default torus is the smallest whose wrap-around bound ``wrap_bound`` is
 at most ``WRAP_TOL``; ``default_box_radius`` states the bound and its proof.
@@ -101,7 +100,6 @@ BUFFER_BYTES = 2 << 20         # float64 lockstep buffer: one core's L2 cache
 MIN_CHUNK_TRIALS = 500         # narrower chunks lose to per-step overhead
 BLOCK_ENTRIES = 1 << 14        # endpoint indices gathered per block of lockstep steps
 #: limits on splitting one simulate run over processes (see the module docstring)
-MIN_FORK_EVENTS = 1_000_000    # fewer expected events (trials x mu) run in one process
 MIN_SHARE_TRIALS = 50          # narrower shares lose to per-step overhead
 
 
@@ -200,15 +198,14 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class EventSchedule:
-    """Sorted (time, mark) stream for one trial.
+    """One trial's event marks, in time order.
 
     Marks are edge indices site*d + axis for averaging (the edge from the
     site to its +e_axis neighbour; every torus edge appears exactly once) and
-    site indices for potlach. Ties in time are broken by position in the
-    stream, which is deterministic given the generator state.
+    site indices for potlach. The ring times are not drawn: the fields
+    depend only on the order of the marks.
     """
 
-    times: np.ndarray
     marks: np.ndarray
     dynamics: str
     box: Box
@@ -225,9 +222,7 @@ class EventSchedule:
     def sample(cls, rng: np.random.Generator, box: Box, t: float,
                dynamics: str = "averaging") -> "EventSchedule":
         n = _draw_count(rng, cls.total_rate(box, dynamics) * t)
-        marks = _draw_stream(rng, n, cls.n_marks(box, dynamics))
-        times = np.sort(rng.random(n)) * t
-        return cls(times, marks, dynamics, box)
+        return cls(_draw_stream(rng, n, cls.n_marks(box, dynamics)), dynamics, box)
 
     def __len__(self) -> int:
         return len(self.marks)
@@ -394,12 +389,12 @@ class SimulationResult:
         return self.fields.mean(axis=0)
 
 
-def _worker_count(trials: int, events: float, exact: bool) -> int:
+def _worker_count(trials: int, exact: bool) -> int:
     """Processes that share one ``simulate`` run: one per usable core, with at
     least ``MIN_SHARE_TRIALS`` trials each. Exact runs (Fraction fields cannot
-    live in shared memory), runs of fewer than ``MIN_FORK_EVENTS`` expected
-    events and platforms without ``os.sched_getaffinity`` run in one process."""
-    if exact or events < MIN_FORK_EVENTS or not hasattr(os, "sched_getaffinity"):
+    live in shared memory) and platforms without ``os.sched_getaffinity`` run
+    in one process."""
+    if exact or not hasattr(os, "sched_getaffinity"):
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), trials // MIN_SHARE_TRIALS))
 
@@ -464,7 +459,7 @@ def simulate(config: ExperimentConfig) -> SimulationResult:
         fields = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
     pad = EventSchedule.n_marks(box, config.dynamics)
     max_steps = int(mu + 10 * math.sqrt(mu + 1) + 10)
-    workers = _worker_count(config.trials, config.trials * mu, exact)
+    workers = _worker_count(config.trials, exact)
 
     def run_share(k: int) -> None:
         start, stop = k * config.trials // workers, (k + 1) * config.trials // workers

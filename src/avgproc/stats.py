@@ -245,7 +245,7 @@ def clt_statistic(result: SimulationResult, fn: str = "cos", param: float = 1.0,
     sigma = math.sqrt(WALK_RATE["averaging"] * cfg.t)
 
     coords = np.array(list(box.points()), dtype=float) / sigma  # index order
-    weights = weight_fn(coords.reshape((box.side,) * d + (d,)).reshape(-1, d), param)
+    weights = weight_fn(coords, param)
     mat = _field_matrix(result)
     values = mat @ weights
     rec = _mean_record(f"clt-{fn}", cfg, values, target)

@@ -116,11 +116,10 @@ class DistVector:
     time: float | None = None
 
 
-def float_window_radius(n: int, d: int, c: float | None = None) -> int:
-    """Orthant window ceil(c*sqrt(n log(n+2))) + 2, c = 3.4/sqrt(d) by default, of
-    an n-step float walk; ``perfbench`` sizes its cell-update count with it."""
-    c = 3.4 / math.sqrt(d) if c is None else c
-    return math.ceil(c * math.sqrt(n * math.log(n + 2))) + 2
+def float_window_radius(n: int, d: int) -> int:
+    """Orthant window ceil(c*sqrt(n log(n+2))) + 2, c = 3.4/sqrt(d), of an n-step
+    float walk; ``perfbench`` sizes its cell-update count with it."""
+    return math.ceil(3.4 / math.sqrt(d) * math.sqrt(n * math.log(n + 2))) + 2
 
 
 def _orthant_step(cur: np.ndarray, groups: dict[int, list], deltas) -> np.ndarray:
@@ -566,12 +565,15 @@ def poissonized_return(seq: SequenceTable, t: float, tol: float = 1e-12) -> Pois
     return PoissonizedValue(math.fsum(terms), tail + seq.error_bound + rounding)
 
 
-def potlach_contrast(d: int, n_steps: int, times: Iterable[float]
+def potlach_contrast(d: int, times: Iterable[float]
                      ) -> tuple[SequenceTable, SequenceTable, list[float]]:
     """(coupled, independent, ratios): the potlach pairs' float return sequences and,
-    per time t, their ratio Poissonized at the pairs' jump rate. Raises
-    SequenceTooShortError at the first t that ``n_steps`` entries do not cover."""
+    per time t, their ratio Poissonized at the pairs' jump rate. Both tables run
+    to ``required_poisson_order`` at the largest time and ``poissonized_return``'s
+    default tol, the shortest that covers every t."""
+    times = list(times)
     ind, coup = potlach_kernels(d)
+    n_steps = required_poisson_order(float(coup.rate) * max(times), 1e-12)
     coupled = return_sequence(coup, n_steps, mode="float")
     independent = return_sequence(ind, n_steps, mode="float")
     ratios = [poissonized_return(coupled, t).value / poissonized_return(independent, t).value

@@ -201,7 +201,6 @@ def test_tolerance_flag_errors(capsys):
     (["simulate", "--mode", "decimal"], "--mode must be one of ['exact', 'float'], got 'decimal'"),
     (["series-verify", "--order", "-1"], "--order must be >= 0"),
     (["potlach", "--order", "-1"], "--order must be >= 0"),
-    (["potlach", "--steps", "-1", "--order", "4"], "--steps must be >= 0, got -1"),
     (["accept", "--tol.not-a-gate=1"], "unknown tolerance names: ['not-a-gate']"),
     (["walk-dp", "--steps", "2", "--tol.c6-z", "9"],
      "walk-dp does not read the tolerances ['c6-z']"),
@@ -225,7 +224,7 @@ def test_tolerance_flag_errors(capsys):
         "simulate-t-neg", "simulate-box-radius-0", "clt-t-0", "clt-unknown-fn",
         "clt-window-neg", "clt-gauss-diverges-d1", "clt-gauss-diverges-d2",
         "simulate-unknown-mode",
-        "series-verify-order-neg", "potlach-order-neg", "potlach-steps-neg",
+        "series-verify-order-neg", "potlach-order-neg",
         "unknown-tolerance", "walk-dp-unread-tolerance", "clt-unread-tolerance",
         "simulate-unread-tolerance", "potlach-unread-tolerances",
         "simulate-t-nan", "simulate-t-inf", "clt-t-nan", "clt-t-inf", "clt-param-nan",
@@ -293,9 +292,14 @@ def test_tolerances_a_command_reads_are_accepted(command, monkeypatch):
     assert all(seen[name] == 0.5 for name in names)
 
 
-def test_potlach_short_sequence_is_usage_error(capsys):
-    assert run(["potlach", "--order", "8", "--steps", "100"]) == 2
-    assert "--steps too small" in capsys.readouterr().err
+def test_potlach_has_no_steps_option(tmp_path, capsys):
+    # the contrast sizes its own tables from the times it Poissonizes at
+    assert run(["potlach", "--steps", "600"]) == 2
+    assert "unrecognized arguments: --steps 600" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps = 600\n")
+    assert run(["potlach", "--config", str(cfg)]) == 2
+    assert "config key 'steps' not used by 'potlach'" in capsys.readouterr().err
 
 
 def test_potlach_gate_override_fails(capsys):

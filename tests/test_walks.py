@@ -26,6 +26,7 @@ from avgproc.walks import (
     first_return_sequence,
     heat_kernel,
     poissonized_return,
+    potlach_contrast,
     required_poisson_order,
     return_sequence,
     sphere_first_return_sequence,
@@ -410,6 +411,21 @@ def test_poissonized_at_the_table_rate():
     coupled = return_sequence(potlach_kernels(1)[1], 400, mode="float")
     assert coupled.rate == 2
     assert poissonized_return(coupled, 40.0) == poissonized_return(replace(coupled, rate=F(1)), 80.0)
+
+
+@pytest.mark.parametrize("d,times", [(1, (100.0, 150.0, 200.0)), (1, (60.0, 120.0)),
+                                     (2, (100.0, 150.0, 200.0))])
+def test_potlach_contrast_sizes_its_tables(d, times):
+    # both tables end where poissonized_return's default tol needs them to at the
+    # largest time, and the ratios match those of 600-entry tables
+    coupled, independent, ratios = potlach_contrast(d, times)
+    n = required_poisson_order(2 * max(times), 1e-12)
+    assert coupled.last_index == independent.last_index == n
+    ind, coup = potlach_kernels(d)
+    long_c, long_i = (return_sequence(k, 600, mode="float") for k in (coup, ind))
+    for t, ratio in zip(times, ratios):
+        ref = poissonized_return(long_c, t).value / poissonized_return(long_i, t).value
+        assert ratio == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_poissonized_at_zero_time():
