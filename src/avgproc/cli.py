@@ -273,11 +273,10 @@ def cmd_simulate(opts, tol) -> int:
                             ("site", *(f"x{j}" for j in range(cfg.dimension)), "mass"),
                             reporting.field_dump_rows(res.box, res.mean_field()),
                             seed=cfg.seed, config=_hashable(opts))
-    extras = {"conservation_defect": records["conservation-defect"].value}
-    if "mean-field-fraction" in records:
-        extras.update(two_norm_z=records["two-norm-sq"].z,
-                      mean_field_fraction=records["mean-field-fraction"].value)
-    _summary(opts, {"command": "simulate", "ok": True, **extras, **budget})
+    _summary(opts, {"command": "simulate", "ok": True,
+                    "conservation_defect": records["conservation-defect"].value,
+                    "two_norm_z": records["two-norm-sq"].z,
+                    "mean_field_fraction": records["mean-field-fraction"].value, **budget})
     return 0
 
 

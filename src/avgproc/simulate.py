@@ -381,10 +381,6 @@ class SimulationResult:
         """max over trials of |total mass - 1|, summed exactly in exact mode."""
         return float(np.abs(self.totals() - 1).max())
 
-    def two_norms_sq(self) -> np.ndarray:
-        flat = self.fields.reshape(self.config.trials, -1)
-        return (flat * flat).sum(axis=1)
-
     def mean_field(self) -> np.ndarray:
         return self.fields.mean(axis=0)
 

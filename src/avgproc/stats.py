@@ -1,10 +1,11 @@
 """Estimators over simulation trials and their exact DP comparators.
 
 The comparators never use empirical means where an exact quantity exists:
-the expected field is the heat kernel computed by DP, the expected squared
-l2 norm is the Poissonized perturbed return sequence, and the rescaled-test
-limits are closed-form Gaussian integrals. Monte Carlo enters only on the
-trial side, so every z-score is an honest measurement of simulator error.
+for either dynamics, the expected field is the heat kernel at the walker rate
+``WALK_RATE[dynamics]``, the expected squared l2 norm is the Poissonized
+return sequence of the coupled pair, and the rescaled-test limits are
+closed-form Gaussian integrals. Monte Carlo enters only on the trial side, so
+every z-score is an honest measurement of simulator error.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .kernels import WALK_RATE, avg_difference_kernel, pair_transition_rates
+from .kernels import WALK_RATE, avg_difference_kernel, pair_transition_rates, potlach_kernels
 from .lattice import Point, ball, origin
 from .simulate import SimulationResult
 from .walks import heat_kernel, poissonized_return, return_sequence
@@ -68,7 +69,8 @@ def _field_matrix(result: SimulationResult) -> np.ndarray:
 
 def _heat_field(result: SimulationResult) -> np.ndarray:
     """h_t(0, .) on the simulation's torus, flattened like one row of ``_field_matrix``."""
-    return heat_kernel(result.config.dimension, result.config.t, result.box).data.reshape(-1)
+    cfg = result.config
+    return heat_kernel(cfg.dimension, cfg.t, result.box, dynamics=cfg.dynamics).data.reshape(-1)
 
 
 @dataclass
@@ -94,13 +96,12 @@ def estimate_mean_field(result: SimulationResult,
     """Compare the trial-averaged field with h_t on the ball of radius 2 sqrt t.
 
     The dual-walk identity says E eta_t(x) = h_t(0, x) exactly, with h_t the
-    heat kernel of the simulation's own torus, so no wrap-around error enters
-    and the per-site z-scores should look standard normal. ``h_t`` is that
-    kernel over the whole box, flattened; it is computed here when not given.
+    heat kernel of the simulation's own torus at the run's walker rate, so no
+    wrap-around error enters and the per-site z-scores should look standard
+    normal. ``h_t`` is that kernel over the whole box, flattened; it is
+    computed here when not given.
     """
     cfg = result.config
-    if cfg.dynamics != "averaging":
-        raise ValueError("mean-field comparison is defined for the averaging dynamics")
     box = result.box
     d = box.dimension
     mat = _field_matrix(result)
@@ -125,11 +126,14 @@ class MomentReport(NamedTuple):
     conservation_defect: float     # max_i |total_i - 1|
 
 
-def two_norm_target(d: int, t: float) -> float:
+def two_norm_target(d: int, t: float, dynamics: str = "averaging") -> float:
     """E ||eta_t||^2 from the point mass: the coupled pair's coincidence
-    probability, i.e. p~ Poissonized at its kernel's rate 1, with a Poisson tail below 1e-12."""
-    n_terms = int(t + 12 * math.sqrt(t + 25) + 25)
-    pt = return_sequence(avg_difference_kernel(d), n_terms, mode="float")
+    probability, i.e. the coupled kernel's p~ Poissonized at its rate
+    2 ``WALK_RATE[dynamics]``, with a Poisson tail below 1e-12."""
+    kernel = {"averaging": avg_difference_kernel,
+              "potlach": lambda d: potlach_kernels(d)[1]}[dynamics](d)
+    mu = float(kernel.rate) * t
+    pt = return_sequence(kernel, int(mu + 12 * math.sqrt(mu + 25) + 25), mode="float")
     return poissonized_return(pt, t).value
 
 
@@ -142,10 +146,8 @@ def estimate_moments(result: SimulationResult,
     start. ``h_t`` is as in ``estimate_mean_field``.
     """
     cfg = result.config
-    if cfg.dynamics != "averaging":
-        raise ValueError("moment targets are defined for the averaging dynamics")
     mat = _field_matrix(result)
-    coincidence = two_norm_target(cfg.dimension, cfg.t)
+    coincidence = two_norm_target(cfg.dimension, cfg.t, cfg.dynamics)
 
     if h_t is None:
         h_t = _heat_field(result)
@@ -167,21 +169,16 @@ def estimate_moments(result: SimulationResult,
 
 def simulation_records(result: SimulationResult, mf_se: float) -> dict[str, StatRecord]:
     """The records ``avgproc simulate`` writes and criterion 6 gates on, by name:
-    the norms (averaging: ``estimate_moments``'s; potlach: E ||eta_t||^2, no target
-    yet), the conservation defect and, for averaging, the fraction of mean-field
-    sites within ``mf_se`` standard errors of h_t."""
+    ``estimate_moments``'s norms, the conservation defect and the fraction of
+    mean-field sites within ``mf_se`` standard errors of h_t, for either dynamics."""
     cfg = result.config
     run = (cfg.dimension, cfg.t, cfg.trials, cfg.seed)
-    if cfg.dynamics == "averaging":
-        h_t = _heat_field(result)
-        mo = estimate_moments(result, h_t)
-        frac = estimate_mean_field(result, h_t).fraction_within(mf_se)
-        records = [mo.two_norm, mo.centered_two_norm, mo.centered_one_norm,
-                   StatRecord("conservation-defect", *run, mo.conservation_defect, None, 0.0),
-                   StatRecord("mean-field-fraction", *run, frac, None, 1.0)]
-    else:
-        records = [_mean_record("two-norm-sq", cfg, result.two_norms_sq().astype(float), None),
-                   StatRecord("conservation-defect", *run, result.conservation_defect(), None, 0.0)]
+    h_t = _heat_field(result)
+    mo = estimate_moments(result, h_t)
+    frac = estimate_mean_field(result, h_t).fraction_within(mf_se)
+    records = [mo.two_norm, mo.centered_two_norm, mo.centered_one_norm,
+               StatRecord("conservation-defect", *run, mo.conservation_defect, None, 0.0),
+               StatRecord("mean-field-fraction", *run, frac, None, 1.0)]
     return {rec.name: rec for rec in records}
 
 
@@ -225,12 +222,13 @@ class CltReport(NamedTuple):
 
 def clt_statistic(result: SimulationResult, fn: str = "cos", param: float = 1.0,
                   tolerance: float = 0.05) -> CltReport:
-    """Per-trial statistic sum_x f(x / sqrt(t/2)) eta_t(x) and its limit.
+    """Per-trial statistic sum_x f(x / sqrt(lambda t)) eta_t(x) and its limit.
 
     On the diffusive scale the field behaves like a Gaussian point: the
     statistic converges in probability to the integral of f against
-    N(0, I_d/d) (the dual walker jumps at WALK_RATE = 1/2, so its per-axis
-    variance is t/(2d), and the normalization is sqrt(t/2)). Unknown
+    N(0, I_d/d) (the dual walker jumps at lambda = ``WALK_RATE[dynamics]``,
+    1/2 for averaging and 1 for potlach, so its per-axis variance is
+    lambda t/d, and the normalization is sqrt(lambda t)). Unknown
     test-function names are an error; the keys are cos, one, tanh, gauss.
     """
     cfg = result.config
@@ -242,7 +240,7 @@ def clt_statistic(result: SimulationResult, fn: str = "cos", param: float = 1.0,
     box = result.box
     d = box.dimension
     target = limit_fn(d, param)
-    sigma = math.sqrt(WALK_RATE["averaging"] * cfg.t)
+    sigma = math.sqrt(WALK_RATE[cfg.dynamics] * cfg.t)
 
     coords = np.array(list(box.points()), dtype=float) / sigma  # index order
     weights = weight_fn(coords, param)

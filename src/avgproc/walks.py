@@ -582,23 +582,25 @@ def potlach_contrast(d: int, times: Iterable[float]
 
 
 def heat_kernel(d: int, t: float, box: Box, start: Point | None = None,
-                tol: float = 1e-12) -> DistVector:
-    """Continuous-time SRW kernel h_t(start, .) on the box.
+                tol: float = 1e-12, dynamics: str = "averaging") -> DistVector:
+    """Continuous-time SRW kernel h_t(start, .) on the box, the expected field
+    E eta_t of either dynamics started from a point mass at ``start``.
 
-    One dual walker jumps at ``WALK_RATE["averaging"]`` = 1/2 along a uniform
-    one of the 2d directions, so its coordinates are independent walks on the
-    cycle of side 2L+1, each jumping at rate 1/(2d), and h_t is the product of
-    d copies of one cycle kernel, rolled to the start's coordinates. That
-    kernel is the Poisson(t/(2d)) mixture of the 1-d SRW powers (the point
-    mass at t = 0), truncated at ``required_poisson_order`` for tol/d; each
-    axis then misses mass at most the proven tail bound, so the product
+    One dual walker jumps at lambda = ``WALK_RATE[dynamics]`` (1/2 for
+    averaging, 1 for potlach) along a uniform one of the 2d directions, so its
+    coordinates are independent walks on the cycle of side 2L+1, each jumping
+    at rate lambda/d, and h_t is the product of d copies of one cycle kernel,
+    rolled to the start's coordinates. That kernel is the Poisson(lambda t/d)
+    mixture of the 1-d SRW powers (the point mass at t = 0), truncated at
+    ``required_poisson_order`` for tol/d; each axis then misses mass at most
+    the proven tail bound, so the product
     misses at most d times it, which is reported in tail_bound. The weights
     are evaluated to a measured 1.7e-11 relative (``_poisson_pmf``).
     """
     start = origin(d) if start is None else start
     if not len(start) == d == box.dimension:
         raise ValueError("point dimension does not match box")
-    mu = WALK_RATE["averaging"] * t / d
+    mu = WALK_RATE[dynamics] * t / d
     n_max = required_poisson_order(mu, tol / d)
     weights = _poisson_pmf(np.arange(n_max + 1), mu)
     stencil = [(o, float(p)) for (o,), p in srw_kernel(1).bulk.items()]

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -353,12 +355,16 @@ def test_wrap_bound_reported(tmp_path, capsys, argv, radius, within):
         out_file.read_text().splitlines()
 
 
-def test_simulate_potlach_branch(capsys):
+def test_simulate_potlach_records_have_targets(tmp_path, capsys):
+    out_file = tmp_path / "sim.csv"
     assert run(["simulate", "--d", "1", "--t", "4", "--trials", "8",
-                "--dynamics", "potlach"]) == 0
-    out = capsys.readouterr().out
-    assert "conservation-defect" in out
-    assert "mean-field-fraction" not in out
+                "--dynamics", "potlach", "--out", str(out_file), "--json-summary"]) == 0
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert math.isfinite(payload["two_norm_z"]) and 0 <= payload["mean_field_fraction"] <= 1
+    rows = {r["name"]: r for r in csv.DictReader(
+        line for line in out_file.read_text().splitlines() if not line.startswith("#"))}
+    for name in ("two-norm-sq", "centered-two-norm-sq", "mean-field-fraction"):
+        assert math.isfinite(float(rows[name]["target"])), rows[name]
 
 
 def test_exact_simulate_conservation_defect_is_zero(tmp_path, capsys):

@@ -16,8 +16,11 @@ CASES = {
                            "--seed", "3", "--dump-field", "{field}"], "2e04834e5631d0f0"),
     "simulate-exact-d1": (["simulate", "--mode", "exact", "--d", "1", "--t", "8",
                            "--trials", "20", "--seed", "3"], "19b01c29733f5d91"),
+    # the potlach records carry exact targets and the averaging records' set: the
+    # two-norm-sq value is unchanged, its target and z are filled in, and the
+    # centered norms, the mean-field fraction and the summary's z and fraction join
     "simulate-potlach-d1": (["simulate", "--dynamics", "potlach", "--d", "1", "--t", "16",
-                             "--trials", "40", "--seed", "3"], "09cc2fa01f42fd92"),
+                             "--trials", "40", "--seed", "3"], "579648413b6e0b46"),
     "clt-d1": (["clt", "--d", "1", "--t", "16", "--trials", "20", "--seed", "3"],
                "c8a7191aa37e4163"),
     # the ratio tables end at the index required_poisson_order gives at t=200

@@ -257,7 +257,8 @@ def test_exact_conservation(dynamics):
     assert isinstance(res, SimulationResult)
     for tot in res.totals():
         assert tot == F(1)
-    for nsq in res.two_norms_sq():
+    flat = res.fields.reshape(cfg.trials, -1)
+    for nsq in (flat * flat).sum(axis=1):
         assert isinstance(nsq, Fraction)
         assert nsq <= 1
 
@@ -277,7 +278,8 @@ def test_float_conservation_and_smoothing():
     cfg = ExperimentConfig(dimension=1, t=20.0, trials=8, seed=3, box_radius=12)
     res = simulate(cfg)
     np.testing.assert_allclose(res.totals(), 1.0, atol=1e-12)
-    norms = res.two_norms_sq()
+    flat = res.fields.reshape(cfg.trials, -1)
+    norms = (flat * flat).sum(axis=1)
     assert np.all(norms <= 1 + 1e-12)
     assert norms.mean() < 0.9  # the field has provably averaged somewhere
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from avgproc.simulate import ExperimentConfig, SimulationResult, simulate
+from avgproc.walks import heat_kernel, poissonized_return, potlach_contrast
 from avgproc.stats import (
     TEST_FUNCTIONS,
     StatRecord,
@@ -83,10 +84,13 @@ def test_mean_field_sites_no_trial_reached():
     assert np.array_equal(rep.z[off], np.where(h <= 0.03, 0.0, np.inf))
 
 
-def test_d2_simulation_matches_exact_targets():
-    # the paper's new dimension, against the Poissonized avg-diff table and
-    # the product heat kernel; measured z = -0.84 and +0.01, fraction 1.0
-    res = simulate(ExperimentConfig(dimension=2, t=16.0, trials=2000, seed=0))
+@pytest.mark.parametrize("dynamics, seed", [("averaging", 0), ("potlach", 11)])
+def test_d2_simulation_matches_exact_targets(dynamics, seed):
+    # the paper's new dimension, against the Poissonized coupled table and the
+    # product heat kernel; measured z = -0.84 and +0.01 (averaging), -0.08 and
+    # -0.10 (potlach), fraction 1.0 for both
+    res = simulate(ExperimentConfig(dimension=2, t=16.0, trials=2000, seed=seed,
+                                    dynamics=dynamics))
     records = simulation_records(res, 4.0)
     for name in ("two-norm-sq", "centered-two-norm-sq"):
         assert abs(records[name].z) <= 3.0, records[name]
@@ -99,13 +103,24 @@ def test_two_norm_target_is_shared(result_d1):
     assert estimate_moments(result_d1).two_norm.target == want
     assert coupled_pair_mc(1, t=32.0, trials=2, seed=0).target == want
     assert two_norm_target(1, 16.0) == 0.10802702150312533
+    assert two_norm_target(1, 16.0, "potlach") == 0.14394718886391764
+    # the potlach contrast's coupled table, of another length, gives the same value
+    coupled = potlach_contrast(1, [16.0])[0]
+    assert poissonized_return(coupled, 16.0).value == pytest.approx(0.14394718886391764,
+                                                                    rel=1e-12)
 
 
-def test_estimators_reject_potlach(potlach_result):
-    with pytest.raises(ValueError):
-        estimate_mean_field(potlach_result)
-    with pytest.raises(ValueError):
-        estimate_moments(potlach_result)
+def test_estimators_take_the_run_dynamics(potlach_result):
+    # a potlach walker jumps at rate 1, twice the averaging rate, so its heat
+    # kernel at t is the averaging one at 2t, bit for bit
+    box = potlach_result.box
+    h_t = heat_kernel(1, 4.0, box, dynamics="potlach").data
+    assert np.array_equal(h_t, heat_kernel(1, 8.0, box).data)
+    rep = estimate_mean_field(potlach_result)
+    assert np.array_equal(rep.expected, h_t[[box.to_index(p) for p in rep.sites]])
+    moments = estimate_moments(potlach_result)
+    assert moments.two_norm.target == two_norm_target(1, 4.0, "potlach")
+    assert moments.centered_two_norm.target == moments.two_norm.target - np.sum(h_t * h_t)
 
 
 def test_clt_statistic_one_is_conservation(result_d1):
@@ -124,6 +139,16 @@ def test_clt_statistic_cos(result_d1):
     # the acceptance suite's job
     assert rep.fraction_within >= 0.6
     assert rep.tolerance == 0.05
+
+
+def test_clt_statistic_scales_with_the_run_dynamics():
+    # sigma = sqrt(WALK_RATE[dynamics] t); scaled by the averaging rate, this
+    # run reads 0.369 against 0.607, with no trial inside the window
+    res = simulate(ExperimentConfig(dimension=1, t=64.0, trials=400, seed=1,
+                                    dynamics="potlach"))
+    rep = clt_statistic(res, fn="cos", param=1.0)
+    assert abs(rep.record.z) < 4.0, rep.record
+    assert rep.fraction_within >= 0.95
 
 
 def test_clt_statistic_errors(result_d1):
