@@ -1,21 +1,24 @@
 """Step-n distributions, return/first-passage sequences, and Poissonization.
 
-Exact tables come from a dynamic program over the positive orthant, one
-independent pass per table: every start distribution used here and every
-kernel row pattern is invariant under coordinate sign flips, so only the
-nonnegative cone is stored, in integer numerators scaled by ``kernel.scale``
-per step. A step adds up the shifted copies of the cone that share a bulk
+Exact tables come from a dynamic program over one cell per orbit of the
+kernel's symmetry group, one independent pass per table. Every start
+distribution used here is invariant under sign flips and permutations of the
+coordinates; the rows must be invariant under sign flips, and when they are
+also invariant under permutations the cells are x_1 >= ... >= x_d >= 0,
+otherwise |x| (``_sorts_coordinates``). Values are integer numerators scaled
+by ``kernel.scale`` per step. A step gathers each cell's bulk sources through
+one index array per bulk offset, adds up the gathers that share a
 coefficient and multiplies each sum once, so it costs one bigint multiply
-per distinct bulk coefficient and cell (see ``_orthant_step``). The stored
-cone is cut to the light cone of the recorded cells: a cell that cannot
-reach them within the remaining steps is dropped (see ``_sequence``), which
-leaves every entry unchanged. Float tables take the series route: the SRW
-return sequence in closed form, then the identities
-``series.verify_gf_relations`` checks; each carries ``error_bound``, a bound
-on every entry's error, proven for d <= 3 and infinite for d >= 4.
+per distinct bulk coefficient and cell (see ``_sequence``). The stored cone
+is cut to the light cone of the recorded cells: a cell that cannot reach
+them within the remaining steps is dropped, which leaves every entry
+unchanged. Float tables take the series route: the SRW return sequence in
+closed form, then the identities ``series.verify_gf_relations`` checks; each
+carries ``error_bound``, a bound on every entry's error, proven for d <= 3
+and infinite for d >= 4.
 Every table carries its kernel's ``rate``, at which ``poissonized_return``
 mixes it. ``heat_kernel`` is a product of d one-axis cycle kernels, since a
-single dual walker's coordinates are independent, so the orthant DP is the
+single dual walker's coordinates are independent, so the exact DP is the
 only d-dimensional stepper. Poisson weights are exp(k log mu - log k! - mu),
 with log k! from Cephes' Stirling formula (``_log_factorial``), so they
 equal ``scipy.stats.poisson.pmf``'s bit for bit; for mu <= 4000 each was
@@ -29,6 +32,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -122,57 +126,24 @@ def float_window_radius(n: int, d: int) -> int:
     return math.ceil(3.4 / math.sqrt(d) * math.sqrt(n * math.log(n + 2))) + 2
 
 
-def _orthant_step(cur: np.ndarray, groups: dict[int, list], deltas) -> np.ndarray:
-    """One exact kernel step on the stored orthant cone [0, r]^d, r = len(cur) - 1.
-
-    ``groups`` maps each distinct bulk coefficient c to its offsets: the
-    shifted views of one group are added up and the sum is multiplied by c
-    once, not at all when c == 1, so a cell costs one bigint multiply per
-    distinct coefficient. Bulk offsets must lie in {-1, 0, 1}^d: the low faces
-    are mirror-padded by one cell. Perturbed rows may jump farther.
-    """
-    d, r = cur.ndim, len(cur) - 1
-    r2 = max(r + 1, 2)
-    padded = np.zeros((r2 + 3,) * d, dtype=object)
-    padded[(slice(1, r + 2),) * d] = cur
-    for axis in range(d):  # mirror-pad the low faces
-        lead = (slice(None),) * axis
-        padded[lead + (0,)] = padded[lead + (2,)]
-
-    nxt = None
-    for c, offsets in groups.items():
-        views = [padded[tuple(slice(1 - oj, 2 - oj + r2) for oj in o)] for o in offsets]
-        acc = views[0].copy()
-        for view in views[1:]:
-            acc += view
-        if c != 1:
-            acc *= c
-        if nxt is None:
-            nxt = acc
-        else:
-            nxt += acc
-    for site, delta in deltas:
-        stored = tuple(abs(c) for c in site)
-        val = cur[stored] if max(stored) <= r else 0
-        if val:
-            for o, c in delta:
-                tgt = tuple(a + b for a, b in zip(site, o))
-                if min(tgt) >= 0:
-                    nxt[tgt] += val * c
-    return nxt
-
-
 def _linf(p: Point) -> int:
     return max(map(abs, p), default=0)
+
+
+def _growth(kernel: TransitionKernel) -> int:
+    """Largest rise of the L-infinity radius |x|_inf that one bulk step can make,
+    |o|_inf for a step by o. The exact DP's stored cone grows one cell per step
+    (``_Cone``), so it needs this to be at most 1; perturbed rows may jump farther."""
+    return max(map(_linf, kernel.bulk), default=0)
 
 
 def _reach(kernel: TransitionKernel) -> int:
     """Largest drop of the L-infinity radius |x|_inf that one step can make.
 
-    A bulk step by o lowers it by at most |o|_inf; a perturbed row at site s
-    lowers it by at most max over its offsets o of |s|_inf - |s + o|_inf.
+    A bulk step by o lowers it by at most |o|_inf (``_growth``); a perturbed row
+    at site s lowers it by at most max over its offsets o of |s|_inf - |s + o|_inf.
     """
-    reach = max(map(_linf, kernel.bulk), default=0)
+    reach = _growth(kernel)
     for site, row in kernel.perturbation.items():
         reach = max(reach, *(_linf(site) - _linf(tuple(a + b for a, b in zip(site, o)))
                              for o in row))
@@ -180,31 +151,89 @@ def _reach(kernel: TransitionKernel) -> int:
 
 
 def _kernel_box_data(kernel: TransitionKernel):
-    """(scale, bulk stencil, per-site row corrections), integers scaled by ``kernel.scale``."""
+    """(scale, bulk row, per-site corrections to it), integers scaled by ``kernel.scale``."""
     scale, zero = kernel.scale, Fraction(0)
-    coeffs = [(o, int(p * scale)) for o, p in kernel.bulk.items()]
-    deltas = [(site, [(o, int((row.get(o, zero) - kernel.bulk.get(o, zero)) * scale))
-                      for o in set(row) | set(kernel.bulk)
-                      if row.get(o, zero) != kernel.bulk.get(o, zero)])
-              for site, row in kernel.perturbation.items()]
-    return scale, coeffs, deltas
+    bulk = {o: int(p * scale) for o, p in kernel.bulk.items()}
+    deltas = {site: {o: int((row.get(o, zero) - kernel.bulk.get(o, zero)) * scale)
+                     for o in set(row) | set(kernel.bulk)
+                     if row.get(o, zero) != kernel.bulk.get(o, zero)}
+              for site, row in kernel.perturbation.items()}
+    return scale, bulk, deltas
+
+
+def _sorts_coordinates(name: str, bulk: dict, deltas: dict) -> bool:
+    """Whether the rows (``_kernel_box_data``) are invariant under coordinate
+    permutations, so that one cell per orbit is x_1 >= ... >= x_d >= 0 rather
+    than |x|.
+
+    The start distributions of ``_sequence`` are invariant under sign flips
+    and permutations, so a pass keeps the part of that group the rows keep.
+    Rows that sign flips change raise ValueError, naming the kernel.
+    """
+    def invariant(g) -> bool:  # g: a signed permutation of the coordinates
+        def image(row: dict) -> dict:
+            return {g(o): c for o, c in row.items()}
+        return image(bulk) == bulk and deltas == {g(s): image(r) for s, r in deltas.items()}
+
+    d = len(next(iter(bulk)))
+    if not all(invariant(lambda p, i=i: p[:i] + (-p[i],) + p[i + 1:]) for i in range(d)):
+        raise ValueError(f"exact DP: the rows of kernel {name!r} are not "
+                         "invariant under coordinate sign flips")
+    return all(invariant(lambda p, i=i: p[:i] + (p[i + 1], p[i]) + p[i + 2:])
+               for i in range(d - 1))
+
+
+class _Cone:
+    """One cell per orbit, x_1 >= ... >= x_d >= 0 if ``sort`` else |x|, through
+    L-infinity radius ``radius``, ordered by radius: ``size[r]`` cells lie
+    within radius r, so a cut to r keeps a prefix. ``rank`` maps points to
+    their cells through one table, which spans the cone and the one cell it
+    grows by per step and holds the sentinel ``len(cells)`` past the radius.
+    """
+
+    def __init__(self, d: int, radius: int, sort: bool):
+        grid = np.indices((radius + 1,) * d).reshape(d, -1).T  # ordered by x_1
+        if sort:  # x_1 is the radius
+            self.cells = grid[(grid[:, :-1] >= grid[:, 1:]).all(axis=1)]
+        else:
+            rad = grid.max(axis=1)
+            self.cells = np.concatenate([grid[rad == r] for r in range(radius + 1)])
+        self.size = np.cumsum(np.bincount(self.cells.max(axis=1), minlength=radius + 1))
+        self.table = np.full((radius + 2,) * d, len(self.cells))
+        for perm in permutations(range(d)) if sort else [range(d)]:
+            self.table[tuple(self.cells.T[list(perm)])] = np.arange(len(self.cells))
+
+    def rank(self, points) -> np.ndarray:
+        """Cell of each point, coordinates on the last axis; a coordinate clipped
+        to the table keeps the point past the radius."""
+        c = np.minimum(np.abs(np.asarray(points)), len(self.table) - 1)
+        return self.table[tuple(np.moveaxis(c, -1, 0))]
 
 
 def _sequence(kernel: TransitionKernel, n_max: int, mode: str, table: str) -> SequenceTable:
-    """Table p, q, r or s: the series route in float mode, else one orthant DP pass.
+    """Table p, q, r or s: the series route in float mode, else one exact DP pass.
 
-    p and q start at the origin, r and s uniform on the unit sphere (each
-    stored unit vector stands for two sphere points). After each step q
-    records the origin and every pass but p then kills it; r and s record
-    the sphere, and s kills it.
+    p and q start at the origin, r and s uniform on the unit sphere. After
+    each step q records the origin and every pass but p then kills it; r and
+    s record the sphere, and s kills it.
+
+    The pass stores one cell per orbit of the kernel's symmetry group
+    (``_sorts_coordinates``, ``_Cone``): the value there is the value at
+    every point of the orbit, so each stored unit vector stands for all 2d
+    sphere points. A step gathers, for each bulk offset o, every cell x's
+    value at x - o through one index array, sums the gathers that share a
+    coefficient and multiplies each sum once: one bigint multiply per
+    distinct coefficient and cell. The perturbed rows then push their
+    corrections into the targets that are cells.
 
     Light-cone trim: the pass only ever reads cells within L-infinity radius
     w of the origin (w = 0 for p and q, 1 for r and s), and one step lowers a
     walker's radius by at most ``reach`` (``_reach``). Mass beyond radius
     reach * (n_max - k) + w after step k therefore cannot reach a recorded
     cell by step n_max, so the stored cone is cut to that radius after every
-    step. The recorded entries are sums of the same integer terms as without
-    the cut, hence identical; in d=3 the pass touches about 8x fewer cells.
+    step. It grows by one cell per step (``_growth``), and at least to the
+    perturbed rows' targets. The recorded entries are sums of the same
+    integer terms as without the cut, hence identical.
     """
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
@@ -212,37 +241,66 @@ def _sequence(kernel: TransitionKernel, n_max: int, mode: str, table: str) -> Se
     if mode == "float":
         return _float_table(kernel, n_max, table, name)
     d = kernel.dimension
-    for o in kernel.bulk:  # _orthant_step mirror-pads the cone by one cell
-        if _linf(o) > 1:
-            raise ValueError(f"exact orthant DP: bulk offset {o} is longer than one cell")
+    if _growth(kernel) > 1:  # the stored cone grows one cell per step
+        raise ValueError(f"exact DP: bulk offset {max(kernel.bulk, key=_linf)} "
+                         "is longer than one cell")
     scale, bulk, deltas = _kernel_box_data(kernel)
-    groups: dict[int, list] = {}
-    for o, c in bulk:
-        groups.setdefault(c, []).append(o)
+    sort = _sorts_coordinates(kernel.name, bulk, deltas)
     reach, w = _reach(kernel), int(table in "rs")
-    zero = (0,) * d
-    watch, mult, den = (([zero], 1, 1) if table in "pq" else
-                        ([tuple(int(i == j) for i in range(d)) for j in range(d)], 2, 2 * d))
-    cur = np.zeros((2,) * d, dtype=object)
-    for e in watch:
-        cur[e] = 1
+    far = max((_linf(tuple(a + b for a, b in zip(site, o)))
+               for site, row in kernel.perturbation.items() for o in row), default=0)
+    radii = [w]
+    for k in range(1, n_max + 1):
+        radii.append(min(max(radii[-1] + 1, far), reach * (n_max - k) + w))
+    cone = _Cone(d, max(radii), sort)
+
+    groups: dict[int, list] = {}
+    for o, c in bulk.items():
+        groups.setdefault(c, []).append(o)
+    gathers = [(c, np.array([cone.rank(cone.cells - o) for o in offsets]))
+               for c, offsets in groups.items()]
+    pushes: dict[tuple[int, int], int] = {}  # (source cell, target cell) -> coefficient
+    moves = [(site, tuple(a + b for a, b in zip(site, o)), c)
+             for site, delta in deltas.items() for o, c in delta.items()]
+    if moves:
+        sites, targets, _ = zip(*moves)
+        for src, tgt, (_, target, c) in zip(cone.rank(sites).tolist(),
+                                            cone.rank(targets).tolist(), moves):
+            if tgt < len(cone.cells) and tuple(cone.cells[tgt]) == target:
+                pushes[src, tgt] = pushes.get((src, tgt), 0) + c
+
+    # the origin is cell 0; the unit vectors' cells stand for all 2d sphere points
+    watch, mult, den = (([0], 1, 1) if table in "pq" else
+                        (cone.rank(np.eye(d, dtype=int)).tolist(), 2, 2 * d))
+    cur = np.zeros(cone.size[w] + 1, dtype=object)  # the last entry is the zero sentinel
+    cur[watch] = 1
 
     def value() -> Fraction:
         return Fraction(mult * int(sum(cur[e] for e in watch)), den)
 
     entries = [value()] if table in "pr" else []
     for k in range(1, n_max + 1):
-        cone = (slice(0, reach * (n_max - k) + w + 1),) * d
-        cur, den = _orthant_step(cur, groups, deltas)[cone], den * scale
+        n = cone.size[radii[k]]
+        nxt = np.zeros(n + 1, dtype=object)  # the last entry stays the sentinel
+        for i, (c, idx) in enumerate(gathers):
+            acc = np.add.reduce(cur.take(idx[:, :n], mode="clip"), axis=0,
+                                out=None if i else nxt[:n])
+            if c != 1:
+                acc *= c
+            if i:
+                nxt[:n] += acc
+        for (src, tgt), c in pushes.items():
+            if tgt < n and src < len(cur) and cur[src]:
+                nxt[tgt] += cur[src] * c
+        cur, den = nxt, den * scale
         if table == "q":
             entries.append(value())
         if table != "p":
-            cur[zero] = 0
+            cur[0] = 0
         if table != "q":
             entries.append(value())
         if table == "s":
-            for e in watch:
-                cur[e] = 0
+            cur[watch] = 0
     return SequenceTable(name, d, 0 if table in "pr" else 1, entries, True, kernel.rate)
 
 

@@ -11,6 +11,7 @@ from scipy.special import gammaln, ive
 from scipy.stats import poisson
 
 from avgproc.kernels import (
+    KERNELS,
     TransitionKernel,
     avg_difference_kernel,
     difference_kernel_from_pair_rates,
@@ -33,7 +34,8 @@ from avgproc.walks import (
     sphere_taboo_sequence,
     srw_return_sequence_float,
 )
-from avgproc.walks import _conv, _log_factorial, _poisson_pmf, _poisson_tail, _reach
+from avgproc.walks import (_conv, _kernel_box_data, _log_factorial, _poisson_pmf,
+                           _poisson_tail, _reach, _sorts_coordinates)
 
 F = Fraction
 
@@ -90,8 +92,10 @@ LONG_JUMP = TransitionKernel(1, F(1), {(1,): F(1, 2), (-1,): F(1, 2)},
 
 # Sign-symmetric d=2 kernel whose bulk has three distinct coefficients at
 # scale 32 (8 on (+-1, 0), 4 on (0, +-1) and (0, 0), 1 on the diagonals), so
-# the orthant DP sums and multiplies three offset groups, one of them with c == 1;
-# the diagonals read the mirror-padded corner. The origin row is perturbed.
+# the exact DP sums and multiplies three offset groups, one of them with c == 1.
+# Its rows are not invariant under swapping the axes, so the DP stores the
+# sign-reduced cone |x|; the diagonals gather across both of its low faces.
+# The origin row is perturbed.
 THREE_COEFF = TransitionKernel(
     2, F(1),
     {(1, 0): F(1, 4), (-1, 0): F(1, 4), (0, 1): F(1, 8), (0, -1): F(1, 8), (0, 0): F(1, 8),
@@ -113,6 +117,8 @@ THREE_COEFF = TransitionKernel(
         (srw_kernel(3), 10),
         (avg_difference_kernel(3), 10),
         (potlach_kernels(2)[1], 12),
+        # permutation-symmetric, and its origin row jumps two cells, also diagonally
+        (potlach_kernels(3)[1], 8),
         (LONG_JUMP, 12),
         (THREE_COEFF, 8),
     ],
@@ -138,6 +144,24 @@ def test_orthant_dp_rejects_long_bulk_jump():
                sphere_taboo_sequence, sphere_first_return_sequence):
         with pytest.raises(ValueError, match=r"bulk offset \((2|-2),\)"):
             fn(kernel, 4)
+
+
+def test_orthant_dp_rejects_kernel_without_sign_symmetry():
+    # drifts right: p_2 = 2 * (3/4) * (1/4) = 3/8, which a DP that folds x onto
+    # |x| would miss
+    drift = TransitionKernel(1, F(1), {(1,): F(3, 4), (-1,): F(1, 4)}, name="drift")
+    assert reference_tables(drift, 2)[0] == [F(1), F(0), F(3, 8)]
+    for fn in (return_sequence, first_return_sequence,
+               sphere_taboo_sequence, sphere_first_return_sequence):
+        with pytest.raises(ValueError, match="'drift'.*sign flips"):
+            fn(drift, 2)
+
+
+def test_symmetry_group_comes_from_the_rows():
+    def sorts(kernel):
+        return _sorts_coordinates(kernel.name, *_kernel_box_data(kernel)[1:])
+    assert all(sorts(KERNELS[name](d)) for name in KERNELS for d in (1, 2, 3))
+    assert not sorts(THREE_COEFF)
 
 
 def test_exact_d3_tables_pinned():
