@@ -118,7 +118,7 @@ THREE_COEFF = TransitionKernel(
         (avg_difference_kernel(3), 10),
         (potlach_kernels(2)[1], 12),
         # permutation-symmetric, and its origin row jumps two cells, also diagonally
-        (potlach_kernels(3)[1], 8),
+        pytest.param(potlach_kernels(3)[1], 8, id="potlach-coup-d3-8"),
         (LONG_JUMP, 12),
         (THREE_COEFF, 8),
     ],
