@@ -13,9 +13,11 @@ per distinct bulk coefficient and cell (see ``_sequence``). The stored cone
 is cut to the light cone of the recorded cells: a cell that cannot reach
 them within the remaining steps is dropped, which leaves every entry
 unchanged. Float tables take the series route: the SRW return sequence in
-closed form, then the identities ``series.verify_gf_relations`` checks; each
-carries ``error_bound``, a bound on every entry's error, proven for d <= 3
-and infinite for d >= 4.
+closed form, then the identities ``series.verify_gf_relations`` checks, each
+a power-series division by Newton's iteration, on FFT products above 512
+coefficients; each table carries ``error_bound``, a bound on every entry's
+error taken from the division's residual, proven for d <= 3 and infinite for
+d >= 4.
 Every table carries its kernel's ``rate``, at which ``poissonized_return``
 mixes it. ``heat_kernel`` is a product of d one-axis cycle kernels, since a
 single dual walker's coordinates are independent, so the exact DP is the
@@ -347,11 +349,12 @@ def first_passage_sequences(kernel: TransitionKernel, n_max: int,
 # ---------------------------------------------------------------------------
 # Float tables: the series route. Each is one power-series division in the SRW
 # return GF G, by identities ``series.verify_gf_relations`` checks exactly
-# (renewal theory: Spitzer, Principles of Random Walk). For x = N/D with input
-# errors e_N, e_D, Higham (Accuracy and Stability, section 8) bounds the long
-# division coefficientwise, to first order, by the series products
-#     |x^ - x| <= |D^-1| (gamma_{n+1} (|D| |x^| + |N|) + e_N + e_D |x^|);
-# a factor 2 covers the second-order terms (|D^-1| from computed coefficients).
+# (renewal theory: Spitzer, Principles of Random Walk). x^ ~ N/D is N times
+# Newton's y ~ 1/D, with products by FFT above ``_SPLIT`` (``_mul``). The bound
+# does not trust that arithmetic: x^ - x = D^-1 (D x^ - N) holds exactly for
+# truncated series, so ``_residual_bound`` bounds the error from the residual
+# N - D x^, taken by direct summation (``_conv``) with Higham's dot product
+# bound (Accuracy and Stability, section 3) and the input errors e_N, e_D.
 # ---------------------------------------------------------------------------
 
 _U = 2.0 ** -53
@@ -373,10 +376,14 @@ class _Series(NamedTuple):
         return _Series(c, abs(k) * self.err + _U * np.abs(c))
 
 
+_SPLIT = 512  # np.convolve up to this many coefficients
+
+
 def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """First len(a) coefficients of a*b (len(b) == len(a)), in about n^2/2 products."""
+    """First len(a) coefficients of a*b (len(b) == len(a)), in about n^2/2 products,
+    each coefficient a sum of rounded products (Higham's dot product bound holds)."""
     n = len(a)
-    if n <= 512:
+    if n <= _SPLIT:
         return np.convolve(a, b)[:n]
     h = n // 2
     out = np.zeros(n)
@@ -385,19 +392,55 @@ def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _divide(num: _Series, den: _Series) -> _Series:
-    """num/den by long division, one dot product per coefficient, with its bound."""
-    n = len(den.c)
-    rev = den.c[:0:-1].copy()                       # rev[n-1-j] = den_j
-    sol = np.column_stack([num.c, np.eye(1, n)[0]])  # solve for x and 1/den at once
-    for k in range(n):
-        sol[k] = (sol[k] - rev[n - 1 - k:] @ sol[:k]) / den.c[0]
-    x = sol[:, 0]
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """First len(a) coefficients of a*b (len(b) == len(a)), by FFT above ``_SPLIT``.
+
+    The FFT's error is normwise, not coefficientwise, so no bound is built
+    from these products; ``_residual_bound`` uses ``_conv``.
+    """
+    n = len(a)
+    if n <= _SPLIT:
+        return np.convolve(a, b)[:n]
+    size = 1 << (2 * n - 2).bit_length()  # >= 2n - 1: the first n do not wrap
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
+
+
+def _inverse(den: np.ndarray) -> np.ndarray:
+    """1/den through z^(len(den)-1) by Newton's iteration y <- y + y (1 - den y),
+    which doubles the number of correct coefficients per round."""
+    y = np.array([1.0 / den[0]])
+    while len(y) < len(den):
+        m = min(2 * len(y), len(den))
+        y = np.r_[y, np.zeros(m - len(y))]
+        e = -_mul(den[:m], y)
+        e[0] += 1.0
+        y += _mul(y, e)
+    return y
+
+
+def _residual_bound(num: _Series, den: _Series, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A coefficientwise bound on |x - num/den| for any x, from its residual.
+
+    Truncated through z^(n-1), x - N/D = D^-1 (D x - N) exactly, so with the
+    residual r^ = N - D x computed by ``_conv`` (a length-k dot product and a
+    subtraction: gamma_{n+1}) and the inputs' errors e_N, e_D,
+        |x - N/D| <= |D^-1| (|r^| + gamma_{n+1} (|D| |x| + |N|) + e_N + e_D |x|);
+    y ~ 1/D stands in for D^-1, and a factor 2 covers the second-order terms.
+    """
+    n = len(x)
     if not (np.isfinite(num.err).all() and np.isfinite(den.err).all()):
-        return _Series(x, np.full(n, np.inf))
-    g, ax = _gamma(n + 1), np.abs(x)  # a length-k dot product, a subtraction, a division
-    local = _conv(g * np.abs(den.c) + den.err, ax) + g * np.abs(num.c) + num.err
-    return _Series(x, 2.0 * _conv(np.abs(sol[:, 1]), local))
+        return np.full(n, np.inf)
+    g, ax = _gamma(n + 1), np.abs(x)
+    local = (np.abs(num.c - _conv(den.c, x)) + _conv(g * np.abs(den.c) + den.err, ax)
+             + g * np.abs(num.c) + num.err)
+    return 2.0 * _conv(np.abs(y), local)
+
+
+def _divide(num: _Series, den: _Series) -> _Series:
+    """num/den as num * (1/den), 1/den by ``_inverse``, bounded by ``_residual_bound``."""
+    y = _inverse(den.c)
+    x = _mul(num.c, y)
+    return _Series(x, _residual_bound(num, den, x, y))
 
 
 def _log_self_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -433,15 +476,18 @@ def _srw_closed_form(d: int, n_max: int) -> _Series:
     elif d == 3:
         g6 = _gamma(6)  # a, b, c each rounded to double once, three operations
         big, rel = np.ones(m_max + 1), np.zeros(m_max + 1)
-        t, eta, rho = 1.0, 0.0, 0.0
+        t, eta, rho, prod = 1.0, 0.0, 0.0, 1.0
         for m in range(1, m_max + 1):
-            a, b, c = (float(v) for v in (2 * (2 * m - 1) * (10 * m * m - 10 * m + 3),
-                                          (m - 1) * (2 * m - 1) * (2 * m - 3), 36 * m ** 3))
+            a = float(2 * (2 * m - 1) * (10 * m * m - 10 * m + 3))
+            b = float((m - 1) * (2 * m - 1) * (2 * m - 3))
+            c = float(36 * m ** 3)
             w = b / t
             t, eta = (a - w) / c, g6 * (a + w) / c + (b / c) * eta / (t * (t - eta))
-            big[m] = big[m - 1] * t
+            prod *= t
+            big[m] = prod
             rho = (1.0 + rho) * (1.0 + eta / (t - eta)) * (1.0 + _U) - 1.0
-            rel[m] = rho / (1.0 - rho)
+            rel[m] = rho
+        rel /= 1.0 - rel
     else:
         base = -2.0 * np.vectorize(math.lgamma)(np.arange(m_max + 1) + 1.0)
         conv = base

@@ -103,10 +103,10 @@ def test_two_norm_target_is_shared(result_d1):
     assert estimate_moments(result_d1).two_norm.target == want
     assert coupled_pair_mc(1, t=32.0, trials=2, seed=0).target == want
     assert two_norm_target(1, 16.0) == 0.10802702150312533
-    assert two_norm_target(1, 16.0, "potlach") == 0.14394718886391764
+    assert two_norm_target(1, 16.0, "potlach") == 0.14394718886391766
     # the potlach contrast's coupled table, of another length, gives the same value
     coupled = potlach_contrast(1, [16.0])[0]
-    assert poissonized_return(coupled, 16.0).value == pytest.approx(0.14394718886391764,
+    assert poissonized_return(coupled, 16.0).value == pytest.approx(0.14394718886391766,
                                                                     rel=1e-12)
 
 

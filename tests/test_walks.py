@@ -34,8 +34,9 @@ from avgproc.walks import (
     sphere_taboo_sequence,
     srw_return_sequence_float,
 )
-from avgproc.walks import (_conv, _kernel_box_data, _log_factorial, _poisson_pmf,
-                           _poisson_tail, _reach, _sorts_coordinates)
+from avgproc.walks import (_U, _Series, _conv, _inverse, _kernel_box_data, _log_factorial,
+                           _mul, _poisson_pmf, _poisson_tail, _reach, _residual_bound,
+                           _sorts_coordinates, _srw_closed_form)
 
 F = Fraction
 
@@ -324,23 +325,70 @@ def test_truncated_convolution(n):
     np.testing.assert_allclose(_conv(a, b), np.convolve(a, b)[:n], rtol=1e-12)
 
 
-def test_float_route_matches_mpmath_long_division():
+@lru_cache(maxsize=None)
+def _mpmath_avg_diff(d: int, n: int):
+    """(A, B, A/B) through z^n at 30 digits, A/B by long division: the avg-diff
+    return GF G~ = A/B with A = (1-(1-2z)G)/z and B = (1-(1-z)^2 G)/z, from the
+    SRW recurrences of ``_srw_closed_form`` run in mpmath."""
     mpmath = pytest.importorskip("mpmath")
-    n = 2000
-    fl = return_sequence(avg_difference_kernel(1), n, mode="float")
     with mpmath.workdps(30):
-        p = [mpmath.mpf(0)] * (n + 2)
-        p[0] = mpmath.mpf(1)
-        for m in range(1, (n + 1) // 2 + 1):
-            p[2 * m] = p[2 * m - 2] * (2 * m - 1) / (2 * m)
+        big = [mpmath.mpf(1), mpmath.mpf(1) / (2 * d)]  # P_m = p_2m
+        for m in range(2, (n + 1) // 2 + 1):
+            if d <= 2:
+                big.append(big[-1] * ((2 * m - 1) / mpmath.mpf(2 * m)) ** d)
+            else:
+                big.append((2 * (2 * m - 1) * (10 * m * m - 10 * m + 3) * big[-1]
+                            - (m - 1) * (2 * m - 1) * (2 * m - 3) * big[-2]) / (36 * m ** 3))
+        p = [big[k // 2] if k % 2 == 0 else mpmath.mpf(0) for k in range(n + 2)]
         num = [2 * p[k] - p[k + 1] for k in range(n + 1)]
         den = [num[k] - (p[k - 1] if k else 0) for k in range(n + 1)]
         x = []
         for k in range(n + 1):
             x.append((num[k] - mpmath.fdot(den[1:k + 1], x[::-1])) / den[0])
-        worst = max(abs(mpmath.mpf(v) - xk) for v, xk in zip(fl.entries, x))
+    return tuple([(-1) ** (v < 0) * F(v.man_exp[0]) * F(2) ** v.man_exp[1] for v in vals]
+                 for vals in (num, den, x))  # man_exp drops the sign
+
+
+def _worst_error(entries, reference) -> Fraction:
+    return max(abs(F(v) - r) for v, r in zip(entries, reference))
+
+
+def test_float_route_matches_mpmath_long_division():
+    n = 2000
+    fl = return_sequence(avg_difference_kernel(1), n, mode="float")
+    worst = _worst_error(fl.entries, _mpmath_avg_diff(1, n)[2])
     assert 0 < fl.error_bound < 1e-10
     assert worst <= fl.error_bound
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_float_route_matches_mpmath_long_division_past_the_split(d):
+    # n = 600 > 512: the inverse and the quotient are FFT products
+    fl = return_sequence(avg_difference_kernel(d), 600, mode="float")
+    worst = _worst_error(fl.entries, _mpmath_avg_diff(d, 600)[2])
+    assert 0 < fl.error_bound < 1e-12
+    assert worst <= fl.error_bound
+
+
+@pytest.mark.parametrize("n", [511, 512, 513, 1024, 1025])
+def test_division_bound_holds_at_the_split(n):
+    fl = return_sequence(avg_difference_kernel(1), n, mode="float")
+    assert _worst_error(fl.entries, _mpmath_avg_diff(1, 2000)[2]) <= fl.error_bound < 1e-10
+
+
+@pytest.mark.parametrize("k", [0, 1, 300, 600])
+def test_residual_bound_covers_a_perturbed_quotient(k):
+    # the bound reads the quotient it is given: a wrong coefficient raises it
+    a, b, x = (vals[:601] for vals in _mpmath_avg_diff(1, 2000))
+    num, den = (_Series(c, _U * np.abs(c))  # each coefficient rounded once
+                for c in (np.array(a, dtype=float), np.array(b, dtype=float)))
+    y = _inverse(den.c)
+    quotient = _mul(num.c, y)
+    assert np.all(_residual_bound(num, den, quotient, y) < 1e-10)
+    quotient[k] += 1e-9
+    bound = _residual_bound(num, den, quotient, y)
+    assert bound[k] >= 1e-9
+    assert all(abs(F(v) - r) <= b for v, r, b in zip(quotient, x, bound))
 
 
 def _srw_exact_even(d: int, m: int) -> Fraction:
@@ -360,6 +408,13 @@ def test_srw_closed_form_within_error_bound(d, n_max):
     for m in [*range(40), *range(40, n_max // 2 + 1, 37), n_max // 2]:
         assert abs(F(seq[2 * m]) - _srw_exact_even(d, m)) <= seq.error_bound
     assert all(seq[n] == 0.0 for n in range(1, n_max + 1, 2))
+
+
+def test_srw_closed_form_d3_pinned():
+    # the d=3 recurrence's values and bounds at the length alpha_return_total uses
+    s = _srw_closed_form(3, 20000)
+    digest = hashlib.sha256(s.c.tobytes() + s.err.tobytes()).hexdigest()[:16]
+    assert digest == "f91bd4f8a222d18e"
 
 
 def test_srw_closed_form_d4_bound_is_infinite():
