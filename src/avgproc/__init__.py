@@ -1,6 +1,6 @@
 """Exact and Monte Carlo laboratory for mass-averaging dynamics on Z^d."""
 
-from .lattice import Box, Point, ball, ball_volume, l1_norm, origin, sphere, sphere_size, unit_vectors
+from .lattice import Box, Point, ball, l1_norm, origin, sphere, unit_vectors
 from .kernels import (
     TransitionKernel,
     avg_difference_kernel,

@@ -80,16 +80,6 @@ class TransitionKernel:
             dens.extend(p.denominator for p in row.values())
         return math.lcm(*dens)
 
-    def symmetry_defect(self, radius: int = 3) -> Fraction:
-        """max |P(x,y) - P(y,x)| over the window B(radius); 0 iff symmetric there."""
-        pts = ball(self.dimension, radius)
-        worst = ZERO
-        for x in pts:
-            for off in self.row(x):
-                y = tuple(a + b for a, b in zip(x, off))
-                worst = max(worst, abs(self.transition(x, y) - self.transition(y, x)))
-        return worst
-
 
 def _stencil(d: int) -> Row:
     """The SRW step: probability 1/(2d) to each unit offset."""
@@ -194,7 +184,7 @@ def difference_kernel_from_pair_rates(d: int, dynamics: str = "averaging") -> Tr
     return TransitionKernel(d, rate, bulk, pert, name=name)
 
 
-#: the kernels by name, for the command line and the float series routes
+#: the kernels by name, for the command line; the float series route reads rows, not names
 KERNELS = {
     "srw": srw_kernel,
     "avg-diff": avg_difference_kernel,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 from typing import Iterator
 
 Point = tuple[int, ...]
@@ -69,23 +68,6 @@ def ball(d: int, r: int) -> list[Point]:
     for k in range(r + 1):
         out.extend(_sphere_iter(d, k))
     return out
-
-
-def ball_volume(d: int, r: int) -> int:
-    """|B_d(r)| by the closed form sum_k 2^k C(d,k) C(r,k).
-
-    Consistent with len(ball(d, r)); the closed form keeps this O(d) for
-    large radii.
-    """
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    return sum(2**k * comb(d, k) * comb(r, k) for k in range(min(d, r) + 1))
-
-
-def sphere_size(d: int, r: int) -> int:
-    if r == 0:
-        return 1
-    return ball_volume(d, r) - ball_volume(d, r - 1)
 
 
 @dataclass(frozen=True)

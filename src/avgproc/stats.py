@@ -256,8 +256,7 @@ def clt_statistic(result: SimulationResult, fn: str = "cos", param: float = 1.0,
 # ---------------------------------------------------------------------------
 
 
-def coupled_pair_mc(d: int, t: float, trials: int, seed: int = 0,
-                    start: tuple[Point, Point] | None = None) -> StatRecord:
+def coupled_pair_mc(d: int, t: float, trials: int, seed: int = 0) -> StatRecord:
     """Gillespie simulation of the coupled pair; estimates Pr(both coincide).
 
     This exercises the continuous-time rate table directly (no
@@ -265,8 +264,6 @@ def coupled_pair_mc(d: int, t: float, trials: int, seed: int = 0,
     sequence is an end-to-end check of the whole chain kernel -> DP ->
     Poissonization against an independent sampler.
     """
-    if start is None:
-        start = (origin(d), origin(d))
     # The rule is translation invariant, outcome order included, so the jump
     # law out of (u, v) is built once per relative position v - u, as moves
     # of both tokens relative to u.
@@ -285,7 +282,7 @@ def coupled_pair_mc(d: int, t: float, trials: int, seed: int = 0,
     hits = 0
     for ss in children:
         rng = np.random.default_rng(ss)
-        u, v = start
+        u = v = origin(d)
         clock = 0.0
         while True:
             moves, total, probs = law(u, v)

@@ -12,12 +12,13 @@ coefficient and multiplies each sum once, so it costs one bigint multiply
 per distinct bulk coefficient and cell (see ``_sequence``). The stored cone
 is cut to the light cone of the recorded cells: a cell that cannot reach
 them within the remaining steps is dropped, which leaves every entry
-unchanged. Float tables take the series route: the SRW return sequence in
-closed form, then the identities ``series.verify_gf_relations`` checks, each
-a power-series division by Newton's iteration, on FFT products above 512
-coefficients; each table carries ``error_bound``, a bound on every entry's
-error taken from the division's residual, proven for d <= 3 and infinite for
-d >= 4.
+unchanged. Float tables take the series route: the rows lump onto a chain on
+the origin O and the unit sphere S when the bulk is the SRW step, only rows in
+the unit ball B_1 differ from it, all unit vectors' rows put the same mass on
+O, on S and past B_1, and that last mass follows the SRW's own law there
+(``_lumped_steps``). Each table is then one division of series in the SRW's
+closed-form return GF, by Newton's iteration on FFT products above 512 terms,
+with an ``error_bound`` from its residual, proven for d <= 3, inf for d >= 4.
 Every table carries its kernel's ``rate``, at which ``poissonized_return``
 mixes it. ``heat_kernel`` is a product of d one-axis cycle kernels, since a
 single dual walker's coordinates are independent, so the exact DP is the
@@ -32,19 +33,21 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
+from itertools import permutations, product
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .kernels import KERNELS, WALK_RATE, TransitionKernel, potlach_kernels, srw_kernel
-from .lattice import Box, Point, check_dimension, origin
+from .kernels import WALK_RATE, TransitionKernel, potlach_kernels, srw_kernel
+from .lattice import Box, Point, check_dimension, origin, unit_vectors
 
 
 class NoSeriesRouteError(ValueError):
-    """A float table was asked for a kernel whose rows match no series route."""
+    """A float table was asked for a kernel whose rows do not lump (``_lumped_steps``)."""
 
 
 class SequenceTooShortError(ValueError):
@@ -112,14 +115,12 @@ class DistVector:
     per-axis Poisson order: each axis mixes 0..step SRW steps. ``tail_bound``
     bounds the mass the truncated mixture leaves out (``_poisson_tail``:
     proven for exactly evaluated weights, which are evaluated to a measured
-    1.7e-11 relative), and ``time`` is the mixture's time.
+    1.7e-11 relative).
     """
 
-    box: Box
     step: int
     data: np.ndarray
     tail_bound: float = 0.0
-    time: float | None = None
 
 
 def float_window_radius(n: int, d: int) -> int:
@@ -339,22 +340,18 @@ def first_passage_sequences(kernel: TransitionKernel, n_max: int,
 
     Exact mode runs one independent DP pass per table: the renewal
     identities the series lab verifies would be circular if r were derived
-    from s or q from r. Float mode derives all three from the SRW closed form
-    through those identities, so float tables never feed the identity suite.
+    from s or q from r. Float mode reads each off the lumped chain on the
+    origin and the unit sphere (``_lumped_formula``), in the SRW closed form,
+    so float tables never feed the identity suite.
     """
     return FirstPassageTables(*(fn(kernel, n_max, mode) for fn in (
         first_return_sequence, sphere_taboo_sequence, sphere_first_return_sequence)))
 
 
 # ---------------------------------------------------------------------------
-# Float tables: the series route. Each is one power-series division in the SRW
-# return GF G, by identities ``series.verify_gf_relations`` checks exactly
-# (renewal theory: Spitzer, Principles of Random Walk). x^ ~ N/D is N times
-# Newton's y ~ 1/D, with products by FFT above ``_SPLIT`` (``_mul``). The bound
-# does not trust that arithmetic: x^ - x = D^-1 (D x^ - N) holds exactly for
-# truncated series, so ``_residual_bound`` bounds the error from the residual
-# N - D x^, taken by direct summation (``_conv``) with Higham's dot product
-# bound (Accuracy and Stability, section 3) and the input errors e_N, e_D.
+# Float tables: the series route. Each is one division x^ ~ N/D (``_lumped_formula``),
+# N times Newton's y ~ 1/D with products by FFT above ``_SPLIT`` (``_mul``), bounded from
+# its residual with Higham's dot product bound (``_residual_bound``; Accuracy and Stability).
 # ---------------------------------------------------------------------------
 
 _U = 2.0 ** -53
@@ -370,10 +367,6 @@ class _Series(NamedTuple):
 
     c: np.ndarray
     err: np.ndarray
-
-    def times(self, k: float) -> "_Series":
-        c = k * self.c
-        return _Series(c, abs(k) * self.err + _U * np.abs(c))
 
 
 _SPLIT = 512  # np.convolve up to this many coefficients
@@ -503,55 +496,92 @@ def _srw_closed_form(d: int, n_max: int) -> _Series:
 
 def srw_return_sequence_float(d: int, n_max: int) -> SequenceTable:
     """SRW return probabilities p_0..p_n_max from the closed form, in floats."""
-    p = _srw_closed_form(d, n_max)
-    return SequenceTable("p", d, 0, p.c.tolist(), exact=False, rate=srw_kernel(d).rate,
-                         error_bound=float(np.max(p.err)))
+    return _float_table(srw_kernel(d), n_max, "p", "p")
 
 
-def _route(kernel: TransitionKernel) -> str:
-    """The family whose rows the kernel has: 'srw', 'avg-diff' or 'potlach-coup'."""
-    for route in ("srw", "avg-diff", "potlach-coup"):
-        ref = KERNELS[route](kernel.dimension)  # built only until one matches
-        if (kernel.bulk, kernel.perturbation) == (ref.bulk, ref.perturbation):
-            return route
-    raise NoSeriesRouteError(f"float mode has no series route for kernel {kernel.name!r} "
-                             "(its rows match none of srw, avg-diff, potlach-coup); "
-                             "use mode='exact'")
+@lru_cache(maxsize=None)
+def _srw_exits(d: int) -> list[tuple[Point, set, Counter]]:
+    """For O and then each unit vector x: the offsets onto B_1, and the SRW's law
+    past B_1 after its next 2 - |x|_1 steps, as the number of paths onto each offset."""
+    ball, exits = (origin(d), *unit_vectors(d)), []
+    for x in ball:
+        inner = {tuple(b - a for a, b in zip(x, y)) for y in ball}
+        sums = (tuple(map(sum, zip(*steps)))
+                for steps in product(ball[1:], repeat=2 - sum(map(abs, x))))
+        exits.append((x, inner, Counter(o for o in sums if o not in inner)))
+    return exits
+
+
+def _lumped_steps(kernel: TransitionKernel) -> tuple[Fraction, ...]:
+    """(a, b, c, beta, g, delta), read off the rows of O and the unit vectors as
+    integers over ``kernel.scale``; NoSeriesRouteError unless the kernel lumps."""
+    exits, scale = _srw_exits(kernel.dimension), kernel.scale
+    lumps = kernel.bulk == srw_kernel(kernel.dimension).bulk and all(
+        sum(map(abs, x)) <= 1 or row == kernel.bulk for x, row in kernel.perturbation.items())
+    numbers = []  # per row, its mass onto O, onto S and past B_1
+    for x, inner, law in exits:
+        ints = {o: p.numerator * (scale // p.denominator) for o, p in kernel.row(x).items()}
+        past = {o: w for o, w in ints.items() if w and o not in inner}
+        total, home, paths = sum(past.values()), ints.get(tuple(-c for c in x), 0), law.total()
+        lumps &= past.keys() <= law.keys() and all(past.get(o, 0) * paths == n * total
+                                                   for o, n in law.items())
+        numbers.append((home, scale - home - total, total))
+    if not lumps or len(set(numbers[1:])) > 1:
+        raise NoSeriesRouteError(f"float mode has no series route for kernel {kernel.name!r}: "
+                                 "its rows do not lump onto the origin and the unit sphere; "
+                                 "use mode='exact'")
+    return tuple(Fraction(w, scale) for w in numbers[0] + numbers[1])
+
+
+@lru_cache(maxsize=None)
+def _lumped_formula(steps: tuple[Fraction, ...], d: int, table: str):
+    """(N, D, lead, factor): the table is lead z + factor N/D (q and s from z^1 on),
+    N, D integer weights on (G, zM, zG, M, 1), M = (G-1)/z^2, z^2 M = G - 1 folded in.
+
+    A walk past B_1 is an SRW until it re-enters, on S, so every excursion has
+    the generating function kappa s: kappa = 2d/(2d-1), s = 1 - G/u the SRW's
+    first return to S, u = 2d M. With Dr = delta kappa G + (1 - delta kappa -
+    g z) u and Ns = -c kappa G + (c kappa + b z) u, renewal theory (Spitzer,
+    Principles of Random Walk) gives r = u/Dr, s = g z + delta kappa (1 - G/u),
+    q = a z + beta z Ns/Dr and p = Dr/((1 - a z) Dr - beta z Ns).
+    """
+    a, b, c, beta, g, delta = steps
+    u = 2 * d
+    A, C = delta * u / (u - 1), c * u / (u - 1)  # delta kappa, c kappa
+    dr = (A, -u * g, 0, u * (1 - A), 0)
+    num, den, lead, factor = {
+        "p": (dr, (A + a * u * g - beta * u * b, -u * g - a * u * (1 - A) - beta * u * C,
+                   beta * C - a * A, u * (1 - A), beta * u * b - a * u * g), 0, 1),
+        "q": ((beta * u * b, beta * u * C, -beta * C, 0, -beta * u * b), dr, a, 1),
+        "r": ((0, 0, 0, u, 0), dr, 0, 1),
+        "s": ((1, 0, 0, 0, 0), (0, 0, 0, u, 0), g, -A),
+    }[table]
+    scale = math.lcm(*(Fraction(w).denominator for w in num + den))
+    return (*(tuple(int(w * scale) for w in x) for x in (num, den)), lead, factor)
+
+
+def _weighted(weights, basis: list[_Series]) -> _Series:
+    """sum_i w_i basis_i for rational w_i, in order, zero weights skipped; gamma_k
+    bounds the k - 1 additions and, unless each w is a power of two, w and w x."""
+    terms = [(w, x) for w, x in zip(weights, basis) if w]
+    k = len(terms) - 1 + 2 * any(abs(math.frexp(w)[0]) != 0.5 for w, _ in terms)
+    c = err = mag = 0.0
+    for w, x in terms:
+        c, err, mag = c + float(w) * x.c, err + abs(float(w)) * x.err, mag + abs(float(w) * x.c)
+    return _Series(c, err + _gamma(k) * mag)
 
 
 def _float_table(kernel: TransitionKernel, n_max: int, table: str, name: str) -> SequenceTable:
-    """Table p, q, r or s through z^n_max by the series route.
-
-    With M = (G-1)/z^2, A = (1-(1-2z)G)/z, B = (1-(1-z)^2 G)/z (A_0 = B_0 = 2):
-    srw: Q = z^2 M/G, R = 2d M/G, S = 1 - G/(2d M) (renewal, skeleton,
-    sphere renewal). avg-diff: G~ = A/B, R~ = 4d M/A, Q~ = z/2 + z^2 M/(2A),
-    S~ = S + z/(4d) (gtilde-from-g, stilde-from-s, the perturbed skeleton and
-    sphere renewal). potlach-coup: G~ = 2G/B (coupling relation),
-    Q~ = 1 - 1/G~ = 1 - B/(2G), R~ = R, S~ = S (the origin is killed before
-    its row is used).
-    """
-    route, d = _route(kernel), kernel.dimension
-    avg, n = route == "avg-diff", max(n_max, 1)
-    g = _srw_closed_form(d, n + 2)
-    p, p1, pm = g.c[: n + 1], g.c[1: n + 2], np.r_[0.0, g.c[:n]]
-    e, e1, em = g.err[: n + 1], g.err[1: n + 2], np.r_[0.0, g.err[:n]]
-    a = 2 * p - p1
-    G, M = _Series(p, e), _Series(g.c[2:], g.err[2:])
-    A = _Series(a, 2 * e + e1 + _U * np.abs(a))
-    B = _Series(a - pm, 2 * e + e1 + em + _gamma(2) * (2 * p + p1 + pm))
-    if table == "p":
-        out = G if route == "srw" else _divide(A, B) if avg else _divide(G.times(2.0), B)
-    elif table == "s" or table == "q" and route == "potlach-coup":
-        y = _divide(G, M.times(2 * d)) if table == "s" else _divide(B.times(0.5), G)
-        out = _Series(0.0 - y.c, y.err)                 # 1 - y; coefficient 0 is unused
-        if avg:
-            out.c[1] += 1.0 / (4 * d)
-            out.err[1] += _gamma(2) * out.c[1]
-    else:
-        x = _divide(M, A if avg else G)
-        h = 0.5 if avg else 1.0
-        out = (x.times(4 * d if avg else 2 * d) if table == "r" else
-               _Series(np.r_[0.0, 1.0 - h, h * x.c[:-2]], np.r_[0.0, 0.0, h * x.err[:-2]]))
+    """Table p, q, r or s through z^n_max: one division, none if D is 1 (the SRW's p)."""
+    d, n = kernel.dimension, max(n_max, 1)
+    num, den, lead, factor = _lumped_formula(_lumped_steps(kernel), d, table)
+    zg = [np.concatenate(([0.0], v)) for v in _srw_closed_form(d, n + 2)]  # z G
+    basis = [*(_Series(zg[0][j: j + n + 1], zg[1][j: j + n + 1]) for j in (1, 2, 0, 3)),
+             *(_Series(np.eye(1, n + 1, j)[0], np.zeros(n + 1)) for j in (0, 1))]
+    out = _weighted(num, basis)  # basis: G, zM, zG, M, 1, z
+    if den != (0, 0, 0, 0, 1):
+        out = _divide(out, _weighted(den, basis))
+    out = _weighted((factor, lead), [out, basis[5]])
     first = 0 if table in "pr" else 1
     return SequenceTable(name, d, first, out.c[first: n_max + 1].tolist(), False, kernel.rate,
                          float(np.max(out.err[first: n_max + 1], initial=0.0)))
@@ -717,4 +747,4 @@ def heat_kernel(d: int, t: float, box: Box, start: Point | None = None,
     data = np.ones(())
     for c in box.wrap(start):
         data = np.multiply.outer(data, np.roll(axis, c))
-    return DistVector(box, n_max, data, tail_bound=d * _poisson_tail(n_max, mu), time=t)
+    return DistVector(n_max, data, tail_bound=d * _poisson_tail(n_max, mu))

@@ -3,7 +3,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from avgproc.lattice import Box, ball, ball_volume, l1_norm, origin, sphere, sphere_size, unit_vectors
+from avgproc.lattice import Box, ball, l1_norm, origin, sphere, unit_vectors
+
+
+def ball_volume(d: int, r: int) -> int:
+    """|B_d(r)| by the closed form sum_k 2^k C(d,k) C(r,k); 0 for r = -1."""
+    return sum(2**k * math.comb(d, k) * math.comb(r, k) for k in range(min(d, r) + 1))
 
 
 def test_l1_norm():
@@ -32,7 +37,7 @@ def test_sphere_is_exact_shell():
             pts = sphere(d, r)
             assert len(set(pts)) == len(pts)
             assert all(l1_norm(p) == r for p in pts)
-            assert len(pts) == sphere_size(d, r)
+            assert len(pts) == ball_volume(d, r) - ball_volume(d, r - 1)
 
 
 def test_ball_volume_matches_enumeration():

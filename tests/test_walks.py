@@ -19,7 +19,9 @@ from avgproc.kernels import (
     srw_kernel,
 )
 from avgproc.lattice import Box, origin, unit_vectors
+from avgproc.series import RationalSeries
 from avgproc.walks import (
+    NoSeriesRouteError,
     PoissonizedValue,
     SequenceTable,
     SequenceTooShortError,
@@ -34,9 +36,10 @@ from avgproc.walks import (
     sphere_taboo_sequence,
     srw_return_sequence_float,
 )
-from avgproc.walks import (_U, _Series, _conv, _inverse, _kernel_box_data, _log_factorial,
-                           _mul, _poisson_pmf, _poisson_tail, _reach, _residual_bound,
-                           _sorts_coordinates, _srw_closed_form)
+from avgproc.walks import (_U, _Series, _conv, _inverse, _kernel_box_data,
+                           _log_factorial, _lumped_formula, _lumped_steps, _mul, _poisson_pmf,
+                           _poisson_tail, _reach, _residual_bound, _sorts_coordinates,
+                           _srw_closed_form)
 
 F = Fraction
 
@@ -435,6 +438,111 @@ def test_float_mode_without_route_raises():
 
 
 # ---------------------------------------------------------------------------
+# The lumped chain: the float route read off the kernel's rows
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lumped_steps_of_the_kernels(d):
+    # (a, b, c, beta, g, delta): from the origin stay, enter the sphere, leave B_1;
+    # from a unit vector enter the origin, stay on the sphere, leave B_1
+    k = 2 * d
+    srw = (0, 1, 0, F(1, k), 0, F(k - 1, k))
+    assert {name: _lumped_steps(KERNELS[name](d)) for name in KERNELS} == {
+        "srw": srw,
+        "potlach-ind": srw,
+        "avg-diff": (F(1, 2), F(1, 2), 0, F(1, 2 * k), F(1, 2 * k), F(k - 1, k)),
+        "potlach-coup": (F(1, 2) + F(1, 2 * k), 0, F(1, 2) - F(1, 2 * k), F(1, k), 0,
+                         F(k - 1, k)),
+    }
+
+
+def _avg_diff_d2_with(move, name):
+    """avg-diff at d=2 with move(e, row) applied to each unit vector's row."""
+    kernel = avg_difference_kernel(2)
+    rows = {x: dict(row) for x, row in kernel.perturbation.items()}
+    for e in unit_vectors(2):
+        move(e, rows[e])
+    return TransitionKernel(2, kernel.rate, kernel.bulk, rows, name=name)
+
+
+def _move(row, src, dst):
+    row[dst] = row.get(dst, F(0)) + row.pop(src)
+
+
+# lumps with avg-diff's six numbers: the reflect move -2e stays on the sphere
+REFLECT_TO_STAY = _avg_diff_d2_with(
+    lambda e, row: _move(row, tuple(-2 * c for c in e), (0, 0)), "reflect-to-stay")
+# lumps with its own numbers: the reflect mass enters the origin
+REFLECT_TO_ORIGIN = _avg_diff_d2_with(
+    lambda e, row: _move(row, tuple(-2 * c for c in e), tuple(-c for c in e)),
+    "reflect-to-origin")
+# symmetric, but the mass past B_1 all goes straight on, off the SRW's law
+PERPENDICULAR_TO_2E = _avg_diff_d2_with(
+    lambda e, row: [_move(row, o, e) for o in unit_vectors(2) if np.dot(o, e) == 0],
+    "perpendicular-to-2e")
+# sign-symmetric, but only the first axis's unit vectors merge their reflect mass
+AXIS_ONE_REFLECT_TO_ORIGIN = _avg_diff_d2_with(
+    lambda e, row: _move(row, tuple(-2 * c for c in e), tuple(-c for c in e)) if e[0] else None,
+    "axis-one-reflect-to-origin")
+
+LUMPED_ORDERS = {1: 30, 2: 20, 3: 12}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lumped_formula_is_exact(d):
+    # the integer weights N, D on G, zM, zG, M and 1 in exact arithmetic on the exact
+    # SRW G: factor N - D (table - lead z) vanishes through z^n against the exact DP.
+    # q and s have no z^0 entry; it is taken from factor N/D there
+    n = LUMPED_ORDERS[d]
+    zg = (0, *return_sequence(srw_kernel(d), n + 2).entries)
+    basis = [RationalSeries(zg[j:], n) for j in (1, 2, 0, 3)] + [RationalSeries((1,), n)]
+    zero = RationalSeries((0,), n)
+    kernels = [KERNELS[name](d) for name in sorted(KERNELS)]
+    for kernel in kernels + [REFLECT_TO_ORIGIN] * (d == 2):
+        for table, fn in TABLE_FNS.items():
+            num, den, lead, factor = _lumped_formula(_lumped_steps(kernel), d, table)
+            N, D = (sum((w * x for w, x in zip(weights, basis)), zero) for weights in (num, den))
+            exact = fn(kernel, n)
+            coeffs = [exact[i] if i >= exact.first_index else 0 for i in range(n + 1)]
+            coeffs[1] -= lead
+            start = factor * N.coeffs[0] / D.coeffs[0]
+            assert exact.first_index == 1 or coeffs[0] == start
+            coeffs[0] = start
+            residual = factor * N - D * RationalSeries(tuple(coeffs), n)
+            assert residual.first_nonzero() is None, (kernel.name, table)
+
+
+def test_srw_return_table_takes_no_division():
+    # the SRW's denominator folds to exactly 1, so its p is the closed form itself
+    for d in (1, 2, 3):
+        num, den, _, _ = _lumped_formula(_lumped_steps(srw_kernel(d)), d, "p")
+        assert (num, den) == ((1, 0, 0, 0, 0), (0, 0, 0, 0, 1))
+        fl, closed = return_sequence(srw_kernel(d), 300, mode="float"), _srw_closed_form(d, 300)
+        assert (fl.entries, fl.error_bound) == (closed.c.tolist(), np.max(closed.err))
+
+
+@pytest.mark.parametrize("kernel", [REFLECT_TO_STAY, REFLECT_TO_ORIGIN], ids=lambda k: k.name)
+def test_float_route_reads_a_lumped_kernel_off_its_rows(kernel):
+    steps = _lumped_steps(kernel)
+    assert (steps == _lumped_steps(avg_difference_kernel(2))) == (kernel is REFLECT_TO_STAY)
+    for fn in TABLE_FNS.values():
+        fl, ex = fn(kernel, PROPERTY_N, mode="float"), fn(kernel, PROPERTY_N)
+        assert _worst_error(fl.entries, ex.entries) <= fl.error_bound <= 1e-12
+
+
+@pytest.mark.parametrize("kernel", [PERPENDICULAR_TO_2E, AXIS_ONE_REFLECT_TO_ORIGIN, LONG_JUMP],
+                         ids=lambda k: k.name)
+def test_float_route_refuses_a_kernel_that_does_not_lump(kernel):
+    # off the SRW's law past B_1; unit vectors with different numbers; a row past B_1
+    for fn in (*TABLE_FNS.values(), first_passage_sequences):
+        with pytest.raises(NoSeriesRouteError, match="do not lump.*mode='exact'"):
+            fn(kernel, 4, mode="float")
+    # the exact DP still runs on it
+    assert return_sequence(kernel, 6).entries == reference_tables(kernel, 6)[0]
+
+
+# ---------------------------------------------------------------------------
 # SequenceTable plumbing
 # ---------------------------------------------------------------------------
 
@@ -650,7 +758,6 @@ def test_heat_kernel_matches_bessel_d1():
     hk = heat_kernel(1, t, Box(1, 40))
     for x in range(-6, 7):
         assert hk.data[x + 40] == pytest.approx(float(ive(abs(x), t / 2)), rel=1e-10)
-    assert hk.time == t
     assert hk.tail_bound <= 1e-12
     assert np.sum(hk.data) == pytest.approx(1.0, abs=1e-11)
 
