@@ -61,7 +61,7 @@ TRIALS = Option(int, 1000, "number of trials", low=2)
 ORDER = Option(int, 48, "truncation order", low=0)
 #: the options every command takes
 OUTPUT = dict(
-    seed=Option(int, 0, "master seed"),
+    seed=Option(int, 0, "master seed", low=0),
     out=Option(str, None, "CSV output path (default: stdout)"),
     json_summary=Option(None, False, "print a one-line JSON summary to stdout"),
 )

@@ -13,9 +13,13 @@ edges (or vertices). Given the count, the ring times are sorted uniforms
 independent of the marks (the order-statistics representation of the
 superposed Poisson processes). Only the order of events matters for the
 final field, so the simulator draws counts and marks and never times; the
-sampled event sequence is exact in distribution. Trials are seeded from
-spawned SeedSequence children, each consumed in the same order as
+sampled event sequence is exact in distribution. Trial i is seeded from the
+i-th spawned child of SeedSequence(seed), consumed in the same order as
 ``EventSchedule.sample``, so any single trial can be reproduced in isolation.
+The children themselves are never built: ``_trial_states`` derives the PCG64
+seed words of a whole chunk of children in one vectorised pass, and they
+equal those ``spawn``'s children give (3 us a trial, against 22 us for a
+SeedSequence child and ``default_rng``).
 
 One engine, ``run_events``, applies the events of every trial in lockstep.
 It holds all trials in one flat buffer of trials x (n_sites + 1) entries,
@@ -61,17 +65,18 @@ and each share is chunked as above (on two cores criterion 6 runs two shares
 of two chunks of 2500). Shares 1.. run in forked worker processes and share 0
 in the calling one; each writes its trials straight into the anonymous
 shared ``mmap`` that backs the float fields, so nothing is sent back. The
-process that runs trial i builds the i-th spawned child itself, so the
+process that runs trial i derives trial i's seed words itself, so the
 fields are bitwise the same on any number of cores. Exact runs stay in one
 process: their Fraction fields cannot live in shared memory. Fork and join
-cost about 3 ms, and seeding a trial about 30 us in whichever process runs
-it, so the trials, not the expected events, decide whether a split pays.
-Every process pays the fixed cost of every step, so few trials over many
+cost about 3 ms, and seeding a trial about 3 us in whichever process runs
+it. Every process pays the fixed cost of every step, so few trials over many
 steps gain little: on the 2-vCPU VM above (medians of 9-11 alternating runs,
 one process against two) at t=400, 20 trials (shares of 10) took 94 -> 114
 ms, 40 trials (shares of 20) 114 -> 121 ms, 60 (shares of 30) 145 -> 131 ms,
 100 (shares of 50) 173 -> 152 ms and 200 trials 238 -> 204 ms. Hence the
-floor.
+floor. Short runs still lose: at d=1, t=16 (medians of 8, six rounds),
+100 trials took 2.4-4.3 ms in one process and 5.5-11.8 ms in two, 200 trials
+6.0-6.8 and 7.5-16.3 ms.
 
 The default torus is the smallest whose wrap-around bound ``wrap_bound`` is
 at most ``WRAP_TOL``; ``default_box_radius`` states the bound and its proof.
@@ -83,6 +88,7 @@ import mmap
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -178,6 +184,8 @@ class ExperimentConfig:
             raise ValueError(f"t must be finite and >= 0, got {self.t}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.dynamics not in DYNAMICS:
             raise ValueError(f"dynamics must be one of {DYNAMICS}")
         if self.mode not in ("float", "exact"):
@@ -239,18 +247,18 @@ def _draw_stream(rng: np.random.Generator, n: int, n_marks: int) -> np.ndarray:
     return rng.integers(0, n_marks, size=n, dtype=np.int64)
 
 
-def _padded_marks(seeds: list[np.random.SeedSequence], mu: float, pad: int) -> np.ndarray:
-    """Padded (n_steps, trials) mark matrix with one column per seed.
+def _padded_marks(rngs: list[np.random.Generator], mu: float, pad: int) -> np.ndarray:
+    """Padded (n_steps, trials) mark matrix with one column per generator.
 
     Every count is drawn first, so the matrix is allocated once at the
     largest of them, and each stream is then drawn straight into its column.
     Each generator still draws its count and then its marks, so every column
-    is the stream ``EventSchedule.sample`` draws from the same seed. Marks are
-    stored in the smallest unsigned type that holds the padding mark ``pad``,
-    trial-major: the matrix is the transposed view of a C-contiguous
-    (trials, n_steps) one, so each stream is written to contiguous memory.
+    is the stream ``EventSchedule.sample`` draws from the same generator.
+    Marks are stored in the smallest unsigned type that holds the padding
+    mark ``pad``, trial-major: the matrix is the transposed view of a
+    C-contiguous (trials, n_steps) one, so each stream is written to
+    contiguous memory.
     """
-    rngs = [np.random.default_rng(ss) for ss in seeds]
     counts = [_draw_count(rng, mu) for rng in rngs]
     marks = np.full((len(rngs), max(counts)), pad, dtype=np.min_scalar_type(pad))
     for row, rng, n in zip(marks, rngs, counts):
@@ -395,11 +403,73 @@ def _worker_count(trials: int, exact: bool) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), trials // MIN_SHARE_TRIALS))
 
 
-def _children(seeds: np.random.SeedSequence, lo: int, hi: int) -> list[np.random.SeedSequence]:
-    """Children lo..hi-1 of ``seeds``: the entries lo.. of ``seeds.spawn(hi)``,
-    built without spawning (or holding) the children before lo."""
-    return [np.random.SeedSequence(seeds.entropy, spawn_key=seeds.spawn_key + (i,),
-                                   pool_size=seeds.pool_size) for i in range(lo, hi)]
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43b0d7e5, 0x931e8875, 0x8b51f9dd, 0x58f38ded
+_MIX_L, _MIX_R = 0xca01f9dd, 0x4973f715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hashmix(words: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """One step of SeedSequence's hash over uint32 words: the hashed words and
+    the next hash constant, a Python int that depends only on the step count."""
+    const_next = const * mult & _MASK32
+    words = (words ^ np.uint32(const)) * np.uint32(const_next)
+    return words ^ words >> np.uint32(16), const_next
+
+
+def _trial_states(seed: int, lo: int, hi: int) -> np.ndarray:
+    """Row i - lo is ``SeedSequence(seed).spawn(hi)[i].generate_state(4, np.uint64)``.
+
+    Child i's entropy is the seed's w 32-bit words, zero-padded to the pool
+    size 4, then the spawn word i. Its pool is therefore the parent's
+    mixed pool with i mixed into each of the four words, after the
+    4 + 12 + 4 max(0, w - 4) hash steps the parent took. The hash constants
+    never read the data, so they run as Python ints; the spawn words, the
+    mix and ``generate_state``'s output hash run in uint32 arithmetic over
+    every trial at once. Precondition: seed >= 0 and hi <= 2**32, so that
+    i is one spawn word.
+    """
+    words = max(1, -(-int(seed).bit_length() // 32))
+    const = _INIT_A
+    for _ in range(4 + 12 + 4 * max(0, words - 4)):
+        const = const * _MULT_A & _MASK32
+    spawn = np.arange(lo, hi, dtype=np.uint32)
+    pool = []
+    for word in np.random.SeedSequence(seed).pool:
+        hashed, const = _hashmix(spawn, const, _MULT_A)
+        mixed = np.uint32(_MIX_L * int(word) & _MASK32) - hashed * np.uint32(_MIX_R)
+        pool.append(mixed ^ mixed >> np.uint32(16))
+    state, const = np.empty((hi - lo, 8), dtype=np.uint32), _INIT_B
+    for k in range(8):
+        state[:, k], const = _hashmix(pool[k % 4], const, _MULT_B)
+    # generate_state reads the uint32 words pairwise as little-endian uint64
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@lru_cache(maxsize=None)
+def _seed_words() -> type:
+    """The ``ISeedSequence`` that hands a bit generator one precomputed
+    ``generate_state(4, np.uint64)`` row. It is built on first use because
+    ``numpy.random`` loads lazily, and loading it costs about 15 ms and 6 MB
+    that commands which never draw need not pay."""
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return SeedWords
+
+
+def trial_generators(seed: int, lo: int, hi: int) -> list[np.random.Generator]:
+    """Generators of trials lo..hi-1. Trial i's generator draws the stream
+    that ``default_rng`` draws from ``SeedSequence(seed).spawn(hi)[i]``: its
+    PCG64 seeds itself from the same words (``_trial_states``)."""
+    seed_words = _seed_words()
+    return [np.random.Generator(np.random.PCG64(seed_words(s)))
+            for s in _trial_states(seed, lo, hi)]
 
 
 def _fork_shares(run_share, workers: int) -> None:
@@ -439,13 +509,12 @@ def simulate(config: ExperimentConfig) -> SimulationResult:
     """Run ``config.trials`` independent trials from the point-mass start.
 
     Deterministic in the config: trial i is driven by the i-th spawned child
-    of SeedSequence(config.seed) in both modes, so exact and float runs with
-    the same seed see identical event streams. The fields do not depend on
-    how many cores the run is split over.
+    of SeedSequence(config.seed) in both modes (``trial_generators``), so
+    exact and float runs with the same seed see identical event streams. The
+    fields do not depend on how many cores the run is split over.
     """
     box = config.box
     exact = config.mode == "exact"
-    seeds = np.random.SeedSequence(config.seed)
     mu = EventSchedule.total_rate(box, config.dynamics) * config.t
     shape = (config.trials,) + (box.side,) * box.dimension
     if exact:
@@ -464,8 +533,9 @@ def simulate(config: ExperimentConfig) -> SimulationResult:
             lo, hi = start + lo, start + hi
             # no name holds the marks, so they are freed before the next chunk
             # allocates its own
-            fields[lo:hi] = run_events(box, config.dynamics,
-                                       _padded_marks(_children(seeds, lo, hi), mu, pad), exact)
+            fields[lo:hi] = run_events(
+                box, config.dynamics,
+                _padded_marks(trial_generators(config.seed, lo, hi), mu, pad), exact)
 
     if workers == 1:
         run_share(0)

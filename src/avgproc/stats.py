@@ -17,7 +17,7 @@ import numpy as np
 
 from .kernels import WALK_RATE, avg_difference_kernel, pair_transition_rates, potlach_kernels
 from .lattice import Point, ball, origin
-from .simulate import SimulationResult
+from .simulate import SimulationResult, trial_generators
 from .walks import heat_kernel, poissonized_return, return_sequence
 
 
@@ -278,10 +278,8 @@ def coupled_pair_mc(d: int, t: float, trials: int, seed: int = 0) -> StatRecord:
             laws[rel] = list(rates), total, weights / total
         return laws[rel]
 
-    children = np.random.SeedSequence(seed).spawn(trials)
     hits = 0
-    for ss in children:
-        rng = np.random.default_rng(ss)
+    for rng in trial_generators(seed, 0, trials):
         u = v = origin(d)
         clock = 0.0
         while True:

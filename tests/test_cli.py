@@ -219,6 +219,9 @@ def test_tolerance_flag_errors(capsys):
     (["accept", "--quick", "--tol.c6-z", "nan"], "--tol.c6-z must be finite, got 'nan'"),
     (["potlach", "--tol.c8-lo=nan"], "--tol.c8-lo must be finite, got 'nan'"),
     (["simulate", "--tol.c6-mf-se=-inf"], "--tol.c6-mf-se must be finite, got '-inf'"),
+    (["simulate", "--t", "1", "--trials", "3", "--seed", "-1"], "--seed must be >= 0"),
+    (["clt", "--t", "4", "--trials", "5", "--seed", "-1"], "--seed must be >= 0"),
+    (["walk-dp", "--seed", "-1"], "--seed must be >= 0"),
 ], ids=["asymptotics-steps-1", "asymptotics-steps-3", "walk-dp-steps-neg",
         "walk-dp-float-steps-neg", "simulate-trials-1", "clt-trials-1",
         "walk-dp-d-0", "walk-dp-d-neg", "walk-dp-srw-d-0", "series-verify-d-0",
@@ -230,7 +233,8 @@ def test_tolerance_flag_errors(capsys):
         "unknown-tolerance", "walk-dp-unread-tolerance", "clt-unread-tolerance",
         "simulate-unread-tolerance", "potlach-unread-tolerances",
         "simulate-t-nan", "simulate-t-inf", "clt-t-nan", "clt-t-inf", "clt-param-nan",
-        "clt-window-inf", "accept-tol-nan", "potlach-tol-nan", "simulate-tol-neg-inf"])
+        "clt-window-inf", "accept-tol-nan", "potlach-tol-nan", "simulate-tol-neg-inf",
+        "simulate-seed-neg", "clt-seed-neg", "walk-dp-seed-neg"])
 def test_out_of_range_options_are_usage_errors(argv, message, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()

@@ -28,10 +28,12 @@ from avgproc.simulate import (
     SimulationResult,
     _chunk_bounds,
     _padded_marks,
+    _trial_states,
     _worker_count,
     default_box_radius,
     run_events,
     simulate,
+    trial_generators,
     wrap_bound,
 )
 
@@ -70,7 +72,7 @@ def run_one(box, dynamics, marks, exact=False):
 
 def test_config_validation():
     for kwargs in [dict(dimension=0), dict(t=-1.0), dict(t=math.nan), dict(t=math.inf),
-                   dict(trials=0),
+                   dict(trials=0), dict(seed=-1),
                    dict(dynamics="exclusion"), dict(mode="decimal")]:
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
@@ -227,7 +229,8 @@ def test_padded_marks_are_a_transposed_trial_major_matrix():
     box, t, dynamics = Box(2, 3), 3.0, "averaging"
     pad = EventSchedule.n_marks(box, dynamics)
     children = np.random.SeedSequence(5).spawn(4)
-    marks = _padded_marks(children, EventSchedule.total_rate(box, dynamics) * t, pad)
+    marks = _padded_marks([np.random.default_rng(ss) for ss in children],
+                          EventSchedule.total_rate(box, dynamics) * t, pad)
     # each stream was written to one contiguous row of a (trials, n_steps) matrix
     assert marks.base.shape == (4, len(marks)) and marks.base.flags.c_contiguous
     assert marks.base.T.base is marks.base and np.array_equal(marks.base.T, marks)
@@ -239,6 +242,30 @@ def test_padded_marks_are_a_transposed_trial_major_matrix():
         assert np.array_equal(marks[:len(stream), i], stream)
         assert np.all(marks[len(stream):, i] == pad)
     assert min(lengths) < max(lengths) == len(marks)  # some column is padded
+
+
+# 1, 1, 1, 2, 4 and 5 entropy words
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**96, 2**128 + 1)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("lo,hi", [(0, 1), (0, 3000), (2995, 3000)])
+def test_trial_states_are_the_spawned_childrens(seed, lo, hi):
+    states = _trial_states(seed, lo, hi)
+    assert states.dtype == np.uint64 and states.shape == (hi - lo, 4)
+    children = np.random.SeedSequence(seed).spawn(hi)[lo:]
+    assert np.array_equal(states, [ss.generate_state(4, np.uint64) for ss in children])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_trial_generators_draw_the_spawned_childrens_streams(seed):
+    mu = EventSchedule.total_rate(Box(1, 39), "averaging") * 64.0
+    children = np.random.SeedSequence(seed).spawn(2999)
+    rngs = trial_generators(seed, 0, 2) + trial_generators(seed, 2998, 2999)
+    for i, rng in zip((0, 1, 2998), rngs):
+        ref = np.random.default_rng(children[i])
+        assert rng.poisson(mu) == ref.poisson(mu)
+        assert np.array_equal(rng.integers(0, 79, 5000), ref.integers(0, 79, 5000))
 
 
 def test_event_rates():
@@ -593,6 +620,16 @@ def test_one_process_run_does_not_import_multiprocessing():
     code = ("import sys; from avgproc.simulate import ExperimentConfig, simulate; "
             "simulate(ExperimentConfig(t=16.0, trials=50)); "
             "print('multiprocessing' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_import_does_not_load_numpy_random():
+    # numpy.random costs about 15 ms and 6 MB to load; commands that never draw
+    # (series-verify, walk-dp, asymptotics) need not pay it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import sys, avgproc.cli; print('numpy.random' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code],
                          env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
