@@ -17,7 +17,6 @@ from .walks import (
     SequenceTooShortError,
     first_passage_sequences,
     first_return_sequence,
-    float_window_radius,
     heat_kernel,
     poissonized_return,
     return_sequence,

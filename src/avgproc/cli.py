@@ -59,9 +59,10 @@ KERNEL = Option(str, "avg-diff", "walk kernel", choices=KERNELS)
 STEPS = Option(int, 32, "largest step index", low=0)
 TRIALS = Option(int, 1000, "number of trials", low=2)
 ORDER = Option(int, 48, "truncation order", low=0)
+#: the master seed, on the commands that draw random numbers; the others write ``seed=`` empty
+SEED = Option(int, 0, "master seed", low=0)
 #: the options every command takes
 OUTPUT = dict(
-    seed=Option(int, 0, "master seed", low=0),
     out=Option(str, None, "CSV output path (default: stdout)"),
     json_summary=Option(None, False, "print a one-line JSON summary to stdout"),
 )
@@ -73,7 +74,7 @@ OPTIONS = {
         box_radius=Option(int, None, f"torus radius (default: the smallest whose "
                                      f"wrap-around bound is <= {WRAP_TOL:g})", low=1),
         dump_field=Option(str, None, "also write the mean field as a per-site CSV"),
-        **OUTPUT),
+        seed=SEED, **OUTPUT),
     "walk-dp": dict(
         d=D, kernel=KERNEL, steps=STEPS, mode=MODE._replace(default="exact"),
         tables=Option(str, "p", "comma list from p,q,r,s (default p)"), **OUTPUT),
@@ -88,13 +89,14 @@ OPTIONS = {
         trials=TRIALS._replace(default=100),
         fn=Option(str, "cos", "test function", choices=TEST_FUNCTIONS),
         param=Option(float, 1.0, "test-function parameter"),
-        window=Option(float, 0.05, "|stat - limit| window to count", low=0), **OUTPUT),
+        window=Option(float, 0.05, "|stat - limit| window to count", low=0),
+        seed=SEED, **OUTPUT),
     "potlach": dict(
         d=D, order=ORDER._replace(help="relation truncation order"), **OUTPUT),
     # the suite fixes its own dimensions and modes
     "accept": dict(
         OUTPUT, quick=Option(None, False, "reduced sizes for a fast end-to-end check"),
-        seed=OUTPUT["seed"]._replace(default=acceptance.DEFAULT_SEED)),
+        seed=SEED._replace(default=acceptance.DEFAULT_SEED)),
 }
 
 
@@ -234,7 +236,7 @@ def _hashable(opts: dict) -> dict:
 
 def _emit(opts, columns, rows, comments=()) -> None:
     text = reporting.write_csv(opts["out"], columns, rows,
-                               seed=opts["seed"],
+                               seed=opts.get("seed", ""),
                                config=_hashable(opts), comments=comments)
     if opts["out"] is None:
         sys.stdout.write(text)

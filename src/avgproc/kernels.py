@@ -43,7 +43,11 @@ class TransitionKernel:
 
     bulk maps offsets to probabilities and applies at every site not listed
     in ``perturbation``; perturbed rows map absolute sites to their own
-    offset distributions.
+    offset distributions. The integer stencil is built with the kernel:
+    ``scale`` is the smallest m with m*P(x, .) integral for every row, and
+    ``int_bulk`` and ``int_perturbation`` hold the rows' nonzero entries as
+    integers over it (``int_row``). Integer-scaled DP stores step-n
+    numerators against denominator m**n.
     """
 
     dimension: int
@@ -51,6 +55,9 @@ class TransitionKernel:
     bulk: Row
     perturbation: dict[Point, Row] = field(default_factory=dict)
     name: str = "kernel"
+    scale: int = field(init=False, compare=False, repr=False)
+    int_bulk: dict[Point, int] = field(init=False, compare=False, repr=False)
+    int_perturbation: dict[Point, dict[Point, int]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         check_dimension(self.dimension)
@@ -59,26 +66,21 @@ class TransitionKernel:
         _check_row(f"{self.name} bulk", self.bulk)
         for site, row in self.perturbation.items():
             _check_row(f"{self.name} site {site}", row)
+        rows = (self.bulk, *self.perturbation.values())
+        scale = math.lcm(*(p.denominator for row in rows for p in row.values()))
+        ints = [{o: p.numerator * (scale // p.denominator) for o, p in row.items() if p}
+                for row in rows]
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "int_bulk", ints[0])
+        object.__setattr__(self, "int_perturbation", dict(zip(self.perturbation, ints[1:])))
 
     def row(self, site: Point) -> Row:
         """The offset distribution used when the walk sits at ``site``."""
         return self.perturbation.get(site, self.bulk)
 
-    def transition(self, x: Point, y: Point) -> Fraction:
-        """Single-step probability P(x, y)."""
-        off = tuple(b - a for a, b in zip(x, y))
-        return self.row(x).get(off, ZERO)
-
-    @property
-    def scale(self) -> int:
-        """Smallest integer m with m*P(x, .) integral for every row.
-
-        Integer-scaled DP stores step-n numerators against denominator m**n.
-        """
-        dens = [p.denominator for p in self.bulk.values()]
-        for row in self.perturbation.values():
-            dens.extend(p.denominator for p in row.values())
-        return math.lcm(*dens)
+    def int_row(self, site: Point) -> dict[Point, int]:
+        """``row(site)``'s nonzero entries as integers over ``scale``."""
+        return self.int_perturbation.get(site, self.int_bulk)
 
 
 def _stencil(d: int) -> Row:

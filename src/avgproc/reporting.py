@@ -1,9 +1,10 @@
 """Deterministic CSV artifacts.
 
 Every artifact starts with one comment line carrying the package version,
-the master seed, and a hash of the generating configuration, followed by a
-plain comma-separated table with a header row. Floats are written with
-repr() so reruns of the same config are byte-identical and values round-trip.
+the master seed, where the command draws one (else empty), and a hash of the
+generating configuration, followed by a plain comma-separated table with a
+header row. Floats are written with repr() so reruns of the same config are
+byte-identical and values round-trip.
 """
 from __future__ import annotations
 

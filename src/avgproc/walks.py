@@ -6,28 +6,29 @@ distribution used here is invariant under sign flips and permutations of the
 coordinates; the rows must be invariant under sign flips, and when they are
 also invariant under permutations the cells are x_1 >= ... >= x_d >= 0,
 otherwise |x| (``_sorts_coordinates``). Values are integer numerators scaled
-by ``kernel.scale`` per step. A step gathers each cell's bulk sources through
-one index array per bulk offset, adds up the gathers that share a
-coefficient and multiplies each sum once, so it costs one bigint multiply
-per distinct bulk coefficient and cell (see ``_sequence``). The stored cone
-is cut to the light cone of the recorded cells: a cell that cannot reach
-them within the remaining steps is dropped, which leaves every entry
-unchanged. Float tables take the series route: the rows lump onto a chain on
-the origin O and the unit sphere S when the bulk is the SRW step, only rows in
-the unit ball B_1 differ from it, all unit vectors' rows put the same mass on
-O, on S and past B_1, and that last mass follows the SRW's own law there
-(``_lumped_steps``). Each table is then one division of series in the SRW's
-closed-form return GF, by Newton's iteration on FFT products above 512 terms,
-with an ``error_bound`` from its residual, proven for d <= 3, inf for d >= 4.
-Every table carries its kernel's ``rate``, at which ``poissonized_return``
-mixes it. ``heat_kernel`` is a product of d one-axis cycle kernels, since a
-single dual walker's coordinates are independent, so the exact DP is the
-only d-dimensional stepper. Poisson weights are exp(k log mu - log k! - mu),
-with log k! from Cephes' Stirling formula (``_log_factorial``), so they
-equal ``scipy.stats.poisson.pmf``'s bit for bit; for mu <= 4000 each was
-within a measured 1.7e-11 relative of its exact value. Poisson tails are a
-proven ratio bound (``_poisson_tail``), so the package needs no scipy at run
-time.
+by ``kernel.scale`` per step; the kernel is built with its rows as integers
+over that scale (``TransitionKernel.int_row``), and both routes read them. A
+step gathers each cell's bulk sources through one index array per bulk
+offset, adds up the gathers that share a coefficient and multiplies each sum
+once, so it costs one bigint multiply per distinct bulk coefficient and cell
+(see ``_sequence``). The stored cone is cut to the light cone of the
+recorded cells: a cell that cannot reach them within the remaining steps is
+dropped, which leaves every entry unchanged. Float tables take the series
+route: the rows lump onto a chain on the origin O and the unit sphere S when
+the bulk is the SRW step, only rows in the unit ball B_1 differ from it, all
+unit vectors' rows put the same mass on O, on S and past B_1, and that last
+mass follows the SRW's own law there (``_lumped_steps``). Each table is then
+one division of series in the SRW's closed-form return GF, by Newton's
+iteration on FFT products above 512 terms, with an ``error_bound`` from its
+residual, proven for d <= 3, inf for d >= 4. Every table carries its kernel's
+``rate``, at which ``poissonized_return`` mixes it. ``heat_kernel`` is a
+product of d one-axis cycle kernels, since a single dual walker's coordinates
+are independent, so the exact DP is the only d-dimensional stepper. Poisson
+weights are exp(k log mu - log k! - mu), with log k! from Cephes' Stirling
+formula (``_log_factorial``), so they equal ``scipy.stats.poisson.pmf``'s bit
+for bit; for mu <= 4000 each was within a measured 1.7e-11 relative of its
+exact value. Poisson tails are a proven ratio bound (``_poisson_tail``), so
+the package needs no scipy at run time.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .kernels import WALK_RATE, TransitionKernel, potlach_kernels, srw_kernel
-from .lattice import Box, Point, check_dimension, origin, unit_vectors
+from .lattice import Box, Point, check_dimension, l1_norm, origin, unit_vectors
 
 
 class NoSeriesRouteError(ValueError):
@@ -111,14 +112,12 @@ class FirstPassageTables(NamedTuple):
 class DistVector:
     """The heat kernel on a torus box, as ``heat_kernel`` returns it.
 
-    ``data`` is indexed by coordinates shifted by +L. ``step`` is the
-    per-axis Poisson order: each axis mixes 0..step SRW steps. ``tail_bound``
-    bounds the mass the truncated mixture leaves out (``_poisson_tail``:
-    proven for exactly evaluated weights, which are evaluated to a measured
-    1.7e-11 relative).
+    ``data`` is indexed by coordinates shifted by +L. ``tail_bound`` bounds
+    the mass the truncated mixture leaves out (``_poisson_tail``: proven for
+    exactly evaluated weights, which are evaluated to a measured 1.7e-11
+    relative).
     """
 
-    step: int
     data: np.ndarray
     tail_bound: float = 0.0
 
@@ -153,19 +152,8 @@ def _reach(kernel: TransitionKernel) -> int:
     return reach
 
 
-def _kernel_box_data(kernel: TransitionKernel):
-    """(scale, bulk row, per-site corrections to it), integers scaled by ``kernel.scale``."""
-    scale, zero = kernel.scale, Fraction(0)
-    bulk = {o: int(p * scale) for o, p in kernel.bulk.items()}
-    deltas = {site: {o: int((row.get(o, zero) - kernel.bulk.get(o, zero)) * scale)
-                     for o in set(row) | set(kernel.bulk)
-                     if row.get(o, zero) != kernel.bulk.get(o, zero)}
-              for site, row in kernel.perturbation.items()}
-    return scale, bulk, deltas
-
-
-def _sorts_coordinates(name: str, bulk: dict, deltas: dict) -> bool:
-    """Whether the rows (``_kernel_box_data``) are invariant under coordinate
+def _sorts_coordinates(kernel: TransitionKernel) -> bool:
+    """Whether the kernel's integer rows are invariant under coordinate
     permutations, so that one cell per orbit is x_1 >= ... >= x_d >= 0 rather
     than |x|.
 
@@ -173,14 +161,16 @@ def _sorts_coordinates(name: str, bulk: dict, deltas: dict) -> bool:
     and permutations, so a pass keeps the part of that group the rows keep.
     Rows that sign flips change raise ValueError, naming the kernel.
     """
+    bulk, rows = kernel.int_bulk, kernel.int_perturbation
+
     def invariant(g) -> bool:  # g: a signed permutation of the coordinates
         def image(row: dict) -> dict:
             return {g(o): c for o, c in row.items()}
-        return image(bulk) == bulk and deltas == {g(s): image(r) for s, r in deltas.items()}
+        return image(bulk) == bulk and rows == {g(s): image(r) for s, r in rows.items()}
 
-    d = len(next(iter(bulk)))
+    d = kernel.dimension
     if not all(invariant(lambda p, i=i: p[:i] + (-p[i],) + p[i + 1:]) for i in range(d)):
-        raise ValueError(f"exact DP: the rows of kernel {name!r} are not "
+        raise ValueError(f"exact DP: the rows of kernel {kernel.name!r} are not "
                          "invariant under coordinate sign flips")
     return all(invariant(lambda p, i=i: p[:i] + (p[i + 1], p[i]) + p[i + 2:])
                for i in range(d - 1))
@@ -247,8 +237,8 @@ def _sequence(kernel: TransitionKernel, n_max: int, mode: str, table: str) -> Se
     if _growth(kernel) > 1:  # the stored cone grows one cell per step
         raise ValueError(f"exact DP: bulk offset {max(kernel.bulk, key=_linf)} "
                          "is longer than one cell")
-    scale, bulk, deltas = _kernel_box_data(kernel)
-    sort = _sorts_coordinates(kernel.name, bulk, deltas)
+    scale, bulk = kernel.scale, kernel.int_bulk
+    sort = _sorts_coordinates(kernel)
     reach, w = _reach(kernel), int(table in "rs")
     far = max((_linf(tuple(a + b for a, b in zip(site, o)))
                for site, row in kernel.perturbation.items() for o in row), default=0)
@@ -263,8 +253,9 @@ def _sequence(kernel: TransitionKernel, n_max: int, mode: str, table: str) -> Se
     gathers = [(c, np.array([cone.rank(cone.cells - o) for o in offsets]))
                for c, offsets in groups.items()]
     pushes: dict[tuple[int, int], int] = {}  # (source cell, target cell) -> coefficient
-    moves = [(site, tuple(a + b for a, b in zip(site, o)), c)
-             for site, delta in deltas.items() for o, c in delta.items()]
+    moves = [(site, tuple(a + b for a, b in zip(site, o)), row.get(o, 0) - bulk.get(o, 0))
+             for site, row in kernel.int_perturbation.items() for o in row.keys() | bulk.keys()
+             if row.get(o, 0) != bulk.get(o, 0)]
     if moves:
         sites, targets, _ = zip(*moves)
         for src, tgt, (_, target, c) in zip(cone.rank(sites).tolist(),
@@ -507,21 +498,21 @@ def _srw_exits(d: int) -> list[tuple[Point, set, Counter]]:
     for x in ball:
         inner = {tuple(b - a for a, b in zip(x, y)) for y in ball}
         sums = (tuple(map(sum, zip(*steps)))
-                for steps in product(ball[1:], repeat=2 - sum(map(abs, x))))
+                for steps in product(ball[1:], repeat=2 - l1_norm(x)))
         exits.append((x, inner, Counter(o for o in sums if o not in inner)))
     return exits
 
 
 def _lumped_steps(kernel: TransitionKernel) -> tuple[Fraction, ...]:
-    """(a, b, c, beta, g, delta), read off the rows of O and the unit vectors as
-    integers over ``kernel.scale``; NoSeriesRouteError unless the kernel lumps."""
+    """(a, b, c, beta, g, delta), read off the integer rows of O and the unit
+    vectors (``TransitionKernel.int_row``); NoSeriesRouteError unless the kernel lumps."""
     exits, scale = _srw_exits(kernel.dimension), kernel.scale
     lumps = kernel.bulk == srw_kernel(kernel.dimension).bulk and all(
-        sum(map(abs, x)) <= 1 or row == kernel.bulk for x, row in kernel.perturbation.items())
+        l1_norm(x) <= 1 or row == kernel.bulk for x, row in kernel.perturbation.items())
     numbers = []  # per row, its mass onto O, onto S and past B_1
     for x, inner, law in exits:
-        ints = {o: p.numerator * (scale // p.denominator) for o, p in kernel.row(x).items()}
-        past = {o: w for o, w in ints.items() if w and o not in inner}
+        ints = kernel.int_row(x)
+        past = {o: w for o, w in ints.items() if o not in inner}
         total, home, paths = sum(past.values()), ints.get(tuple(-c for c in x), 0), law.total()
         lumps &= past.keys() <= law.keys() and all(past.get(o, 0) * paths == n * total
                                                    for o, n in law.items())
@@ -747,4 +738,4 @@ def heat_kernel(d: int, t: float, box: Box, start: Point | None = None,
     data = np.ones(())
     for c in box.wrap(start):
         data = np.multiply.outer(data, np.roll(axis, c))
-    return DistVector(n_max, data, tail_bound=d * _poisson_tail(n_max, mu))
+    return DistVector(data, tail_bound=d * _poisson_tail(n_max, mu))

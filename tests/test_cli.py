@@ -221,7 +221,7 @@ def test_tolerance_flag_errors(capsys):
     (["simulate", "--tol.c6-mf-se=-inf"], "--tol.c6-mf-se must be finite, got '-inf'"),
     (["simulate", "--t", "1", "--trials", "3", "--seed", "-1"], "--seed must be >= 0"),
     (["clt", "--t", "4", "--trials", "5", "--seed", "-1"], "--seed must be >= 0"),
-    (["walk-dp", "--seed", "-1"], "--seed must be >= 0"),
+    (["accept", "--quick", "--seed", "-1"], "--seed must be >= 0"),
 ], ids=["asymptotics-steps-1", "asymptotics-steps-3", "walk-dp-steps-neg",
         "walk-dp-float-steps-neg", "simulate-trials-1", "clt-trials-1",
         "walk-dp-d-0", "walk-dp-d-neg", "walk-dp-srw-d-0", "series-verify-d-0",
@@ -234,7 +234,7 @@ def test_tolerance_flag_errors(capsys):
         "simulate-unread-tolerance", "potlach-unread-tolerances",
         "simulate-t-nan", "simulate-t-inf", "clt-t-nan", "clt-t-inf", "clt-param-nan",
         "clt-window-inf", "accept-tol-nan", "potlach-tol-nan", "simulate-tol-neg-inf",
-        "simulate-seed-neg", "clt-seed-neg", "walk-dp-seed-neg"])
+        "simulate-seed-neg", "clt-seed-neg", "accept-seed-neg"])
 def test_out_of_range_options_are_usage_errors(argv, message, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()
@@ -395,15 +395,21 @@ def test_accept_has_no_dimension_or_mode_options(tmp_path, capsys):
         assert f"config key {name!r} not used by 'accept'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["series-verify", "potlach", "clt"])
-def test_mode_only_where_it_is_read(command, tmp_path, capsys):
-    # these commands fix their own arithmetic, so --mode would be ignored
-    assert run([command, "--mode", "float"]) == 2
-    assert "unrecognized arguments: --mode float" in capsys.readouterr().err
+@pytest.mark.parametrize("command,key", [
+    ("series-verify", "mode"), ("potlach", "mode"), ("clt", "mode"),
+    ("walk-dp", "seed"), ("series-verify", "seed"), ("asymptotics", "seed"), ("potlach", "seed"),
+], ids=["series-verify", "potlach", "clt",
+        "walk-dp-seed", "series-verify-seed", "asymptotics-seed", "potlach-seed"])
+def test_mode_only_where_it_is_read(command, key, tmp_path, capsys):
+    # these commands fix their own arithmetic, or draw no random numbers, so the
+    # option would be ignored
+    value = {"mode": "float", "seed": "7"}[key]
+    assert run([command, f"--{key}", value]) == 2
+    assert f"unrecognized arguments: --{key} {value}" in capsys.readouterr().err
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("mode = exact\n")
+    cfg.write_text(f"{key} = {value}\n")
     assert run([command, "--config", str(cfg)]) == 2
-    assert f"config key 'mode' not used by {command!r}" in capsys.readouterr().err
+    assert f"config key {key!r} not used by {command!r}" in capsys.readouterr().err
 
 
 def test_accept_quick(capsys):

@@ -14,6 +14,7 @@ from avgproc.kernels import (
 )
 from avgproc.lattice import ball, l1_norm, origin, sphere, unit_vectors
 from avgproc.walks import return_sequence
+from test_walks import LONG_JUMP, THREE_COEFF
 
 F = Fraction
 
@@ -48,22 +49,18 @@ def test_avg_difference_sphere_row():
     # from x = 1: to 0 w.p. 1/4, reflect to -1 w.p. 1/8, stay w.p. 1/8,
     # ordinary step to 2 w.p. 1/2
     k = avg_difference_kernel(1)
-    assert k.transition((1,), (0,)) == F(1, 4)
-    assert k.transition((1,), (-1,)) == F(1, 8)
-    assert k.transition((1,), (1,)) == F(1, 8)
-    assert k.transition((1,), (2,)) == F(1, 2)
+    assert k.row((1,)) == {(-1,): F(1, 4), (-2,): F(1, 8), (0,): F(1, 8), (1,): F(1, 2)}
     # bulk fills in away from the ball
-    assert k.transition((2,), (3,)) == F(1, 2)
-    assert k.transition((2,), (2,)) == 0
+    assert k.row((2,)) == {(1,): F(1, 2), (-1,): F(1, 2)}
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_avg_difference_is_symmetric(d):
     kernel = avg_difference_kernel(d)
     for x in ball(d, 3):
-        for off in kernel.row(x):
+        for off, p in kernel.row(x).items():
             y = tuple(a + b for a, b in zip(x, off))
-            assert kernel.transition(x, y) == kernel.transition(y, x)
+            assert kernel.row(y).get(tuple(-c for c in off), 0) == p
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -72,7 +69,17 @@ def test_kernel_scales(d):
     assert avg_difference_kernel(d).scale == 8 * d
     ind, coup = potlach_kernels(d)
     assert ind.scale == 2 * d
+    # the origin row's 1/(8d^2) is finer than the bulk's 1/(2d) and sets the scale
     assert coup.scale == 8 * d * d
+    assert coup.int_bulk == {e: 4 * d for e in unit_vectors(d)}
+    # the one conversion: each integer row is its Fraction row times the scale
+    for kernel in [*(KERNELS[name](d) for name in KERNELS), LONG_JUMP, THREE_COEFF]:
+        assert kernel.int_perturbation.keys() == kernel.perturbation.keys()
+        rows = [(kernel.bulk, kernel.int_bulk),
+                *((row, kernel.int_row(site)) for site, row in kernel.perturbation.items())]
+        for row, ints in rows:
+            assert ints == {o: p * kernel.scale for o, p in row.items() if p}
+            assert all(type(c) is int for c in ints.values())
 
 
 def test_pair_rates_adjacent_oracle():

@@ -36,7 +36,7 @@ from avgproc.walks import (
     sphere_taboo_sequence,
     srw_return_sequence_float,
 )
-from avgproc.walks import (_U, _Series, _conv, _inverse, _kernel_box_data,
+from avgproc.walks import (_U, _Series, _conv, _inverse,
                            _log_factorial, _lumped_formula, _lumped_steps, _mul, _poisson_pmf,
                            _poisson_tail, _reach, _residual_bound, _sorts_coordinates,
                            _srw_closed_form)
@@ -162,10 +162,8 @@ def test_orthant_dp_rejects_kernel_without_sign_symmetry():
 
 
 def test_symmetry_group_comes_from_the_rows():
-    def sorts(kernel):
-        return _sorts_coordinates(kernel.name, *_kernel_box_data(kernel)[1:])
-    assert all(sorts(KERNELS[name](d)) for name in KERNELS for d in (1, 2, 3))
-    assert not sorts(THREE_COEFF)
+    assert all(_sorts_coordinates(KERNELS[name](d)) for name in KERNELS for d in (1, 2, 3))
+    assert not _sorts_coordinates(THREE_COEFF)
 
 
 def test_exact_d3_tables_pinned():
@@ -743,7 +741,7 @@ def test_negative_time_is_rejected():
 def test_heat_kernel_with_tol_below_double_resolution():
     hk = heat_kernel(1, 10.0, Box(1, 40), tol=1e-17)
     assert hk.tail_bound <= 1e-17
-    assert hk.step == required_poisson_order(5.0, 1e-17)
+    assert hk.tail_bound == _poisson_tail(required_poisson_order(5.0, 1e-17), 5.0)
     assert np.sum(hk.data) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -766,7 +764,7 @@ def test_heat_kernel_zero_time():
     hk = heat_kernel(2, 0.0, Box(2, 3), start=(1, -1))
     assert hk.data[1 + 3, -1 + 3] == 1.0
     assert np.sum(hk.data) == 1.0
-    assert (hk.step, hk.tail_bound) == (0, 0.0)
+    assert hk.tail_bound == 0.0 and required_poisson_order(0.0, 1e-12 / 2) == 0
 
 
 def torus_walk(kernel, start, n, box):
@@ -800,7 +798,8 @@ def test_heat_kernel_is_the_poisson_mixture_of_torus_walks(d, t, radius, start):
     # stepped in exact arithmetic and wrapped on the torus (side 7 at d=3)
     box = Box(d, radius)
     hk = heat_kernel(d, t, box, start=start)
-    assert hk.tail_bound == d * _poisson_tail(hk.step, t / (2 * d)) <= 1e-12
+    mu = t / (2 * d)
+    assert hk.tail_bound == d * _poisson_tail(required_poisson_order(mu, 1e-12 / d), mu) <= 1e-12
     n = required_poisson_order(t / 2, 1e-16)
     weights = _poisson_pmf(np.arange(n + 1), t / 2)
     mix = sum(w * p for w, p in zip(weights, torus_walk(srw_kernel(d), start, n, box)))
