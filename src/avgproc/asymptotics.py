@@ -60,7 +60,9 @@ def alpha_return_total(d: int, n_max: int = 20000,
     partial = math.fsum(sequence.entries)
 
     lo = max(2, n_max - n_max // 4)
-    rescaled = [sequence[n] * n ** (d / 2.0) for n in range(lo, n_max + 1) if n % 2 == 0]
+    lo += lo % 2  # even n only
+    evens = sequence.entries[lo - sequence.first_index::2]
+    rescaled = [v * n ** (d / 2.0) for n, v in zip(range(lo, n_max + 1, 2), evens)]
     c_tail = 1.5 * max(rescaled)
     m = n_max // 2  # tail over even n > n_max: sum_{k > m} (2k)^{-d/2}
     tail = c_tail * 2.0 ** (-d / 2.0) * m ** (1 - d / 2.0) / (d / 2.0 - 1.0)
@@ -114,7 +116,7 @@ def asymptotics_check(seq: SequenceTable, ns: list[int] | None = None,
     d = seq.dimension
     if constants is None:
         constants = AsymptoticConstants.compute(d)
-    parity = all(float(seq[n]) == 0.0 for n in range(seq.first_index, seq.last_index + 1) if n % 2 == 1)
+    parity = all(float(v) == 0.0 for v in seq.entries[1 - seq.first_index % 2::2])  # odd n
     if ns is None:
         hi = seq.last_index
         ns = sorted({max(seq.first_index, hi // 4), hi // 2, (3 * hi) // 4, hi - 1, hi})

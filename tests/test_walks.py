@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaln, ive
 from scipy.stats import poisson
 
@@ -36,10 +36,10 @@ from avgproc.walks import (
     sphere_taboo_sequence,
     srw_return_sequence_float,
 )
-from avgproc.walks import (_U, _Series, _conv, _inverse,
-                           _log_factorial, _lumped_formula, _lumped_steps, _mul, _poisson_pmf,
-                           _poisson_tail, _reach, _residual_bound, _sorts_coordinates,
-                           _srw_closed_form)
+from avgproc.walks import (_U, _Series, _conv, _gamma, _inverse,
+                           _log_factorial, _lumped_formula, _lumped_steps, _mul, _outward,
+                           _poisson_pmf, _poisson_tail, _poisson_window, _reach,
+                           _residual_bound, _sorts_coordinates, _srw_closed_form)
 
 F = Fraction
 
@@ -586,6 +586,75 @@ def test_poissonized_error_budget():
     tail = _poisson_tail(400, 100.0)
     assert poisson.sf(400, 100.0) <= tail
     assert tail + seq.error_bound < out.error < tail + seq.error_bound + 1e-13
+
+
+def _poissonized_in_index_order(seq, t):
+    # every weight of the table and both sums in index order: the reference
+    # poissonized_return must equal bit for bit
+    mu = float(seq.rate) * t
+    tail = _poisson_tail(seq.last_index, mu)
+    weights = _poisson_pmf(np.arange(seq.first_index, seq.last_index + 1), mu)
+    terms = [w * float(p) for w, p in zip(weights, seq.entries)]
+    rounding = _gamma(len(terms) + 2) * math.fsum(map(abs, terms))
+    return math.fsum(terms), tail + seq.error_bound + rounding
+
+
+def _with_a_negative_entry():
+    seq = return_sequence(avg_difference_kernel(1), 600, mode="float")
+    entries = list(seq.entries)
+    entries[40] = -3 * entries[40]
+    return replace(seq, entries=entries)
+
+
+_ORACLE_TABLES = {
+    "avg-diff d=1": lambda: return_sequence(avg_difference_kernel(1), 2000, mode="float"),
+    "avg-diff d=2": lambda: return_sequence(avg_difference_kernel(2), 1200, mode="float"),
+    "avg-diff d=3": lambda: return_sequence(avg_difference_kernel(3), 600, mode="float"),
+    "potlach-coup d=1": lambda: return_sequence(potlach_kernels(1)[1], 1500, mode="float"),
+    "srw closed form d=2": lambda: srw_return_sequence_float(2, 1000),
+    "exact avg-diff d=1": lambda: return_sequence(avg_difference_kernel(1), 120),
+    "q, first index 1": lambda: first_return_sequence(avg_difference_kernel(2), 800, mode="float"),
+    "s, first index 1": lambda: sphere_first_return_sequence(avg_difference_kernel(1), 800,
+                                                             mode="float"),
+    "one negative entry": _with_a_negative_entry,
+}
+
+
+@pytest.mark.parametrize("name", _ORACLE_TABLES)
+def test_poissonized_equals_the_index_order_sum_bitwise(name):
+    # mu from 1e-3 to past the last index (tol=1 lets the tail be anything)
+    seq = _ORACLE_TABLES[name]()
+    assert seq.first_index == ("first index 1" in name)
+    for mu in np.geomspace(1e-3, 1.5 * seq.last_index, 40):
+        t = float(mu) / float(seq.rate)
+        got = poissonized_return(seq, t, tol=1.0)
+        ref = _poissonized_in_index_order(seq, t)
+        assert [v.hex() for v in got] == [v.hex() for v in ref], (name, mu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mu=st.floats(1e-3, 1e5), width=st.integers(0, 50_000), where=st.floats(-2.0, 2.0))
+@example(mu=1e-3, width=5, where=-1.0)    # above the mode, every weight zero
+@example(mu=1e5, width=10, where=2.0)     # below the mode, every weight zero
+@example(mu=1e5, width=40_000, where=0.5)  # the mode inside, both edges cut
+@example(mu=0.7, width=3, where=0.0)      # k = 0.. with mu < 1
+def test_poisson_window_drops_only_exact_zeros(mu, width, where):
+    # [lo, hi) lies above the mode floor(mu) for where <= 0, below it for where > 1,
+    # and holds it for where in (0, 1) when width > 0
+    lo = max(0, math.floor(mu) - math.floor(where * width))
+    hi = lo + width
+    start, stop = _poisson_window(mu, lo, hi)
+    assert lo <= start <= stop <= hi
+    weights = _poisson_pmf(np.arange(lo, hi), mu)
+    assert not weights[:start - lo].any() and not weights[stop - lo:].any()
+    assert start < stop or not weights.any()
+
+
+def test_outward_runs_from_the_peak():
+    x = np.array([1.0, 2.0, -5.0, 4.0, 3.0, 0.5, 0.25])
+    assert _outward(x) == [-5.0, 2.0, 4.0, 1.0, 3.0, 0.5, 0.25]
+    assert _outward(x[::-1]) == [-5.0, 4.0, 2.0, 3.0, 1.0, 0.5, 0.25]
+    assert _outward(np.array([])) == []
 
 
 def test_poissonized_at_the_table_rate():
