@@ -18,7 +18,7 @@ import numpy as np
 from .kernels import WALK_RATE, avg_difference_kernel, pair_transition_rates, potlach_kernels
 from .lattice import Point, ball, origin
 from .simulate import SimulationResult, trial_generators
-from .walks import heat_kernel, poissonized_return, return_sequence
+from .walks import heat_kernel, poissonized_return, required_poisson_order, return_sequence
 
 
 @dataclass(frozen=True)
@@ -128,12 +128,12 @@ class MomentReport(NamedTuple):
 
 def two_norm_target(d: int, t: float, dynamics: str = "averaging") -> float:
     """E ||eta_t||^2 from the point mass: the coupled pair's coincidence
-    probability, i.e. the coupled kernel's p~ Poissonized at its rate
-    2 ``WALK_RATE[dynamics]``, with a Poisson tail below 1e-12."""
+    probability, i.e. the coupled kernel's p~ Poissonized at its rate 2
+    ``WALK_RATE[dynamics]``, to ``required_poisson_order`` for a tail below 1e-12."""
     kernel = {"averaging": avg_difference_kernel,
               "potlach": lambda d: potlach_kernels(d)[1]}[dynamics](d)
     mu = float(kernel.rate) * t
-    pt = return_sequence(kernel, int(mu + 12 * math.sqrt(mu + 25) + 25), mode="float")
+    pt = return_sequence(kernel, required_poisson_order(mu, 1e-12), mode="float")
     return poissonized_return(pt, t).value
 
 

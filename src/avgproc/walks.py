@@ -20,19 +20,16 @@ unit vectors' rows put the same mass on O, on S and past B_1, and that last
 mass follows the SRW's own law there (``_lumped_steps``). Each table is then
 one division of series in the SRW's closed-form return GF, by Newton's
 iteration on FFT products above 512 terms, with an ``error_bound`` from its
-residual, proven for d <= 3, inf for d >= 4. Every table carries its kernel's
-``rate``, at which ``poissonized_return`` mixes it. ``heat_kernel`` is a
-product of d one-axis cycle kernels, since a single dual walker's coordinates
-are independent, so the exact DP is the only d-dimensional stepper. Poisson
-weights are exp(k log mu - log k! - mu), with log k! from Cephes' Stirling
-formula (``_log_factorial``), so they equal ``scipy.stats.poisson.pmf``'s bit
-for bit; for mu <= 4000 each was within a measured 1.7e-11 relative of its
-exact value. Poisson tails are a proven ratio bound (``_poisson_tail``), so
-the package needs no scipy at run time. ``poissonized_return`` weighs only
-the window of k where log Pr(Po(mu) = k) >= -800 (``_poisson_window``):
-outside it np.exp returns exactly 0.0, so it drops only exact zeros, and
-``math.fsum`` is correctly rounded, so the order it adds the terms in is
-free; it takes them from the largest outward.
+residual, whose FFT products carry a normwise error term (``_fft_error``):
+proven for d <= 3 if numpy's FFT meets Percival's bound, inf for d >= 4. Every
+table carries its kernel's ``rate``, at which ``poissonized_return`` mixes it.
+``heat_kernel`` is a product of d one-axis cycle kernels, since a single dual
+walker's coordinates are independent, so the exact DP is the only
+d-dimensional stepper. Poisson weights equal ``scipy.stats.poisson.pmf``'s bit
+for bit (``_log_factorial``) and tails are a proven ratio bound
+(``_poisson_tail``), so the package needs no scipy at run time.
+``poissonized_return`` weighs only the k with log Pr(Po(mu) = k) >= -800
+(``_poisson_window``), largest term first: np.exp is 0.0 at the others.
 """
 from __future__ import annotations
 
@@ -344,9 +341,9 @@ def first_passage_sequences(kernel: TransitionKernel, n_max: int,
 
 
 # ---------------------------------------------------------------------------
-# Float tables: the series route. Each is one division x^ ~ N/D (``_lumped_formula``),
-# N times Newton's y ~ 1/D with products by FFT above ``_SPLIT`` (``_mul``), bounded from
-# its residual with Higham's dot product bound (``_residual_bound``; Accuracy and Stability).
+# Float tables: the series route. Each is one division x^ ~ N/D (``_lumped_formula``), N
+# times Newton's y ~ 1/D, products by FFT above ``_SPLIT`` (``_mul``), bounded from its residual
+# (``_residual_bound``) by Higham's dot product bound or Percival's FFT bound (``_fft_error``).
 # ---------------------------------------------------------------------------
 
 _U = 2.0 ** -53
@@ -364,33 +361,35 @@ class _Series(NamedTuple):
     err: np.ndarray
 
 
-_SPLIT = 512  # np.convolve up to this many coefficients
-
-
-def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """First len(a) coefficients of a*b (len(b) == len(a)), in about n^2/2 products,
-    each coefficient a sum of rounded products (Higham's dot product bound holds)."""
-    n = len(a)
-    if n <= _SPLIT:
-        return np.convolve(a, b)[:n]
-    h = n // 2
-    out = np.zeros(n)
-    out[: 2 * h - 1] = np.convolve(a[:h], b[:h])
-    out[h:] += _conv(a[: n - h], b[h:]) + _conv(a[h:], np.r_[b[:h], np.zeros(n - 2 * h)])
-    return out
+_SPLIT = 512  # np.convolve up to this many coefficients, the FFT past it
+_BETA = _U  # assumed bound on the error of numpy's FFT twiddle factors (``_fft_error``)
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """First len(a) coefficients of a*b (len(b) == len(a)), by FFT above ``_SPLIT``.
-
-    The FFT's error is normwise, not coefficientwise, so no bound is built
-    from these products; ``_residual_bound`` uses ``_conv``.
-    """
+    """First len(a) coefficients of a*b (len(b) == len(a)), by FFT past ``_SPLIT``."""
     n = len(a)
     if n <= _SPLIT:
         return np.convolve(a, b)[:n]
     size = 1 << (2 * n - 2).bit_length()  # >= 2n - 1: the first n do not wrap
     return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
+
+
+def _fft_error(a: np.ndarray, b: np.ndarray) -> float:
+    """A bound on every coefficient's error in ``_mul(a, b)`` past ``_SPLIT``:
+    phi ||a||_2 ||b||_2, phi = (1+u)^3L (1+u sqrt5)^(3L+1) (1+beta)^3L - 1 for a
+    radix-2 FFT of length 2^L with twiddle factors within beta of exact (Percival,
+    Math. Comp. 72, 2003, Thm 5.1; Brent and Zimmermann, Modern Computer
+    Arithmetic, 3.3.2); phi <= gamma_(3L + (3L+1) sqrt5 + 3L beta/u). Assumed, not
+    proven: numpy's pocketfft (radices 2 and 4) meets it with beta = ``_BETA`` = u.
+    Its rfft of the unit impulse at index 1, the twiddle factors, was within 2.3u
+    of them up to 2^18 points; ``_mul``'s error on integer vectors at most 2.8e-3
+    of this bound. The norms are ``np.sum``s of squares, with no BLAS: any order of
+    adding n terms >= 0 is within gamma_(n-1) (Higham, 4.2), so with n 2^-1074 for
+    underflow, gamma_(2n+8) covers the rounding of squares, sums, roots and products.
+    """
+    n, lg = len(a), (2 * len(a) - 2).bit_length()  # _mul's size is 2^lg
+    phi = _gamma(3 * lg * (1 + _BETA / _U) + (3 * lg + 1) * math.sqrt(5)) * (1 + _gamma(2 * n + 8))
+    return phi * math.prod(math.sqrt(float(np.sum(v * v)) + n * 2.0 ** -1074) for v in (a, b))
 
 
 def _inverse(den: np.ndarray) -> np.ndarray:
@@ -409,26 +408,24 @@ def _inverse(den: np.ndarray) -> np.ndarray:
 def _residual_bound(num: _Series, den: _Series, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """A coefficientwise bound on |x - num/den| for any x, from its residual.
 
-    Truncated through z^(n-1), x - N/D = D^-1 (D x - N) exactly, so with the
-    residual r^ = N - D x computed by ``_conv`` (a length-k dot product and a
-    subtraction: gamma_{n+1}) and the inputs' errors e_N, e_D,
+    Truncated through z^(n-1), x - N/D = D^-1 (D x - N) exactly; y ~ 1/D stands in
+    for D^-1, a factor 2 covers the second-order terms, and e_N, e_D are the inputs'
+    errors. Up to ``_SPLIT`` coefficients r^ = N - D x is by dot products (gamma_{n+1}):
         |x - N/D| <= |D^-1| (|r^| + gamma_{n+1} (|D| |x| + |N|) + e_N + e_D |x|);
-    y ~ 1/D stands in for D^-1, and a factor 2 covers the second-order terms.
+    past it by FFT products, each off by at most E(a, b) (``_fft_error``), the one by |y| too:
+        |x - N/D| <= |D^-1| ((1 + gamma_1) |r^| + E(D, x) + e_N + e_D |x| + E(e_D, |x|)).
     """
-    n = len(x)
+    n, ax = len(x), np.abs(x)
     if not (np.isfinite(num.err).all() and np.isfinite(den.err).all()):
         return np.full(n, np.inf)
-    g, ax = _gamma(n + 1), np.abs(x)
-    local = (np.abs(num.c - _conv(den.c, x)) + _conv(g * np.abs(den.c) + den.err, ax)
-             + g * np.abs(num.c) + num.err)
-    return 2.0 * _conv(np.abs(y), local)
-
-
-def _divide(num: _Series, den: _Series) -> _Series:
-    """num/den as num * (1/den), 1/den by ``_inverse``, bounded by ``_residual_bound``."""
-    y = _inverse(den.c)
-    x = _mul(num.c, y)
-    return _Series(x, _residual_bound(num, den, x, y))
+    if n <= _SPLIT:
+        g = _gamma(n + 1)
+        local = (np.abs(num.c - _mul(den.c, x)) + _mul(g * np.abs(den.c) + den.err, ax)
+                 + g * np.abs(num.c) + num.err)
+        return 2.0 * _mul(np.abs(y), local)
+    local = ((1 + _gamma(1)) * np.abs(num.c - _mul(den.c, x)) + _fft_error(den.c, x)
+             + _mul(den.err, ax) + _fft_error(den.err, ax) + num.err)
+    return 2.0 * (_mul(np.abs(y), local) + _fft_error(np.abs(y), local))
 
 
 def _log_self_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -574,8 +571,11 @@ def _float_table(kernel: TransitionKernel, n_max: int, table: str, name: str) ->
     basis = [*(_Series(zg[0][j: j + n + 1], zg[1][j: j + n + 1]) for j in (1, 2, 0, 3)),
              *(_Series(np.eye(1, n + 1, j)[0], np.zeros(n + 1)) for j in (0, 1))]
     out = _weighted(num, basis)  # basis: G, zM, zG, M, 1, z
-    if den != (0, 0, 0, 0, 1):
-        out = _divide(out, _weighted(den, basis))
+    if den != (0, 0, 0, 0, 1):  # N/D as N y, y ~ 1/D, bounded for any quotient
+        div = _weighted(den, basis)
+        y = _inverse(div.c)
+        x = _mul(out.c, y)
+        out = _Series(x, _residual_bound(out, div, x, y))
     out = _weighted((factor, lead), [out, basis[5]])
     first = 0 if table in "pr" else 1
     return SequenceTable(name, d, first, out.c[first: n_max + 1].tolist(), False, kernel.rate,
@@ -778,9 +778,9 @@ def heat_kernel(d: int, t: float, box: Box, start: Point | None = None,
     rolled to the start's coordinates. That kernel is the Poisson(lambda t/d)
     mixture of the 1-d SRW powers (the point mass at t = 0), truncated at
     ``required_poisson_order`` for tol/d; each axis then misses mass at most
-    the proven tail bound, so the product
-    misses at most d times it, which is reported in tail_bound. The weights
-    are evaluated to a measured 1.7e-11 relative (``_poisson_pmf``).
+    the proven tail bound, so the product misses at most d times it, which is
+    reported in tail_bound. The weights are evaluated to a measured 1.7e-11
+    relative (``_poisson_pmf``).
     """
     start = origin(d) if start is None else start
     if not len(start) == d == box.dimension:

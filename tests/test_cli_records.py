@@ -13,16 +13,19 @@ from avgproc.cli import run
 
 # walk-dp, series-verify and potlach draw no random numbers and take no --seed:
 # their headers read seed= empty and hash a config without it; every other line is unchanged
+# the simulate records' two-norm targets come from tables sized by required_poisson_order
+# (simulate-*: 51, 35 and 79 steps, was 117, 101 and 147): each moved by at most 6.7e-14,
+# within its stated error of at least 4.2e-13, and the z-scores with them
 CASES = {
     "simulate-float-d1": (["simulate", "--d", "1", "--t", "16", "--trials", "40",
-                           "--seed", "3", "--dump-field", "{field}"], "2e04834e5631d0f0"),
+                           "--seed", "3", "--dump-field", "{field}"], "65ef8e0c83423303"),
     "simulate-exact-d1": (["simulate", "--mode", "exact", "--d", "1", "--t", "8",
-                           "--trials", "20", "--seed", "3"], "19b01c29733f5d91"),
+                           "--trials", "20", "--seed", "3"], "a4b6542783a287dd"),
     # the potlach records carry exact targets and the averaging records' set: the
     # two-norm-sq value is unchanged, its target and z are filled in, and the
     # centered norms, the mean-field fraction and the summary's z and fraction join
     "simulate-potlach-d1": (["simulate", "--dynamics", "potlach", "--d", "1", "--t", "16",
-                             "--trials", "40", "--seed", "3"], "87d80846dc7183a9"),
+                             "--trials", "40", "--seed", "3"], "a1e8f08d6f6383f1"),
     "clt-d1": (["clt", "--d", "1", "--t", "16", "--trials", "20", "--seed", "3"],
                "c8a7191aa37e4163"),
     # the ratio tables end at the index required_poisson_order gives at t=200

@@ -102,12 +102,19 @@ def test_two_norm_target_is_shared(result_d1):
     want = two_norm_target(1, 32.0)
     assert estimate_moments(result_d1).two_norm.target == want
     assert coupled_pair_mc(1, t=32.0, trials=2, seed=0).target == want
-    assert two_norm_target(1, 16.0) == 0.10802702150312533
-    assert two_norm_target(1, 16.0, "potlach") == 0.14394718886391766
-    # the potlach contrast's coupled table, of another length, gives the same value
+    # sized by required_poisson_order (51 and 79 steps, was 117 and 147), the targets
+    # moved by 4.6e-14 and 6.7e-14, within their stated errors 8.8e-13 and 9.1e-13
+    assert two_norm_target(1, 16.0) == 0.1080270215030795
+    assert two_norm_target(1, 16.0, "potlach") == 0.1439471888638507
+    # the potlach contrast's coupled table is sized by the same rule, so it is the same table
     coupled = potlach_contrast(1, [16.0])[0]
-    assert poissonized_return(coupled, 16.0).value == pytest.approx(0.14394718886391766,
-                                                                    rel=1e-12)
+    assert poissonized_return(coupled, 16.0).value == two_norm_target(1, 16.0, "potlach")
+
+
+@pytest.mark.parametrize("dynamics", ["averaging", "potlach"])
+def test_two_norm_target_at_time_zero(dynamics):
+    # both tokens start at the origin: a one-entry table, p~_0 = 1
+    assert two_norm_target(1, 0.0, dynamics) == two_norm_target(2, 0, dynamics) == 1.0
 
 
 def test_estimators_take_the_run_dynamics(potlach_result):

@@ -3,6 +3,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from avgproc.walks import (
     sphere_taboo_sequence,
     srw_return_sequence_float,
 )
-from avgproc.walks import (_U, _Series, _conv, _gamma, _inverse,
+from avgproc.walks import (_SPLIT, _U, _Series, _fft_error, _gamma, _inverse,
                            _log_factorial, _lumped_formula, _lumped_steps, _mul, _outward,
                            _poisson_pmf, _poisson_tail, _poisson_window, _reach,
                            _residual_bound, _sorts_coordinates, _srw_closed_form)
@@ -319,11 +320,90 @@ def test_float_route_within_error_bound(d, kernel, table, n):
     assert worst <= fl.error_bound <= 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 513, 1024, 1501])
-def test_truncated_convolution(n):
+@lru_cache(maxsize=None)
+def _int_product(n: int):
+    """Two signed int64 vectors of length n and the first n coefficients of their
+    product, exact: |coefficient| < n 2^38 < 2^53, so exact in doubles too."""
     rng = np.random.default_rng(n)
-    a, b = rng.random(n), rng.random(n)
-    np.testing.assert_allclose(_conv(a, b), np.convolve(a, b)[:n], rtol=1e-12)
+    a, b = rng.integers(-2**19, 2**19, n), rng.integers(-2**19, 2**19, n)
+    return a, b, np.convolve(a, b)[:n]
+
+
+@pytest.mark.parametrize("n", [513, 4096, 10001])
+@pytest.mark.parametrize("k", [0, 45, 500])
+def test_fft_product_within_normwise_term(n, k):
+    a, b, exact = _int_product(n)
+    scale = 2.0 ** -k  # exact: every scaled value stays a normal double
+    got = _mul(a * scale, b * scale)
+    assert np.max(np.abs(got - exact * scale**2)) <= _fft_error(a * scale, b * scale)
+
+
+@pytest.mark.parametrize("n", [513, 4096, 10001])
+@pytest.mark.parametrize("tiny", [False, True])
+def test_fft_error_is_percivals_bound(n, tiny):
+    # phi ||a||_2 ||b||_2 at 40 digits, L = log2 of _mul's FFT length and beta = u, the
+    # assumed twiddle accuracy; the float evaluation may exceed it by its own slack only.
+    # A tiny a has squares that underflow to 0, and the bound must still cover its norm
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(n)
+    a, b = rng.standard_normal(n) * 2.0 ** (-600 * tiny), rng.random(n) * 2.0 ** -30
+    lg = (2 * n - 2).bit_length()
+    assert 2 ** (lg - 1) < 2 * n - 1 <= 2 ** lg
+    with mpmath.workdps(40):
+        u = mpmath.mpf(2) ** -53
+        phi = ((1 + u) ** (3 * lg) * (1 + u * mpmath.sqrt(5)) ** (3 * lg + 1)
+               * (1 + u) ** (3 * lg) - 1)
+        norms = [mpmath.sqrt(mpmath.fsum(mpmath.mpf(v) ** 2 for v in x)) for x in (a, b)]
+        want = phi * norms[0] * norms[1]
+        assert want <= _fft_error(a, b)
+        if not tiny:
+            assert _fft_error(a, b) <= want * (1 + mpmath.mpf(10) ** -10)
+
+
+def test_residual_bound_covers_the_residuals_own_rounding():
+    # D = 1 and N the FFT product D x itself, so r^ = 0 and no input error: only
+    # the normwise term E(D, x) covers x - N/D = x - N, the round trip's rounding
+    n = 2000
+    x = np.random.default_rng(1).standard_normal(n)
+    one = _Series(np.eye(1, n)[0], np.zeros(n))
+    num = _Series(_mul(one.c, x), np.zeros(n))
+    bound = _residual_bound(num, one, x, one.c)
+    assert np.any(num.c != x)
+    assert np.all(np.abs(x - num.c) <= bound)
+
+
+def _direct_residual_bound(num: _Series, den: _Series, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``_residual_bound`` by direct sums at every length, with Higham's
+    coefficientwise gamma_{n+1} (the rule up to ``_SPLIT``): the reference."""
+    n = len(x)
+    if not (np.isfinite(num.err).all() and np.isfinite(den.err).all()):
+        return np.full(n, np.inf)
+    g, ax = _gamma(n + 1), np.abs(x)
+    local = (np.abs(num.c - np.convolve(den.c, x)[:n])
+             + np.convolve(g * np.abs(den.c) + den.err, ax)[:n] + g * np.abs(num.c) + num.err)
+    return 2.0 * np.convolve(np.abs(y), local)[:n]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kernel", ["srw", "avg-diff", "potlach-ind", "potlach-coup"])
+def test_fft_bound_never_above_direct_sums(kernel, d, monkeypatch):
+    # a table of n steps has n + 1 coefficients: up to 511 steps the bound is the
+    # direct one bit for bit, past it the normwise FFT terms replace gamma_{n+1} |D||x|
+    for table, n in product("pqrs", (24, 300, 511, 512, 513, 600, 1024, 2047, 4096)):
+        fl = TABLE_FNS[table](KERNEL_BUILDERS[kernel](d), n, mode="float")
+        with monkeypatch.context() as m:
+            m.setattr("avgproc.walks._residual_bound", _direct_residual_bound)
+            ref = TABLE_FNS[table](KERNEL_BUILDERS[kernel](d), n, mode="float")
+        assert fl.entries == ref.entries
+        if n + 1 <= _SPLIT:
+            assert fl.error_bound == ref.error_bound
+        else:
+            assert fl.error_bound <= ref.error_bound
+
+
+def test_float_table_of_1e5_steps_is_bounded():
+    fl = return_sequence(avg_difference_kernel(1), 100_000, mode="float")
+    assert math.isfinite(fl.error_bound) and fl.error_bound <= 1e-10
 
 
 @lru_cache(maxsize=None)
