@@ -47,7 +47,8 @@ class TransitionKernel:
     ``scale`` is the smallest m with m*P(x, .) integral for every row, and
     ``int_bulk`` and ``int_perturbation`` hold the rows' nonzero entries as
     integers over it (``int_row``). Integer-scaled DP stores step-n
-    numerators against denominator m**n.
+    numerators against denominator m**n. ``row_key`` is those integer rows as
+    one hashable key, under which the exact DP keeps its tables.
     """
 
     dimension: int
@@ -58,6 +59,7 @@ class TransitionKernel:
     scale: int = field(init=False, compare=False, repr=False)
     int_bulk: dict[Point, int] = field(init=False, compare=False, repr=False)
     int_perturbation: dict[Point, dict[Point, int]] = field(init=False, compare=False, repr=False)
+    row_key: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         check_dimension(self.dimension)
@@ -73,6 +75,8 @@ class TransitionKernel:
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "int_bulk", ints[0])
         object.__setattr__(self, "int_perturbation", dict(zip(self.perturbation, ints[1:])))
+        object.__setattr__(self, "row_key", (tuple(sorted(ints[0].items())), tuple(sorted(
+            (site, tuple(sorted(row.items()))) for site, row in self.int_perturbation.items()))))
 
     def row(self, site: Point) -> Row:
         """The offset distribution used when the walk sits at ``site``."""

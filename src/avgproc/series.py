@@ -1,12 +1,14 @@
 """Fixed-order power series over Q and the generating-function identity suite.
 
-Everything here is exact: coefficients are Fractions, built only from ints
+Everything here is exact: coefficients are rationals, built only from ints
 and Fractions (a float raises TypeError). A series is known through one
 fixed order z^N, every sum and product is truncated at that N, and combining
 series of different orders raises, so no truncation error can enter an
-identity unnoticed. A product brings each factor to integer numerators over
-the lcm of its denominators, convolves those ints, and makes one Fraction
-per output coefficient, so the inner loop takes no gcd. An identity "holds"
+identity unnoticed. A series holds integer numerators over one common
+denominator: a sum scales both to the lcm of the denominators, a product
+convolves the ints and multiplies the denominators, and each result is
+reduced by one gcd over all its numerators, so no operation makes a
+Fraction per coefficient; ``coeffs`` makes them on request. An identity "holds"
 only when its residual series is identically zero through z^N. The
 identities tie the eight walk sequences (return, first return, sphere taboo,
 sphere first return — for the plain SRW and for the perturbed difference
@@ -25,40 +27,54 @@ from .walks import SequenceTable, first_passage_sequences, return_sequence
 DEFAULT_ORDERS = {1: 64, 2: 64, 3: 32}
 
 
-def _numerators(coeffs) -> tuple[list[int], int]:
-    """Integer numerators of ``coeffs`` over the lcm of their denominators, and that lcm."""
-    den = math.lcm(*(v.denominator for v in coeffs))
-    return [v.numerator * (den // v.denominator) for v in coeffs], den
-
-
 @dataclass(frozen=True)
 class RationalSeries:
-    """A power series known exactly through z^order: order + 1 Fractions.
+    """A power series known exactly through z^order: order + 1 coefficients,
+    held as integer numerators ``num`` over one denominator ``den`` > 0 that
+    shares no factor with all of them, so equal series hold equal fields.
 
     Sums, differences, products and shifts are truncated at the same order;
     an ``int`` or ``Fraction`` operand acts as a constant series, any other
     coefficient or operand raises ``TypeError``, and two series of different
-    orders do not combine (``ValueError``).
+    orders do not combine (``ValueError``). ``coeffs`` gives the Fractions.
     """
 
-    coeffs: tuple
+    num: tuple
+    den: int
     order: int
 
-    def __post_init__(self):
-        if self.order < 0:
+    def __init__(self, coeffs, order: int):
+        if order < 0:
             raise ValueError("order must be >= 0")
-        for c in self.coeffs:  # a float or numpy scalar would enter rounded
+        for c in coeffs:  # a float or numpy scalar would enter rounded
             if not isinstance(c, (int, Fraction)):
                 raise TypeError(f"exact series take int or Fraction values, "
                                 f"not {type(c).__name__}")
-        cs = [c if type(c) is Fraction else Fraction(c) for c in self.coeffs[: self.order + 1]]
-        cs += [Fraction(0)] * (self.order + 1 - len(cs))
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = list(coeffs[: order + 1])
+        cs += [0] * (order + 1 - len(cs))
+        den = math.lcm(*(c.denominator for c in cs))  # reduced, as each c is
+        object.__setattr__(self, "num", tuple(c.numerator * (den // c.denominator) for c in cs))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "order", order)
+
+    @classmethod
+    def _of(cls, num, den: int, order: int) -> "RationalSeries":
+        """The series num[k] / den, reduced by one gcd over the whole series."""
+        g = math.gcd(den, *num)
+        out = object.__new__(cls)
+        object.__setattr__(out, "num", tuple(v // g for v in num) if g > 1 else tuple(num))
+        object.__setattr__(out, "den", den // g)
+        object.__setattr__(out, "order", order)
+        return out
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(v, self.den) for v in self.num)
 
     def first_nonzero(self):
-        for k, v in enumerate(self.coeffs):
+        for k, v in enumerate(self.num):
             if v:
-                return k, v
+                return k, Fraction(v, self.den)
         return None
 
     # -- arithmetic ----------------------------------------------------------
@@ -72,12 +88,14 @@ class RationalSeries:
 
     def __add__(self, other) -> "RationalSeries":
         other = self._coerce(other)
-        return RationalSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.order)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return self._of([u * a + v * b for u, v in zip(self.num, other.num)], den, self.order)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalSeries":
-        return RationalSeries(tuple(-v for v in self.coeffs), self.order)
+        return self._of([-v for v in self.num], self.den, self.order)
 
     def __sub__(self, other) -> "RationalSeries":
         return self + (-self._coerce(other))
@@ -87,20 +105,19 @@ class RationalSeries:
 
     def __mul__(self, other) -> "RationalSeries":
         if isinstance(other, (int, Fraction)):
-            return RationalSeries(tuple(other * v for v in self.coeffs), self.order)
+            return self._of([other.numerator * v for v in self.num],
+                            other.denominator * self.den, self.order)
         other = self._coerce(other)
         n = self.order
-        (a, da), (b, db) = _numerators(self.coeffs), _numerators(other.coeffs)
-        terms = [(j, v) for j, v in enumerate(b) if v]
+        terms = [(j, v) for j, v in enumerate(other.num) if v]
         out = [0] * (n + 1)
-        for i, u in enumerate(a):
+        for i, u in enumerate(self.num):
             if u:
                 for j, v in terms:
                     if i + j > n:
                         break
                     out[i + j] += u * v
-        den = da * db
-        return RationalSeries(tuple(Fraction(v, den) for v in out), n)
+        return self._of(out, self.den * other.den, n)
 
     __rmul__ = __mul__
 
@@ -108,11 +125,11 @@ class RationalSeries:
         """Multiply by z^k."""
         if k < 0:
             raise ValueError("shift must be >= 0")
-        return RationalSeries((0,) * k + self.coeffs, self.order)
+        return self._of(((0,) * k + self.num)[: self.order + 1], self.den, self.order)
 
     def __repr__(self):
-        head = ", ".join(str(v) for v in self.coeffs[:6])
-        tail = ", ..." if len(self.coeffs) > 6 else ""
+        head = ", ".join(str(Fraction(v, self.den)) for v in self.num[:6])
+        tail = ", ..." if self.order > 5 else ""
         return f"RationalSeries([{head}{tail}], O(z^{self.order + 1}))"
 
 

@@ -26,7 +26,10 @@ It holds all trials in one flat buffer of trials x (n_sites + 1) entries,
 float64 or, in exact mode, Python ints: integer numerators over one common
 denominator, 2**n_steps for averaging and (2d)**n_steps for potlach. Every
 event then divides by 2 (or 2d) exactly, an averaging event by a right
-shift, and each site becomes a Fraction once, at the end. The last entry of
+shift, and each site becomes a Fraction once, at the end, after the power
+of two its numerator shares with the denominator is shifted out of both
+(``_field``): the gcd left is then on short ints, except for the odd part
+3**n_steps of potlach's 6**n_steps at d=3. The last entry of
 each row is a sentinel site that holds zero. Shorter mark streams are padded
 with one extra mark whose endpoints are all the sentinel, so a padding event
 averages (or splits) zero with itself and no per-event mask is needed.
@@ -363,8 +366,16 @@ def run_events(box: Box, dynamics: str, marks: np.ndarray,
                     buf[nb] += share
     fields = buf.reshape(trials, width)[:, :-1]
     if exact:
-        fields = np.frompyfunc(lambda num: Fraction(num, den), 1, 1)(fields)
+        fields = np.frompyfunc(lambda num: _field(num, den), 1, 1)(fields)
     return fields.reshape((trials,) + (box.side,) * box.dimension)
+
+
+def _field(num: int, den: int) -> Fraction:
+    """num / den, with the power of two they share shifted out first: at a
+    power-of-two den the gcd that ``Fraction`` then takes is on short ints."""
+    low = num | den
+    k = (low & -low).bit_length() - 1
+    return Fraction(num >> k, den >> k)
 
 
 @dataclass

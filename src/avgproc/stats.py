@@ -91,20 +91,22 @@ class MeanFieldReport:
         return float(np.mean(np.abs(self.z) <= k))
 
 
-def estimate_mean_field(result: SimulationResult,
-                        h_t: np.ndarray | None = None) -> MeanFieldReport:
+def estimate_mean_field(result: SimulationResult, h_t: np.ndarray | None = None,
+                        mat: np.ndarray | None = None) -> MeanFieldReport:
     """Compare the trial-averaged field with h_t on the ball of radius 2 sqrt t.
 
     The dual-walk identity says E eta_t(x) = h_t(0, x) exactly, with h_t the
     heat kernel of the simulation's own torus at the run's walker rate, so no
     wrap-around error enters and the per-site z-scores should look standard
-    normal. ``h_t`` is that kernel over the whole box, flattened; it is
+    normal. ``h_t`` is that kernel over the whole box, flattened, and ``mat``
+    the fields as floats, one trial per row (``_field_matrix``); each is
     computed here when not given.
     """
     cfg = result.config
     box = result.box
     d = box.dimension
-    mat = _field_matrix(result)
+    if mat is None:
+        mat = _field_matrix(result)
     mean = mat.mean(axis=0)
     se = mat.std(axis=0, ddof=1) / math.sqrt(cfg.trials)
     if h_t is None:
@@ -137,16 +139,17 @@ def two_norm_target(d: int, t: float, dynamics: str = "averaging") -> float:
     return poissonized_return(pt, t).value
 
 
-def estimate_moments(result: SimulationResult,
-                     h_t: np.ndarray | None = None) -> MomentReport:
+def estimate_moments(result: SimulationResult, h_t: np.ndarray | None = None,
+                     mat: np.ndarray | None = None) -> MomentReport:
     """Trial moments of the field against their dual-walk exact values.
 
     E ||eta||^2 is compared with ``two_norm_target``; subtracting ||h_t||^2
     gives the centered second moment, since E eta = h_t for the point-mass
-    start. ``h_t`` is as in ``estimate_mean_field``.
+    start. ``h_t`` and ``mat`` are as in ``estimate_mean_field``.
     """
     cfg = result.config
-    mat = _field_matrix(result)
+    if mat is None:
+        mat = _field_matrix(result)
     coincidence = two_norm_target(cfg.dimension, cfg.t, cfg.dynamics)
 
     if h_t is None:
@@ -173,9 +176,9 @@ def simulation_records(result: SimulationResult, mf_se: float) -> dict[str, Stat
     mean-field sites within ``mf_se`` standard errors of h_t, for either dynamics."""
     cfg = result.config
     run = (cfg.dimension, cfg.t, cfg.trials, cfg.seed)
-    h_t = _heat_field(result)
-    mo = estimate_moments(result, h_t)
-    frac = estimate_mean_field(result, h_t).fraction_within(mf_se)
+    h_t, mat = _heat_field(result), _field_matrix(result)
+    mo = estimate_moments(result, h_t, mat)
+    frac = estimate_mean_field(result, h_t, mat).fraction_within(mf_se)
     records = [mo.two_norm, mo.centered_two_norm, mo.centered_one_norm,
                StatRecord("conservation-defect", *run, mo.conservation_defect, None, 0.0),
                StatRecord("mean-field-fraction", *run, frac, None, 1.0)]

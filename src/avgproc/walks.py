@@ -1,7 +1,8 @@
 """Step-n distributions, return/first-passage sequences, and Poissonization.
 
 Exact tables come from a dynamic program over one cell per orbit of the
-kernel's symmetry group, one independent pass per table. Every start
+kernel's symmetry group, one independent pass per table, run once per
+process and served as a prefix to shorter requests (``_sequence``). Every start
 distribution used here is invariant under sign flips and permutations of the
 coordinates; the rows must be invariant under sign flips, and when they are
 also invariant under permutations the cells are x_1 >= ... >= x_d >= 0,
@@ -204,12 +205,40 @@ class _Cone:
         return self.table[tuple(np.moveaxis(c, -1, 0))]
 
 
+#: exact entries by (``TransitionKernel.row_key``, table letter), from the longest pass so far
+_EXACT_TABLES: dict[tuple, list] = {}
+
+
 def _sequence(kernel: TransitionKernel, n_max: int, mode: str, table: str) -> SequenceTable:
     """Table p, q, r or s: the series route in float mode, else one exact DP pass.
 
     p and q start at the origin, r and s uniform on the unit sphere. After
     each step q records the origin and every pass but p then kills it; r and
     s record the sphere, and s kills it.
+
+    Each exact table is computed once per process: ``_EXACT_TABLES`` keeps the
+    entries of the longest pass so far under the kernel's integer rows and the
+    table letter. A request up to that length is served as a prefix, which by
+    the light-cone argument of ``_exact_pass`` equals a fresh pass's entries; a
+    longer one runs a fresh pass and replaces them. A pass that raises stores
+    nothing. Each returned table has its own entries list and the caller's
+    ``kernel.rate``. The tables p, q, r and s stay independent passes.
+    """
+    if mode not in ("exact", "float"):
+        raise ValueError("mode must be 'exact' or 'float'")
+    name = table if not kernel.perturbation else f"{table}_tilde"
+    if mode == "float":
+        return _float_table(kernel, n_max, table, name)
+    first = 0 if table in "pr" else 1
+    size = max(n_max, 0) + 1 - first
+    stored = _EXACT_TABLES.get((kernel.row_key, table))
+    if stored is None or len(stored) < size:
+        stored = _EXACT_TABLES[kernel.row_key, table] = _exact_pass(kernel, n_max, table)
+    return SequenceTable(name, kernel.dimension, first, stored[:size], True, kernel.rate)
+
+
+def _exact_pass(kernel: TransitionKernel, n_max: int, table: str) -> list[Fraction]:
+    """The entries of table p, q, r or s (``_sequence``) through step n_max, by one DP pass.
 
     The pass stores one cell per orbit of the kernel's symmetry group
     (``_sorts_coordinates``, ``_Cone``): the value there is the value at
@@ -227,13 +256,9 @@ def _sequence(kernel: TransitionKernel, n_max: int, mode: str, table: str) -> Se
     cell by step n_max, so the stored cone is cut to that radius after every
     step. It grows by one cell per step (``_growth``), and at least to the
     perturbed rows' targets. The recorded entries are sums of the same
-    integer terms as without the cut, hence identical.
+    integer terms as without the cut, hence identical, and so are the first
+    entries of passes to different n_max.
     """
-    if mode not in ("exact", "float"):
-        raise ValueError("mode must be 'exact' or 'float'")
-    name = table if not kernel.perturbation else f"{table}_tilde"
-    if mode == "float":
-        return _float_table(kernel, n_max, table, name)
     d = kernel.dimension
     if _growth(kernel) > 1:  # the stored cone grows one cell per step
         raise ValueError(f"exact DP: bulk offset {max(kernel.bulk, key=_linf)} "
@@ -296,7 +321,7 @@ def _sequence(kernel: TransitionKernel, n_max: int, mode: str, table: str) -> Se
             entries.append(value())
         if table == "s":
             cur[watch] = 0
-    return SequenceTable(name, d, 0 if table in "pr" else 1, entries, True, kernel.rate)
+    return entries
 
 
 def return_sequence(kernel: TransitionKernel, n_max: int, mode: str = "exact") -> SequenceTable:

@@ -1,6 +1,13 @@
 import pytest
 
+from avgproc import walks
 from avgproc.series import gf_tables
+
+
+@pytest.fixture(autouse=True)
+def fresh_exact_tables():
+    """Every test starts with no stored exact table, so its passes are its own."""
+    walks._EXACT_TABLES.clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -53,6 +54,34 @@ def test_truncation_commutes_with_multiplication(a, b, n):
             for k in range(top + 1)]
     assert exact == series(full, top)
     assert RationalSeries(exact.coeffs, n) == series(a, n) * series(b, n)
+
+
+scalars = st.one_of(st.integers(-6, 6), st.fractions(max_denominator=12))
+
+
+@given(frac_lists, frac_lists, scalars, st.integers(0, 8), orders)
+def test_arithmetic_matches_a_fraction_reference(a, b, c, k, n):
+    # the reference keeps one reduced Fraction per coefficient, as a plain list
+    ra, rb = ([F(v) for v in x[: n + 1]] + [F(0)] * (n + 1 - len(x[: n + 1])) for x in (a, b))
+    A, B = series(a, n), series(b, n)
+    cases = {
+        "add": (A + B, [x + y for x, y in zip(ra, rb)]),
+        "sub": (A - B, [x - y for x, y in zip(ra, rb)]),
+        "neg": (-A, [-x for x in ra]),
+        "mul": (A * B, [sum(ra[i] * rb[m - i] for i in range(m + 1)) for m in range(n + 1)]),
+        "shift": (A.shift(k), ([F(0)] * k + ra)[: n + 1]),
+        "scalar mul": (A * c, [c * x for x in ra]),
+        "scalar rmul": (c * A, [c * x for x in ra]),
+        "scalar add": (A + c, [ra[0] + c] + ra[1:]),
+        "scalar radd": (c + A, [ra[0] + c] + ra[1:]),
+        "scalar sub": (A - c, [ra[0] - c] + ra[1:]),
+        "scalar rsub": (c - A, [c - ra[0]] + [-x for x in ra[1:]]),
+    }
+    for name, (got, want) in cases.items():
+        assert got.coeffs == tuple(want) and all(type(v) is F for v in got.coeffs), name
+        assert got == RationalSeries(tuple(want), n) and got.order == n, name
+        assert got.den > 0 and math.gcd(got.den, *got.num) == 1, name
+        assert got.first_nonzero() == next(((i, v) for i, v in enumerate(want) if v), None)
 
 
 def test_normalization_and_constructors():

@@ -215,6 +215,29 @@ def test_run_events_ignores_mark_dtype_and_layout(dynamics, exact):
             assert np.array_equal(fields[i], expected[i])
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("dynamics", ["averaging", "potlach"])
+def test_exact_fields_equal_fractions_of_their_numerators(dynamics, d, monkeypatch):
+    # each exact field leaves run_events as num / den with the power of two they
+    # share shifted out first; at d=3 potlach's den 6**N keeps its odd part 3**N
+    box, steps = Box(d, 1), 60
+    pad = EventSchedule.n_marks(box, dynamics)
+    events = np.random.default_rng(d).integers(0, pad, size=(steps, 2))
+    marks = np.concatenate([events, np.full((steps, 1), pad)], axis=1)  # trial 2: no event
+    fields = run_events(box, dynamics, marks, exact=True).reshape(-1)
+    monkeypatch.setattr(simulate_module, "_field", lambda num, den: (num, den))
+    raw = run_events(box, dynamics, marks, exact=True).reshape(-1)
+    assert {den for _, den in raw} == {(2 if dynamics == "averaging" else 2 * d) ** steps}
+    assert any(num == 0 for num, _ in raw) and any(0 < num < den for num, den in raw)
+    for got, (num, den) in zip(fields, raw):
+        want = Fraction(num, den)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    for i in range(2):
+        assert np.array_equal(fields.reshape(3, -1)[i], replay(box, dynamics, events[:, i],
+                                                                True).reshape(-1))
+
+
 def test_event_schedule_sample():
     box = Box(1, 5)
     rng = np.random.default_rng(7)

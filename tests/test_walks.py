@@ -37,7 +37,8 @@ from avgproc.walks import (
     sphere_taboo_sequence,
     srw_return_sequence_float,
 )
-from avgproc.walks import (_SPLIT, _U, _Series, _fft_error, _gamma, _inverse,
+from avgproc.walks import (_EXACT_TABLES, _SPLIT, _U, _Series, _exact_pass, _fft_error,
+                           _gamma, _inverse,
                            _log_factorial, _lumped_formula, _lumped_steps, _mul, _outward,
                            _poisson_pmf, _poisson_tail, _poisson_window, _reach,
                            _residual_bound, _sorts_coordinates, _srw_closed_form)
@@ -160,6 +161,7 @@ def test_orthant_dp_rejects_kernel_without_sign_symmetry():
                sphere_taboo_sequence, sphere_first_return_sequence):
         with pytest.raises(ValueError, match="'drift'.*sign flips"):
             fn(drift, 2)
+    assert not _EXACT_TABLES  # a failed pass stores nothing
 
 
 def test_symmetry_group_comes_from_the_rows():
@@ -176,6 +178,46 @@ def test_exact_d3_tables_pinned():
     text = repr([(t.name, t.first_index, [(v.numerator, v.denominator) for v in t.entries])
                  for t in tables])
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "8ae1dc4d166299bf"
+
+
+TABLE_FNS = {"p": return_sequence, "q": first_return_sequence,
+             "r": sphere_taboo_sequence, "s": sphere_first_return_sequence}
+
+
+@pytest.mark.parametrize("d,short,long", [(1, 9, 20), (2, 7, 14), (3, 5, 10)])
+@pytest.mark.parametrize("make", [srw_kernel, avg_difference_kernel])
+def test_stored_tables_equal_fresh_passes(make, d, short, long):
+    kernel = make(d)
+    for letter, fn in TABLE_FNS.items():
+        fresh = {}
+        for n in (0, short, long):
+            _EXACT_TABLES.clear()
+            fresh[n] = fn(kernel, n)
+        _EXACT_TABLES.clear()
+        assert fn(kernel, short) == fresh[short]  # stores the short table
+        assert fn(kernel, long) == fresh[long]  # an extension: a fresh pass replaces it
+        assert _EXACT_TABLES[kernel.row_key, letter] == _exact_pass(kernel, long, letter)
+        assert fn(kernel, short) == fresh[short]  # prefix hits
+        assert fn(kernel, 0) == fresh[0] and len(fresh[0]) == int(letter in "pr")
+
+
+def test_stored_table_is_not_the_returned_list():
+    kernel = avg_difference_kernel(2)
+    first = first_passage_sequences(kernel, 8).r
+    first.entries[3] = F(7)
+    first.entries.append(F(0))
+    assert first_passage_sequences(kernel, 8).r == sphere_taboo_sequence(kernel, 8)
+    assert _EXACT_TABLES[kernel.row_key, "r"] == _exact_pass(kernel, 8, "r")
+
+
+def test_equal_rows_share_a_table_but_keep_their_rate():
+    # potlach's independent kernel is the SRW step at rate 2, the SRW's rate is 1
+    srw, ind = srw_kernel(2), potlach_kernels(2)[0]
+    assert srw.row_key == ind.row_key and srw.rate != ind.rate
+    a, b = return_sequence(srw, 10), return_sequence(ind, 6)
+    assert len(_EXACT_TABLES) == 1 and b.entries == a.entries[:7]
+    assert (a.rate, b.rate) == (srw.rate, ind.rate) == (F(1), F(2))
+    assert return_sequence(srw, 6).rate == F(1)
 
 
 # ---------------------------------------------------------------------------
