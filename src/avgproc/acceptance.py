@@ -41,6 +41,8 @@ from .walks import (
 )
 
 DEFAULT_SEED = 20260825
+#: times of criterion 8's full potlach contrast, and of ``avgproc potlach``
+POTLACH_CONTRAST_TIMES = (100.0, 150.0, 200.0)
 
 #: overridable numeric gates (--tol.<name> on the command line)
 DEFAULT_TOLERANCES = {
@@ -239,7 +241,7 @@ def criterion_6_simulation(quick: bool = False, tolerances: dict | None = None,
     if frac < tol["c6-mf-frac"]:
         problems.append(f"mean-field fraction {frac:.3f} < {tol['c6-mf-frac']}")
     notes.append(f"conservation defect {defect:.2e} over {trials} trials")
-    notes.append(f"torus radius {res.box.radius}, wrap bound {cfg.wrap_bound:.1e}")
+    notes.append(f"torus radius {cfg.box.radius}, wrap bound {cfg.wrap_bound:.1e}")
     if defect > tol["c6-conservation"]:
         problems.append(f"conservation defect {defect:.2e} > {tol['c6-conservation']:g}")
     ok = not problems
@@ -290,7 +292,7 @@ def criterion_8_potlach(quick: bool = False, tolerances: dict | None = None, **_
     else:
         notes.append(f"coupling relation residual zero through z^{n_rel}")
 
-    ts = (60.0, 120.0) if quick else (100.0, 150.0, 200.0)
+    ts = (60.0, 120.0) if quick else POTLACH_CONTRAST_TIMES
     pc, pi, ratios = potlach_contrast(1, ts)
     for t, ratio in zip(ts, ratios):
         if not tol["c8-lo"] <= ratio <= tol["c8-hi"]:

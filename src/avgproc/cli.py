@@ -273,7 +273,7 @@ def cmd_simulate(opts, tol) -> int:
     if opts["dump_field"]:
         reporting.write_csv(opts["dump_field"],
                             ("site", *(f"x{j}" for j in range(cfg.dimension)), "mass"),
-                            reporting.field_dump_rows(res.box, res.mean_field()),
+                            reporting.field_dump_rows(cfg.box, res.mean_field()),
                             seed=cfg.seed, config=_hashable(opts))
     _summary(opts, {"command": "simulate", "ok": True,
                     "conservation_defect": records["conservation-defect"].value,
@@ -358,7 +358,7 @@ def cmd_clt(opts, tol) -> int:
 
 def cmd_potlach(opts, tol) -> int:
     """vertex-redistribution series relation and contrast"""
-    d, times = opts["d"], (100.0, 150.0, 200.0)
+    d, times = opts["d"], acceptance.POTLACH_CONTRAST_TIMES
     rep = verify_potlach_relation(d, opts["order"])
     coupled, _, ratios = potlach_contrast(d, times)
     rows = [("series-relation", d, rep.order, "ok" if rep.ok else "fail", "", "")]

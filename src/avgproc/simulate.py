@@ -91,12 +91,13 @@ import mmap
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .kernels import WALK_RATE
 from .lattice import Box, check_dimension, origin, unit_vectors
+from .walks import heat_kernel
 
 DYNAMICS = tuple(WALK_RATE)
 
@@ -383,8 +384,20 @@ class SimulationResult:
     """Final-time fields of every trial plus the generating configuration."""
 
     config: ExperimentConfig
-    box: Box
     fields: np.ndarray  # (trials, side, ..., side): float64, or Fractions in exact mode
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The fields as float64, one trial per row: a view of a float run's
+        fields, and each exact site rounded once by ``float(Fraction)``."""
+        return np.asarray(self.fields.reshape(self.config.trials, -1), dtype=float)
+
+    @cached_property
+    def expected(self) -> np.ndarray:
+        """E eta_t = h_t(0, .) on the run's torus at ``WALK_RATE[dynamics]``,
+        flattened like one row of ``matrix``."""
+        cfg = self.config
+        return heat_kernel(cfg.dimension, cfg.t, cfg.box, dynamics=cfg.dynamics).data.reshape(-1)
 
     def totals(self) -> np.ndarray:
         """Total mass of each trial; an exact row adds its integer numerators over
@@ -552,4 +565,4 @@ def simulate(config: ExperimentConfig) -> SimulationResult:
         run_share(0)
     else:
         _fork_shares(run_share, workers)
-    return SimulationResult(config, box, fields)
+    return SimulationResult(config, fields)

@@ -5,7 +5,9 @@ for either dynamics, the expected field is the heat kernel at the walker rate
 ``WALK_RATE[dynamics]``, the expected squared l2 norm is the Poissonized
 return sequence of the coupled pair, and the rescaled-test limits are
 closed-form Gaussian integrals. Monte Carlo enters only on the trial side, so
-every z-score is an honest measurement of simulator error.
+every z-score is an honest measurement of simulator error. Each estimator
+takes only a ``SimulationResult``: its float ``matrix`` and its heat-kernel
+``expected`` field are computed once per result, on first read.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import numpy as np
 from .kernels import WALK_RATE, avg_difference_kernel, pair_transition_rates, potlach_kernels
 from .lattice import Point, ball, origin
 from .simulate import SimulationResult, trial_generators
-from .walks import heat_kernel, poissonized_return, required_poisson_order, return_sequence
+from .walks import poissonized_return, required_poisson_order, return_sequence
 
 
 @dataclass(frozen=True)
@@ -63,16 +65,6 @@ def _mean_record(name: str, cfg, values: np.ndarray, target: float | None) -> St
                       float(values.std(ddof=1) / math.sqrt(cfg.trials)), target)
 
 
-def _field_matrix(result: SimulationResult) -> np.ndarray:
-    return np.asarray(result.fields.reshape(result.config.trials, -1), dtype=float)
-
-
-def _heat_field(result: SimulationResult) -> np.ndarray:
-    """h_t(0, .) on the simulation's torus, flattened like one row of ``_field_matrix``."""
-    cfg = result.config
-    return heat_kernel(cfg.dimension, cfg.t, result.box, dynamics=cfg.dynamics).data.reshape(-1)
-
-
 @dataclass
 class MeanFieldReport:
     """Per-site comparison of the empirical mean field with the heat kernel.
@@ -87,30 +79,24 @@ class MeanFieldReport:
     expected: np.ndarray
     z: np.ndarray
 
-    def fraction_within(self, k: float = 4.0) -> float:
+    def fraction_within(self, k: float) -> float:
         return float(np.mean(np.abs(self.z) <= k))
 
 
-def estimate_mean_field(result: SimulationResult, h_t: np.ndarray | None = None,
-                        mat: np.ndarray | None = None) -> MeanFieldReport:
+def estimate_mean_field(result: SimulationResult) -> MeanFieldReport:
     """Compare the trial-averaged field with h_t on the ball of radius 2 sqrt t.
 
     The dual-walk identity says E eta_t(x) = h_t(0, x) exactly, with h_t the
-    heat kernel of the simulation's own torus at the run's walker rate, so no
-    wrap-around error enters and the per-site z-scores should look standard
-    normal. ``h_t`` is that kernel over the whole box, flattened, and ``mat``
-    the fields as floats, one trial per row (``_field_matrix``); each is
-    computed here when not given.
+    heat kernel of the simulation's own torus at the run's walker rate
+    (``result.expected``), so no wrap-around error enters and the per-site
+    z-scores should look standard normal.
     """
     cfg = result.config
-    box = result.box
+    box = cfg.box
     d = box.dimension
-    if mat is None:
-        mat = _field_matrix(result)
+    mat, h_t = result.matrix, result.expected
     mean = mat.mean(axis=0)
     se = mat.std(axis=0, ddof=1) / math.sqrt(cfg.trials)
-    if h_t is None:
-        h_t = _heat_field(result)
     sites = ball(d, min(math.ceil(2.0 * math.sqrt(cfg.t)), box.radius))
     idx = np.array([box.to_index(p) for p in sites])
     emp, err, exp_ = mean[idx], se[idx], h_t[idx]
@@ -139,21 +125,16 @@ def two_norm_target(d: int, t: float, dynamics: str = "averaging") -> float:
     return poissonized_return(pt, t).value
 
 
-def estimate_moments(result: SimulationResult, h_t: np.ndarray | None = None,
-                     mat: np.ndarray | None = None) -> MomentReport:
+def estimate_moments(result: SimulationResult) -> MomentReport:
     """Trial moments of the field against their dual-walk exact values.
 
     E ||eta||^2 is compared with ``two_norm_target``; subtracting ||h_t||^2
-    gives the centered second moment, since E eta = h_t for the point-mass
-    start. ``h_t`` and ``mat`` are as in ``estimate_mean_field``.
+    gives the centered second moment, since E eta = h_t (``result.expected``)
+    for the point-mass start.
     """
     cfg = result.config
-    if mat is None:
-        mat = _field_matrix(result)
+    mat, h_t = result.matrix, result.expected
     coincidence = two_norm_target(cfg.dimension, cfg.t, cfg.dynamics)
-
-    if h_t is None:
-        h_t = _heat_field(result)
     h_sq = float(np.sum(h_t * h_t))
 
     sq = (mat * mat).sum(axis=1)
@@ -176,9 +157,8 @@ def simulation_records(result: SimulationResult, mf_se: float) -> dict[str, Stat
     mean-field sites within ``mf_se`` standard errors of h_t, for either dynamics."""
     cfg = result.config
     run = (cfg.dimension, cfg.t, cfg.trials, cfg.seed)
-    h_t, mat = _heat_field(result), _field_matrix(result)
-    mo = estimate_moments(result, h_t, mat)
-    frac = estimate_mean_field(result, h_t, mat).fraction_within(mf_se)
+    mo = estimate_moments(result)
+    frac = estimate_mean_field(result).fraction_within(mf_se)
     records = [mo.two_norm, mo.centered_two_norm, mo.centered_one_norm,
                StatRecord("conservation-defect", *run, mo.conservation_defect, None, 0.0),
                StatRecord("mean-field-fraction", *run, frac, None, 1.0)]
@@ -240,15 +220,14 @@ def clt_statistic(result: SimulationResult, fn: str = "cos", param: float = 1.0,
     if cfg.t <= 0:
         raise ValueError("t must be positive for the rescaled statistic")
     weight_fn, limit_fn = TEST_FUNCTIONS[fn]
-    box = result.box
+    box = cfg.box
     d = box.dimension
     target = limit_fn(d, param)
     sigma = math.sqrt(WALK_RATE[cfg.dynamics] * cfg.t)
 
     coords = np.array(list(box.points()), dtype=float) / sigma  # index order
     weights = weight_fn(coords, param)
-    mat = _field_matrix(result)
-    values = mat @ weights
+    values = result.matrix @ weights
     rec = _mean_record(f"clt-{fn}", cfg, values, target)
     frac = float(np.mean(np.abs(values - target) <= tolerance))
     return CltReport(rec, values, frac, tolerance)

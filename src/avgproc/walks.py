@@ -117,7 +117,7 @@ class DistVector:
     ``data`` is indexed by coordinates shifted by +L. ``tail_bound`` bounds
     the mass the truncated mixture leaves out (``_poisson_tail``: proven for
     exactly evaluated weights, which are evaluated to a measured 1.7e-11
-    relative).
+    relative up to mu = 4000, growing with mu: ``_poisson_pmf``).
     """
 
     data: np.ndarray
@@ -640,7 +640,10 @@ def _log_factorial(k: np.ndarray) -> np.ndarray:
 
 def _poisson_pmf(k: np.ndarray, mu: float) -> np.ndarray:
     """Pr(Po(mu) = k) for integers k >= 0, as exp(k log mu - log k! - mu);
-    Po(0) is the point mass at 0."""
+    Po(0) is the point mass at 0. The relative error is the rounding of the
+    exponent's terms, so it grows about as mu log mu: against mpmath at 40
+    digits, within 12 sd of the mean, it measured 2.2e-13 at mu = 100,
+    1.2e-11 at 4000, 4.0e-11 at 1e4 and 1.1e-10 at 3e4."""
     k = np.asarray(k)
     if mu == 0:
         return (k == 0).astype(float)
@@ -656,9 +659,9 @@ def _poisson_tail(n: int, mu: float) -> float:
     ``required_poisson_order`` returns for tol <= 1e-6 it is at most 1.04
     times the exact tail (measured for mu in [1e-3, 4000]). It is proven for
     exactly evaluated weights; w_{n+1} is evaluated with ``math.lgamma``, to
-    about the 1.7e-11 relative of ``_poisson_pmf``'s weights, and floored at
-    the least normal double, since a subnormal weight keeps too few digits
-    to stay above the tail.
+    about the relative error of ``_poisson_pmf``'s weights (1.7e-11 up to
+    mu = 4000, 1.1e-10 at 3e4), and floored at the least normal double,
+    since a subnormal weight keeps too few digits to stay above the tail.
     """
     if n < 0 or not n + 2 > mu:
         return 1.0
@@ -754,7 +757,8 @@ def poissonized_return(seq: SequenceTable, t: float, tol: float = 1e-12) -> Pois
     ``error`` is the proven tail bound (``_poisson_tail``) plus the table's
     ``error_bound`` plus the rounding of the N-term sum, gamma_{N+2} sum
     w_n |p_n|, N the table's length; the weights w_n themselves are evaluated
-    to a measured 1.7e-11 relative, which is not in ``error``. Only the n in
+    to a measured 1.7e-11 relative up to mu = 4000, growing to 1.1e-10 at
+    3e4 (``_poisson_pmf``), which is not in ``error``. Only the n in
     ``_poisson_window``, where log w_n >= -800, are weighed: every other w_n
     is exactly 0.0, and so is its term. ``math.fsum`` is correctly rounded,
     so adding the terms from the largest outward (``_outward``) gives the
@@ -805,7 +809,7 @@ def heat_kernel(d: int, t: float, box: Box, start: Point | None = None,
     ``required_poisson_order`` for tol/d; each axis then misses mass at most
     the proven tail bound, so the product misses at most d times it, which is
     reported in tail_bound. The weights are evaluated to a measured 1.7e-11
-    relative (``_poisson_pmf``).
+    relative up to mu = 4000, growing to 1.1e-10 at 3e4 (``_poisson_pmf``).
     """
     start = origin(d) if start is None else start
     if not len(start) == d == box.dimension:

@@ -319,7 +319,7 @@ def test_exact_totals_add_numerators_over_the_row_lcm():
     rows = [[F(1, 3), F(1, 6), F(1, 4)], [F(0), F(1), F(-1, 7)]]
     fields = np.empty((2, 3), dtype=object)
     fields[:] = rows
-    res = SimulationResult(cfg, cfg.box, fields)
+    res = SimulationResult(cfg, fields)
     assert res.totals().tolist() == [sum(row, F(0)) for row in rows] == [F(3, 4), F(6, 7)]
     assert res.conservation_defect() == 0.25
 

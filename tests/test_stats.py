@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -77,7 +79,7 @@ def test_mean_field_sites_no_trial_reached():
     cfg = ExperimentConfig(dimension=1, t=16.0, trials=100, seed=0)
     fields = np.zeros((cfg.trials, cfg.box.side))
     fields[:, cfg.box.to_index((0,))] = 1.0
-    rep = estimate_mean_field(SimulationResult(cfg, cfg.box, fields))
+    rep = estimate_mean_field(SimulationResult(cfg, fields))
     off = np.array([p != (0,) for p in rep.sites])
     h = rep.expected[off]
     assert np.any(h > 0.03) and np.any(h <= 0.03)
@@ -120,7 +122,7 @@ def test_two_norm_target_at_time_zero(dynamics):
 def test_estimators_take_the_run_dynamics(potlach_result):
     # a potlach walker jumps at rate 1, twice the averaging rate, so its heat
     # kernel at t is the averaging one at 2t, bit for bit
-    box = potlach_result.box
+    box = potlach_result.config.box
     h_t = heat_kernel(1, 4.0, box, dynamics="potlach").data
     assert np.array_equal(h_t, heat_kernel(1, 8.0, box).data)
     rep = estimate_mean_field(potlach_result)
@@ -191,6 +193,49 @@ def test_exact_mode_fields_feed_estimators():
                                     mode="exact", box_radius=6))
     rep = estimate_moments(res)
     assert rep.conservation_defect == 0.0
+
+
+@pytest.mark.parametrize("dynamics", ["averaging", "potlach"])
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_simulation_records_derive_each_input_once(monkeypatch, mode, dynamics):
+    # h_t and the float matrix are each computed once per result, however many
+    # estimators read them; a float run's matrix is a view of its fields
+    cfg = ExperimentConfig(dimension=1, t=4.0, trials=4, seed=2, dynamics=dynamics,
+                           mode=mode, box_radius=6)
+    fields = simulate(cfg).fields
+    heat_calls, floats = [], []
+
+    def counted_heat_kernel(*args, **kwargs):
+        heat_calls.append(args)
+        return heat_kernel(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("avgproc") and getattr(mod, "heat_kernel", None) is heat_kernel:
+            monkeypatch.setattr(mod, "heat_kernel", counted_heat_kernel)
+    # an exact site is made a float by Fraction.__float__; kernel rates are too, so
+    # only conversions of the fields' own objects are counted
+    sites = {id(v) for v in fields.flat} if mode == "exact" else set()
+    to_float = Fraction.__float__
+
+    def counted_float(q):
+        floats.append(id(q) in sites)
+        return to_float(q)
+
+    monkeypatch.setattr(Fraction, "__float__", counted_float)
+
+    res = SimulationResult(cfg, fields)
+    records = simulation_records(res, 4.0)
+    assert len(heat_calls) == 1
+    assert sum(floats) == (fields.size if mode == "exact" else 0)
+    if mode == "float":
+        assert np.shares_memory(res.matrix, fields)
+
+    mo = estimate_moments(SimulationResult(cfg, fields))
+    frac = estimate_mean_field(SimulationResult(cfg, fields)).fraction_within(4.0)
+    assert [records[k] for k in ("two-norm-sq", "centered-two-norm-sq", "centered-one-norm")] \
+        == [mo.two_norm, mo.centered_two_norm, mo.centered_one_norm]
+    assert records["conservation-defect"].value == mo.conservation_defect
+    assert records["mean-field-fraction"].value == frac
 
 
 def test_coupled_pair_mc_matches_poissonized():
