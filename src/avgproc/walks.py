@@ -20,15 +20,17 @@ the bulk is the SRW step, only rows in the unit ball B_1 differ from it, all
 unit vectors' rows put the same mass on O, on S and past B_1, and that last
 mass follows the SRW's own law there (``_lumped_steps``). Each table is then
 one division of series in the SRW's closed-form return GF, by Newton's
-iteration on FFT products above 512 terms, with an ``error_bound`` from its
-residual, whose FFT products carry a normwise error term (``_fft_error``):
-proven for d <= 3 if numpy's FFT meets Percival's bound, inf for d >= 4. Every
-table carries its kernel's ``rate``, at which ``poissonized_return`` mixes it.
-``heat_kernel`` is a product of d one-axis cycle kernels, since a single dual
-walker's coordinates are independent, so the exact DP is the only
-d-dimensional stepper. Poisson weights equal ``scipy.stats.poisson.pmf``'s bit
-for bit (``_log_factorial``) and tails are a proven ratio bound
-(``_poisson_tail``), so the package needs no scipy at run time.
+iteration on FFT products above 512 terms, each round a middle product
+(``_inverse``), with an ``error_bound`` from its residual, whose signed FFT
+products carry a normwise error term (``_fft_error``) and whose products of
+nonnegative series are cyclic majorants (``_majorant``): proven for d <= 3 if
+numpy's FFT meets Percival's bound, inf for d >= 4. Every table carries its
+kernel's ``rate``, at which ``poissonized_return`` mixes it. ``heat_kernel``
+is a product of d one-axis cycle kernels, since a single dual walker's
+coordinates are independent, so the exact DP is the only d-dimensional
+stepper. Poisson weights equal ``scipy.stats.poisson.pmf``'s bit for bit
+(``_log_factorial``) and tails are a proven ratio bound (``_poisson_tail``),
+so the package needs no scipy at run time.
 ``poissonized_return`` weighs only the k with log Pr(Po(mu) = k) >= -800
 (``_poisson_window``), largest term first: np.exp is 0.0 at the others.
 """
@@ -367,8 +369,9 @@ def first_passage_sequences(kernel: TransitionKernel, n_max: int,
 
 # ---------------------------------------------------------------------------
 # Float tables: the series route. Each is one division x^ ~ N/D (``_lumped_formula``), N
-# times Newton's y ~ 1/D, products by FFT above ``_SPLIT`` (``_mul``), bounded from its residual
-# (``_residual_bound``) by Higham's dot product bound or Percival's FFT bound (``_fft_error``).
+# times Newton's y ~ 1/D by middle products (``_inverse``), products by FFT above ``_SPLIT``
+# (``_mul``), bounded from its residual (``_residual_bound``) by Higham's dot product bound or
+# Percival's FFT bound (``_fft_error``), nonnegative products by cyclic majorants (``_majorant``).
 # ---------------------------------------------------------------------------
 
 _U = 2.0 ** -53
@@ -391,42 +394,89 @@ _BETA = _U  # assumed bound on the error of numpy's FFT twiddle factors (``_fft_
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """First len(a) coefficients of a*b (len(b) == len(a)), by FFT past ``_SPLIT``."""
+    """First len(a) coefficients of a*b (len(b) == len(a)), by FFT past ``_SPLIT``.
+
+    The FFT length is the least power of two >= 2n - 2. At 2n - 2 (n = 2^k + 1) only
+    the top coefficient a[n-1] b[n-1] wraps, onto coefficient 0, and is taken off there.
+    """
     n = len(a)
     if n <= _SPLIT:
         return np.convolve(a, b)[:n]
-    size = 1 << (2 * n - 2).bit_length()  # >= 2n - 1: the first n do not wrap
-    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
+    size = 1 << (2 * n - 3).bit_length()
+    out = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
+    if size < 2 * n - 1:
+        out[0] -= a[-1] * b[-1]
+    return out
 
 
-def _fft_error(a: np.ndarray, b: np.ndarray) -> float:
-    """A bound on every coefficient's error in ``_mul(a, b)`` past ``_SPLIT``:
-    phi ||a||_2 ||b||_2, phi = (1+u)^3L (1+u sqrt5)^(3L+1) (1+beta)^3L - 1 for a
-    radix-2 FFT of length 2^L with twiddle factors within beta of exact (Percival,
-    Math. Comp. 72, 2003, Thm 5.1; Brent and Zimmermann, Modern Computer
-    Arithmetic, 3.3.2); phi <= gamma_(3L + (3L+1) sqrt5 + 3L beta/u). Assumed, not
-    proven: numpy's pocketfft (radices 2 and 4) meets it with beta = ``_BETA`` = u.
-    Its rfft of the unit impulse at index 1, the twiddle factors, was within 2.3u
-    of them up to 2^18 points; ``_mul``'s error on integer vectors at most 2.8e-3
-    of this bound. The norms are ``np.sum``s of squares, with no BLAS: any order of
-    adding n terms >= 0 is within gamma_(n-1) (Higham, 4.2), so with n 2^-1074 for
+def _percival(a: np.ndarray, b: np.ndarray, size: int) -> float:
+    """A bound on every coefficient's error in the cyclic convolution of a and b
+    (zero-padded) by FFT of length ``size`` = 2^L: phi ||a||_2 ||b||_2, phi = (1+u)^3L
+    (1+u sqrt5)^(3L+1) (1+beta)^3L - 1 for a radix-2 FFT with twiddle factors within
+    beta of exact (Percival, Math. Comp. 72, 2003, Thm 5.1; Brent and Zimmermann,
+    Modern Computer Arithmetic, 3.3.2); phi <= gamma_(3L + (3L+1) sqrt5 + 3L beta/u).
+    Assumed, not proven: numpy's pocketfft (radices 2 and 4) meets it with beta =
+    ``_BETA`` = u. Its rfft of the unit impulse at index 1, the twiddle factors, was
+    within 2.3u of them up to 2^18 points; ``_mul``'s error on integer vectors at most
+    2.8e-3 of this bound. The norms are ``np.sum``s of squares, with no BLAS: any order
+    of adding n terms >= 0 is within gamma_(n-1) (Higham, 4.2), so with n 2^-1074 for
     underflow, gamma_(2n+8) covers the rounding of squares, sums, roots and products.
     """
-    n, lg = len(a), (2 * len(a) - 2).bit_length()  # _mul's size is 2^lg
+    n, lg = len(a), size.bit_length() - 1
     phi = _gamma(3 * lg * (1 + _BETA / _U) + (3 * lg + 1) * math.sqrt(5)) * (1 + _gamma(2 * n + 8))
     return phi * math.prod(math.sqrt(float(np.sum(v * v)) + n * 2.0 ** -1074) for v in (a, b))
 
 
+def _fft_error(a: np.ndarray, b: np.ndarray) -> float:
+    """A bound on every coefficient's error in ``_mul(a, b)`` past ``_SPLIT``: Percival's
+    term E at ``_mul``'s FFT length (``_percival``). Where a[n-1] b[n-1] wraps, taking it
+    off coefficient 0 adds at most u E + gamma_2 (|a[n-1] b[n-1]| + |a[0] b[0]|), a[0] b[0]
+    being that coefficient, and 2^-1074 per underflow; (1 + gamma_3) and 2^-1070 also
+    cover this sum's own rounding."""
+    n = len(a)
+    size = 1 << (2 * n - 3).bit_length()
+    err = _percival(a, b, size)
+    if size < 2 * n - 1:
+        err = ((1 + _gamma(3)) * (err + _gamma(2) * (abs(a[-1] * b[-1]) + abs(a[0] * b[0])))
+               + 2.0 ** -1070)
+    return err
+
+
+def _majorant(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A coefficientwise upper bound on the first n = len(a) coefficients of a*b for
+    a, b >= 0: their cyclic convolution by FFT of length S, the least power of two
+    >= n + n/4, plus Percival's term at S (``_percival``, on the same ``_BETA``
+    assumption). Every term that wraps onto a coefficient is a product of entries >= 0,
+    so it only raises it; the margin n/4 keeps out the products of leading entries,
+    which would raise a flat bound by up to 23 % at S = n."""
+    n = len(a)
+    size = 1 << (n + n // 4 - 1).bit_length()
+    cyclic = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
+    return cyclic + _percival(a, b, size)
+
+
 def _inverse(den: np.ndarray) -> np.ndarray:
     """1/den through z^(len(den)-1) by Newton's iteration y <- y + y (1 - den y),
-    which doubles the number of correct coefficients per round."""
+    which doubles the number of correct coefficients per round.
+
+    A round from h to m coefficients past ``_SPLIT`` takes only e = (1 - den y)[h:m],
+    the middle product (Hanrot, Quercia and Zimmermann, AAECC 2004): a cyclic product
+    of length S = 2^ceil(log2 m) >= m wraps only onto coefficients below h. The same
+    rfft of y then gives y e through z^(m-h-1), which has m - 1 <= S coefficients.
+    """
     y = np.array([1.0 / den[0]])
     while len(y) < len(den):
-        m = min(2 * len(y), len(den))
-        y = np.r_[y, np.zeros(m - len(y))]
-        e = -_mul(den[:m], y)
-        e[0] += 1.0
-        y += _mul(y, e)
+        h, m = len(y), min(2 * len(y), len(den))
+        if m <= _SPLIT:
+            y = np.r_[y, np.zeros(m - h)]
+            e = -_mul(den[:m], y)
+            e[0] += 1.0
+            y += _mul(y, e)
+            continue
+        size = 1 << (m - 1).bit_length()
+        fy = np.fft.rfft(y, size)
+        e = -np.fft.irfft(np.fft.rfft(den[:m], size) * fy, size)[h:m]
+        y = np.r_[y, np.fft.irfft(fy * np.fft.rfft(e, size), size)[:m - h]]
     return y
 
 
@@ -437,8 +487,10 @@ def _residual_bound(num: _Series, den: _Series, x: np.ndarray, y: np.ndarray) ->
     for D^-1, a factor 2 covers the second-order terms, and e_N, e_D are the inputs'
     errors. Up to ``_SPLIT`` coefficients r^ = N - D x is by dot products (gamma_{n+1}):
         |x - N/D| <= |D^-1| (|r^| + gamma_{n+1} (|D| |x| + |N|) + e_N + e_D |x|);
-    past it by FFT products, each off by at most E(a, b) (``_fft_error``), the one by |y| too:
-        |x - N/D| <= |D^-1| ((1 + gamma_1) |r^| + E(D, x) + e_N + e_D |x| + E(e_D, |x|)).
+    past it D x is an FFT product off by at most E(D, x) (``_fft_error``), and the
+    products of nonnegative series, e_D |x| and the one by |y|, are majorants
+    M(a, b) >= a b (``_majorant``):
+        |x - N/D| <= |D^-1| ((1 + gamma_1) |r^| + E(D, x) + e_N + M(e_D, |x|)).
     """
     n, ax = len(x), np.abs(x)
     if not (np.isfinite(num.err).all() and np.isfinite(den.err).all()):
@@ -449,8 +501,8 @@ def _residual_bound(num: _Series, den: _Series, x: np.ndarray, y: np.ndarray) ->
                  + g * np.abs(num.c) + num.err)
         return 2.0 * _mul(np.abs(y), local)
     local = ((1 + _gamma(1)) * np.abs(num.c - _mul(den.c, x)) + _fft_error(den.c, x)
-             + _mul(den.err, ax) + _fft_error(den.err, ax) + num.err)
-    return 2.0 * (_mul(np.abs(y), local) + _fft_error(np.abs(y), local))
+             + _majorant(den.err, ax) + num.err)
+    return 2.0 * _majorant(np.abs(y), local)
 
 
 def _log_self_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -471,8 +523,10 @@ def _srw_closed_form(d: int, n_max: int) -> _Series:
     d=1: P_m = P_{m-1}(2m-1)/(2m); d=2: its square; d=3: 36 m^3 P_m =
     2(2m-1)(10m^2-10m+3) P_{m-1} - (m-1)(2m-1)(2m-3) P_{m-2}, run on the ratio
     t = P_m/P_{m-1}, which contracts (the other solution decays like 9^-m), so
-    its error eta stays a few ulp. d >= 4: p_2m = (2m)!/(2d)^{2m} sum over
-    k_1+...+k_d=m of prod (k_i!)^-2, a log-space convolution, bound inf.
+    its error eta stays a few ulp. Only t and eta are loops; the coefficients,
+    P_m = cumprod(t) and 1 + rho, a product, are vectors. d >= 4: p_2m =
+    (2m)!/(2d)^{2m} sum over k_1+...+k_d=m of prod (k_i!)^-2, a log-space
+    convolution, bound inf.
     """
     check_dimension(d)
     m_max = n_max // 2
@@ -485,18 +539,29 @@ def _srw_closed_form(d: int, n_max: int) -> _Series:
         rel = _gamma(2 * k)              # gamma_k / (1 - gamma_k) <= gamma_2k
     elif d == 3:
         g6 = _gamma(6)  # a, b, c each rounded to double once, three operations
-        big, rel = np.ones(m_max + 1), np.zeros(m_max + 1)
-        t, eta, rho, prod = 1.0, 0.0, 0.0, 1.0
-        for m in range(1, m_max + 1):
-            a = float(2 * (2 * m - 1) * (10 * m * m - 10 * m + 3))
-            b = float((m - 1) * (2 * m - 1) * (2 * m - 3))
-            c = float(36 * m ** 3)
-            w = b / t
-            t, eta = (a - w) / c, g6 * (a + w) / c + (b / c) * eta / (t * (t - eta))
-            prod *= t
-            big[m] = prod
-            rho = (1.0 + rho) * (1.0 + eta / (t - eta)) * (1.0 + _U) - 1.0
-            rel[m] = rho
+        # exact integers, each rounded once: a < 40 m^3 fits int64 below m = 2^19
+        m = np.arange(1, m_max + 1, dtype=np.int64 if m_max < 2 ** 19 else object)
+        a = (2 * (2 * m - 1) * (10 * m * m - 10 * m + 3)).astype(float)
+        b = ((m - 1) * (2 * m - 1) * (2 * m - 3)).astype(float)
+        c = (36 * m ** 3).astype(float)
+        t, ts = 1.0, [1.0]  # a memoryview hands out Python floats one by one, with no list
+        for ak, bk, ck in zip(a.data, b.data, c.data):
+            t = (ak - bk / t) / ck
+            ts.append(t)
+        ts = np.array(ts)
+        prev, t = ts[:-1], ts[1:]
+        first, bc = g6 * (a + b / prev) / c, b / c
+        e, eta = 0.0, []
+        for fk, bk, tk in zip(first.data, bc.data, prev.data):
+            e = fk + bk * e / (tk * (tk - e))
+            eta.append(e)
+        eta = np.array(eta)
+        big = np.r_[1.0, np.cumprod(t)]
+        # 1 + rho_m = (1 + rho_(m-1)) (1 + eta/(t - eta)) (1 + u): a running product X_m,
+        # and rho_m = X_m - 1 is exact for 1 <= X_m < 2^53, so 1 + rho_m gives X_m back
+        steps = np.full(2 * m_max, 1.0 + _U)
+        steps[::2] = 1.0 + eta / (t - eta)
+        rel = np.r_[0.0, np.cumprod(steps)[1::2] - 1.0]
         rel /= 1.0 - rel
     else:
         base = -2.0 * np.vectorize(math.lgamma)(np.arange(m_max + 1) + 1.0)

@@ -39,7 +39,8 @@ from avgproc.walks import (
 )
 from avgproc.walks import (_EXACT_TABLES, _SPLIT, _U, _Series, _exact_pass, _fft_error,
                            _gamma, _inverse,
-                           _log_factorial, _lumped_formula, _lumped_steps, _mul, _outward,
+                           _log_factorial, _lumped_formula, _lumped_steps, _majorant, _mul,
+                           _outward, _percival,
                            _poisson_pmf, _poisson_tail, _poisson_window, _reach,
                            _residual_bound, _sorts_coordinates, _srw_closed_form)
 
@@ -371,9 +372,10 @@ def _int_product(n: int):
     return a, b, np.convolve(a, b)[:n]
 
 
-@pytest.mark.parametrize("n", [513, 4096, 10001])
+@pytest.mark.parametrize("n", [513, 4096, 10001, 1025, 4097])
 @pytest.mark.parametrize("k", [0, 45, 500])
 def test_fft_product_within_normwise_term(n, k):
+    # at n = 2^k + 1 the FFT length is 2n - 2 and one wrapped term is taken off
     a, b, exact = _int_product(n)
     scale = 2.0 ** -k  # exact: every scaled value stays a normal double
     got = _mul(a * scale, b * scale)
@@ -385,21 +387,54 @@ def test_fft_product_within_normwise_term(n, k):
 def test_fft_error_is_percivals_bound(n, tiny):
     # phi ||a||_2 ||b||_2 at 40 digits, L = log2 of _mul's FFT length and beta = u, the
     # assumed twiddle accuracy; the float evaluation may exceed it by its own slack only.
+    # At n = 513 that length is 2n - 2, and taking the wrapped top coefficient off adds
+    # u E + 2u (|a[n-1] b[n-1]| + |a[0] b[0]|) to E = phi ||a||_2 ||b||_2.
     # A tiny a has squares that underflow to 0, and the bound must still cover its norm
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(n)
     a, b = rng.standard_normal(n) * 2.0 ** (-600 * tiny), rng.random(n) * 2.0 ** -30
-    lg = (2 * n - 2).bit_length()
-    assert 2 ** (lg - 1) < 2 * n - 1 <= 2 ** lg
+    lg = (2 * n - 3).bit_length()
+    assert 2 ** (lg - 1) < 2 * n - 2 <= 2 ** lg
     with mpmath.workdps(40):
         u = mpmath.mpf(2) ** -53
         phi = ((1 + u) ** (3 * lg) * (1 + u * mpmath.sqrt(5)) ** (3 * lg + 1)
                * (1 + u) ** (3 * lg) - 1)
         norms = [mpmath.sqrt(mpmath.fsum(mpmath.mpf(v) ** 2 for v in x)) for x in (a, b)]
         want = phi * norms[0] * norms[1]
+        if 2 ** lg < 2 * n - 1:
+            ends = abs(mpmath.mpf(a[-1]) * b[-1]) + abs(mpmath.mpf(a[0]) * b[0])
+            want = (1 + u) * want + 2 * u * ends
         assert want <= _fft_error(a, b)
         if not tiny:
             assert _fft_error(a, b) <= want * (1 + mpmath.mpf(10) ** -10)
+
+
+@pytest.mark.parametrize("n", [513, 1024, 1025, 4096, 4097, 10001])
+def test_majorant_bounds_the_truncated_product(n):
+    # nonnegative integers below 2^19: every cyclic and linear coefficient is exact in
+    # int64 and in doubles. The majorant lies above the truncated product, and within
+    # Percival's term of the cyclic convolution at its length, wrapped terms included;
+    # terms wrap where that length is below 2n - 1 (all n here but 1024 and 4096)
+    rng = np.random.default_rng(n)
+    a, b = rng.integers(0, 2**19, n), rng.integers(0, 2**19, n)
+    linear = np.convolve(a, b)
+    size = 1 << (n + n // 4 - 1).bit_length()
+    cyclic = np.bincount(np.arange(2 * n - 1) % size, linear, minlength=size)[:n]
+    got, term = _majorant(a * 1.0, b * 1.0), _percival(a * 1.0, b * 1.0, size)
+    assert np.any(cyclic > linear[:n]) == (size < 2 * n - 1)
+    assert np.all(got >= linear[:n]) and np.all(np.abs(got - cyclic) <= 2 * term)
+
+
+@pytest.mark.parametrize("n", [513, 1023, 1024, 1025, 2047, 2048, 2049, 4097])
+def test_inverse_by_middle_products(n):
+    # 1/den by Newton past the split: every round's middle product must land clear of
+    # its wrap, so the residual 1 - den y by direct sums stays at rounding level
+    rng = np.random.default_rng(n)
+    den = np.r_[1.0, rng.uniform(-1, 1, n - 1) * 0.5 ** np.arange(1, n)]
+    y = _inverse(den)
+    residual = np.convolve(den, y)[:n]
+    residual[0] -= 1.0
+    assert len(y) == n and np.max(np.abs(residual)) < 1e-14
 
 
 def test_residual_bound_covers_the_residuals_own_rounding():
@@ -493,7 +528,7 @@ def test_float_route_matches_mpmath_long_division_past_the_split(d):
     assert worst <= fl.error_bound
 
 
-@pytest.mark.parametrize("n", [511, 512, 513, 1024, 1025])
+@pytest.mark.parametrize("n", [511, 512, 513, 1024, 1025, 1023, 1535, 2000])
 def test_division_bound_holds_at_the_split(n):
     fl = return_sequence(avg_difference_kernel(1), n, mode="float")
     assert _worst_error(fl.entries, _mpmath_avg_diff(1, 2000)[2]) <= fl.error_bound < 1e-10
@@ -531,6 +566,35 @@ def test_srw_closed_form_within_error_bound(d, n_max):
     for m in [*range(40), *range(40, n_max // 2 + 1, 37), n_max // 2]:
         assert abs(F(seq[2 * m]) - _srw_exact_even(d, m)) <= seq.error_bound
     assert all(seq[n] == 0.0 for n in range(1, n_max + 1, 2))
+
+
+def _srw_d3_sequential(n_max: int) -> _Series:
+    """The d=3 closed form as one sequential loop over m, the reference for
+    ``_srw_closed_form``'s vectorised form."""
+    m_max = n_max // 2
+    g6 = _gamma(6)
+    big, rel = np.ones(m_max + 1), np.zeros(m_max + 1)
+    t, eta, rho, prod = 1.0, 0.0, 0.0, 1.0
+    for m in range(1, m_max + 1):
+        a = float(2 * (2 * m - 1) * (10 * m * m - 10 * m + 3))
+        b = float((m - 1) * (2 * m - 1) * (2 * m - 3))
+        c = float(36 * m ** 3)
+        w = b / t
+        t, eta = (a - w) / c, g6 * (a + w) / c + (b / c) * eta / (t * (t - eta))
+        prod *= t
+        big[m] = prod
+        rho = (1.0 + rho) * (1.0 + eta / (t - eta)) * (1.0 + _U) - 1.0
+        rel[m] = rho
+    rel /= 1.0 - rel
+    p, err = np.zeros(n_max + 1), np.zeros(n_max + 1)
+    p[::2], err[::2] = big, rel * big
+    return _Series(p, err)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 50, 401, 20002])
+def test_srw_closed_form_d3_equals_the_sequential_loop(n_max):
+    got, want = _srw_closed_form(3, n_max), _srw_d3_sequential(n_max)
+    assert got.c.tobytes() == want.c.tobytes() and got.err.tobytes() == want.err.tobytes()
 
 
 def test_srw_closed_form_d3_pinned():
