@@ -26,13 +26,12 @@ It holds all trials in one flat buffer of trials x (n_sites + 1) entries,
 float64 or, in exact mode, Python ints: integer numerators over one common
 denominator, 2**n_steps for averaging and (2d)**n_steps for potlach. Every
 event then divides by 2 (or 2d) exactly, an averaging event by a right
-shift, and each site becomes a Fraction once, at the end, after the power
-of two its numerator shares with the denominator is shifted out of both
-(``_field``): the gcd left is then on short ints, except for the odd part
-3**n_steps of potlach's 6**n_steps at d=3. The last entry of
-each row is a sentinel site that holds zero. Shorter mark streams are padded
-with one extra mark whose endpoints are all the sentinel, so a padding event
-averages (or splits) zero with itself and no per-event mask is needed.
+shift, and the fields stay integer numerators: ``simulate`` brings every
+chunk to the denominator of its longest one, and ``SimulationResult`` divides
+only where a float is read. The last entry of each row is a sentinel site
+that holds zero. Shorter mark streams are padded with one extra mark whose
+endpoints are all the sentinel, so a padding event averages (or splits) zero
+with itself and no per-event mask is needed.
 Marks are stored in the smallest unsigned type that holds the padding mark,
 trial-major. Each block of ``BLOCK_ENTRIES // trials`` steps widens its
 marks to ``intp`` once and gathers every endpoint's flat buffer indices with
@@ -70,7 +69,7 @@ in the calling one; each writes its trials straight into the anonymous
 shared ``mmap`` that backs the float fields, so nothing is sent back. The
 process that runs trial i derives trial i's seed words itself, so the
 fields are bitwise the same on any number of cores. Exact runs stay in one
-process: their Fraction fields cannot live in shared memory. Fork and join
+process: their Python-int fields cannot live in shared memory. Fork and join
 cost about 3 ms, and seeding a trial about 3 us in whichever process runs
 it. Every process pays the fixed cost of every step, so few trials over many
 steps gain little: on the 2-vCPU VM above (medians of 9-11 alternating runs,
@@ -90,7 +89,6 @@ import math
 import mmap
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -314,19 +312,14 @@ def run_events(box: Box, dynamics: str, marks: np.ndarray,
     """Apply a padded (n_steps, trials) mark matrix to point masses at the origin.
 
     Column i is the mark stream of trial i, padded at the end with the mark
-    ``EventSchedule.n_marks(box, dynamics)``. Every trial advances in
-    lockstep over one flat buffer of trials x (n_sites + 1) entries, float64
-    or, with ``exact``, integer numerators over den = 2**n_steps (averaging)
-    or (2d)**n_steps (potlach). After j events every numerator is a multiple
-    of den / 2**j (or den / (2d)**j), so halving by ``>> 1`` and ``// 2d`` are
+    ``EventSchedule.n_marks(box, dynamics)``; any integer dtype and layout of
+    ``marks`` gives the same fields (the module docstring has the blocks).
+    Returns the fields with shape (trials, side, ..., side): float64 or, with
+    ``exact``, integer numerators over den = 2**n_steps (averaging) or
+    (2d)**n_steps (potlach). After j events every numerator is a multiple of
+    den / 2**j (or den / (2d)**j), so halving by ``>> 1`` and ``// 2d`` are
     exact; the shift equals ``// 2`` on every Python int and is cheaper on the
     long numerators.
-    Any integer dtype and layout of ``marks`` gives the same fields: each
-    block of ``BLOCK_ENTRIES // trials`` steps widens its marks to ``intp``
-    once and gathers every endpoint's buffer indices with 1-D ``take``, and
-    each step reads and writes the buffer through rows of those indices.
-    Returns the fields with shape (trials, side, ..., side), float64 or
-    Fractions.
     """
     marks = np.asarray(marks)
     pad = EventSchedule.n_marks(box, dynamics)
@@ -365,32 +358,24 @@ def run_events(box: Box, dynamics: str, marks: np.ndarray,
                 buf[src] = 0
                 for nb in nbs:
                     buf[nb] += share
-    fields = buf.reshape(trials, width)[:, :-1]
-    if exact:
-        fields = np.frompyfunc(lambda num: _field(num, den), 1, 1)(fields)
-    return fields.reshape((trials,) + (box.side,) * box.dimension)
-
-
-def _field(num: int, den: int) -> Fraction:
-    """num / den, with the power of two they share shifted out first: at a
-    power-of-two den the gcd that ``Fraction`` then takes is on short ints."""
-    low = num | den
-    k = (low & -low).bit_length() - 1
-    return Fraction(num >> k, den >> k)
+    return buf.reshape(trials, width)[:, :-1].reshape((trials,) + (box.side,) * box.dimension)
 
 
 @dataclass
 class SimulationResult:
-    """Final-time fields of every trial plus the generating configuration."""
+    """Final-time fields of every trial plus the generating configuration. An
+    exact float is one int true division, correctly rounded as ``float(Fraction)``."""
 
     config: ExperimentConfig
-    fields: np.ndarray  # (trials, side, ..., side): float64, or Fractions in exact mode
+    fields: np.ndarray  # (trials, side, ..., side): float64, or int numerators over den
+    den: int = 1
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """The fields as float64, one trial per row: a view of a float run's
-        fields, and each exact site rounded once by ``float(Fraction)``."""
-        return np.asarray(self.fields.reshape(self.config.trials, -1), dtype=float)
+        fields, and each exact site's numerator / den."""
+        flat = self.fields.reshape(self.config.trials, -1)
+        return flat if self.config.mode == "float" else (flat / self.den).astype(float)
 
     @cached_property
     def expected(self) -> np.ndarray:
@@ -399,27 +384,19 @@ class SimulationResult:
         cfg = self.config
         return heat_kernel(cfg.dimension, cfg.t, cfg.box, dynamics=cfg.dynamics).data.reshape(-1)
 
-    def totals(self) -> np.ndarray:
-        """Total mass of each trial; an exact row adds its integer numerators over
-        the lcm of its denominators and makes one Fraction, not one per site."""
-        flat = self.fields.reshape(self.config.trials, -1)
-        if self.config.mode == "float":
-            return flat.sum(axis=1)
-        dens = [math.lcm(*(v.denominator for v in row)) for row in flat]
-        return np.array([Fraction(sum(v.numerator * (m // v.denominator) for v in row), m)
-                         for row, m in zip(flat, dens)], dtype=object)
-
     def conservation_defect(self) -> float:
-        """max over trials of |total mass - 1|, summed exactly in exact mode."""
-        return float(np.abs(self.totals() - 1).max())
+        """max over trials of |total mass - 1|; exact: max |row sum - den| / den, on ints."""
+        totals = self.fields.reshape(self.config.trials, -1).sum(axis=1)
+        return float(np.abs(totals - self.den).max() / self.den)
 
     def mean_field(self) -> np.ndarray:
-        return self.fields.mean(axis=0)
+        """Each site's trial mean: its sum / (trials x den), one rounding if exact."""
+        return (self.fields.sum(axis=0) / (self.config.trials * self.den)).astype(float)
 
 
 def _worker_count(trials: int, exact: bool) -> int:
     """Processes that share one ``simulate`` run: one per usable core, with at
-    least ``MIN_SHARE_TRIALS`` trials each. Exact runs (Fraction fields cannot
+    least ``MIN_SHARE_TRIALS`` trials each. Exact runs (Python ints cannot
     live in shared memory) and platforms without ``os.sched_getaffinity`` run
     in one process."""
     if exact or not hasattr(os, "sched_getaffinity"):
@@ -549,20 +526,28 @@ def simulate(config: ExperimentConfig) -> SimulationResult:
     pad = EventSchedule.n_marks(box, config.dynamics)
     max_steps = int(mu + 10 * math.sqrt(mu + 1) + 10)
     workers = _worker_count(config.trials, exact)
+    chunks = []  # (lo, hi, steps) of each chunk this process ran
 
     def run_share(k: int) -> None:
         start, stop = k * config.trials // workers, (k + 1) * config.trials // workers
         bounds = _chunk_bounds(stop - start, max_steps, box.n_sites + 1)
         for lo, hi in zip(bounds, bounds[1:]):
             lo, hi = start + lo, start + hi
-            # no name holds the marks, so they are freed before the next chunk
-            # allocates its own
-            fields[lo:hi] = run_events(
-                box, config.dynamics,
-                _padded_marks(trial_generators(config.seed, lo, hi), mu, pad), exact)
+            marks = _padded_marks(trial_generators(config.seed, lo, hi), mu, pad)
+            chunks.append((lo, hi, len(marks)))
+            fields[lo:hi] = run_events(box, config.dynamics, marks, exact)
+            del marks  # freed before the next chunk allocates its own
 
     if workers == 1:
         run_share(0)
     else:
         _fork_shares(run_share, workers)
-    return SimulationResult(config, fields)
+    if not exact:
+        return SimulationResult(config, fields)
+    # one denominator for the run: base**top, top the longest chunk's step count
+    base = 2 if config.dynamics == "averaging" else 2 * box.dimension
+    top = max(steps for *_, steps in chunks)
+    for lo, hi, steps in chunks:
+        if steps < top:
+            fields[lo:hi] *= base ** (top - steps)
+    return SimulationResult(config, fields, base ** top)

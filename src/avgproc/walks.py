@@ -516,8 +516,14 @@ def _log_self_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+_SRW_FORMS: dict[int, _Series] = {}  # by d, the longest ``_srw_closed_form`` so far
+
+
 def _srw_closed_form(d: int, n_max: int) -> _Series:
-    """p_0..p_n_max of the SRW with per-entry error bounds (odd entries are 0).
+    """p_0..p_n_max of the SRW with per-entry error bounds (odd entries are 0),
+    computed once per d and process: a request up to the longest so far is
+    served as its read-only prefix, which equals a fresh result bit for bit,
+    since every entry reads only earlier ones.
 
     d <= 3: exact recurrences on P_m = p_2m, rel bounding |P^_m - P_m| / P^_m.
     d=1: P_m = P_{m-1}(2m-1)/(2m); d=2: its square; d=3: 36 m^3 P_m =
@@ -528,6 +534,9 @@ def _srw_closed_form(d: int, n_max: int) -> _Series:
     (2m)!/(2d)^{2m} sum over k_1+...+k_d=m of prod (k_i!)^-2, a log-space
     convolution, bound inf.
     """
+    stored = _SRW_FORMS.get(d)
+    if stored is not None and len(stored.c) > n_max:
+        return _Series(stored.c[: n_max + 1], stored.err[: n_max + 1])
     check_dimension(d)
     m_max = n_max // 2
     if d <= 2:
@@ -557,9 +566,11 @@ def _srw_closed_form(d: int, n_max: int) -> _Series:
             eta.append(e)
         eta = np.array(eta)
         big = np.r_[1.0, np.cumprod(t)]
-        # 1 + rho_m = (1 + rho_(m-1)) (1 + eta/(t - eta)) (1 + u): a running product X_m,
-        # and rho_m = X_m - 1 is exact for 1 <= X_m < 2^53, so 1 + rho_m gives X_m back
-        steps = np.full(2 * m_max, 1.0 + _U)
+        # 1 + rho_m = (1 + rho_(m-1)) (1 + eta/(t - eta)) (1 + u), (1 + u) for P_m's rounding,
+        # as a running product X_m; rho_m = X_m - 1 is exact for 1 <= X_m < 2^53. Each of
+        # X_m's five roundings (t - eta, the quotient, 1 + it, two products) may leave it low
+        # by a factor 1 + u, so the factor is 1 + 8u, the least double >= (1 + u)^6
+        steps = np.full(2 * m_max, 1.0 + 8 * _U)
         steps[::2] = 1.0 + eta / (t - eta)
         rel = np.r_[0.0, np.cumprod(steps)[1::2] - 1.0]
         rel /= 1.0 - rel
@@ -573,7 +584,9 @@ def _srw_closed_form(d: int, n_max: int) -> _Series:
         rel = np.inf
     p, err = np.zeros(n_max + 1), np.zeros(n_max + 1)
     p[::2], err[::2] = big, rel * big
-    return _Series(p, err)
+    p.flags.writeable = err.flags.writeable = False
+    _SRW_FORMS[d] = _Series(p, err)
+    return _SRW_FORMS[d]
 
 
 def srw_return_sequence_float(d: int, n_max: int) -> SequenceTable:

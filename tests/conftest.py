@@ -6,8 +6,10 @@ from avgproc.series import gf_tables
 
 @pytest.fixture(autouse=True)
 def fresh_exact_tables():
-    """Every test starts with no stored exact table, so its passes are its own."""
+    """Every test starts with no stored exact table or SRW closed form, so its passes
+    are its own."""
     walks._EXACT_TABLES.clear()
+    walks._SRW_FORMS.clear()
 
 
 @pytest.fixture(scope="session")

@@ -66,8 +66,27 @@ def replay(box, dynamics, marks, exact):
     return np.array(vals, dtype=object if exact else float).reshape((box.side,) * d)
 
 
+def fractions(nums, den):
+    """Exact integer numerators over den as the Fractions ``replay`` computes."""
+    assert all(type(v) is int for v in nums.flat)
+    return np.array([F(v, den) for v in nums.flat], dtype=object).reshape(nums.shape)
+
+
+def run(box, dynamics, marks, exact=False):
+    """``run_events``' fields; exact ones as Fractions over (2, or 2d for potlach)**n_steps."""
+    fields = run_events(box, dynamics, marks, exact)
+    if not exact:
+        return fields
+    return fractions(fields, (2 if dynamics == "averaging" else 2 * box.dimension) ** len(marks))
+
+
+def masses(res):
+    """A result's fields as masses: float64, or Fractions num / den in exact mode."""
+    return res.fields if res.config.mode == "float" else fractions(res.fields, res.den)
+
+
 def run_one(box, dynamics, marks, exact=False):
-    return run_events(box, dynamics, np.array(marks).reshape(-1, 1), exact)[0]
+    return run(box, dynamics, np.array(marks).reshape(-1, 1), exact)[0]
 
 
 def test_config_validation():
@@ -159,11 +178,12 @@ def test_run_events_mark_encoding():
 def test_run_events_torus_seam():
     box = Box(1, 3)
     chain = [(0,), (1,), (2,), (3,)]  # the last edge wraps (3,) -> (-3,)
-    f = run_one(box, "averaging", [box.to_index(x) for x in chain], exact=True)
-    expected = {0: F(1, 2), 1: F(1, 4), 2: F(1, 8), 3: F(1, 16), -3: F(1, 16)}
+    marks = np.array([box.to_index(x) for x in chain]).reshape(-1, 1)
+    f = run_events(box, "averaging", marks, exact=True)[0]  # numerators over 2**4
+    expected = {0: 8, 1: 4, 2: 2, 3: 1, -3: 1}
     for x in range(-3, 4):
         assert f[x + 3] == expected.get(x, 0)
-        assert type(f[x + 3]) is Fraction
+        assert type(f[x + 3]) is int
 
 
 def test_run_events_potlach_split():
@@ -186,8 +206,8 @@ def test_run_events_padding_leaves_rows_unchanged(dynamics, exact):
     pad = EventSchedule.n_marks(box, dynamics)
     events = [3, 17, 12, 0, 24]
     marks = np.array([events + [pad] * 3, [pad] * 8, [pad, pad] + events + [pad]]).T
-    fields = run_events(box, dynamics, marks, exact)
-    point = run_events(box, dynamics, np.empty((0, 1), dtype=np.int64), exact)[0]
+    fields = run(box, dynamics, marks, exact)
+    point = run(box, dynamics, np.empty((0, 1), dtype=np.int64), exact)[0]
     assert point[2, 2] == 1 and point.sum() == 1
     assert np.array_equal(fields[1], point)
     assert np.array_equal(fields[0], replay(box, dynamics, events, exact))
@@ -210,32 +230,30 @@ def test_run_events_ignores_mark_dtype_and_layout(dynamics, exact):
     assert not layouts[3].flags.c_contiguous and not layouts[4].flags.c_contiguous
     expected = [replay(box, dynamics, events[:, i], exact) for i in range(3)]
     for variant in layouts:
-        fields = run_events(box, dynamics, variant, exact)
+        fields = run(box, dynamics, variant, exact)
         for i in range(3):
             assert np.array_equal(fields[i], expected[i])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("dynamics", ["averaging", "potlach"])
-def test_exact_fields_equal_fractions_of_their_numerators(dynamics, d, monkeypatch):
-    # each exact field leaves run_events as num / den with the power of two they
-    # share shifted out first; at d=3 potlach's den 6**N keeps its odd part 3**N
+def test_exact_fields_equal_fractions_of_their_numerators(dynamics, d):
+    # run_events' exact fields are Python ints over den = 2**steps, or (2d)**steps
+    # for potlach (at d=3 its 6**steps is not a power of two); every row sums to den
     box, steps = Box(d, 1), 60
     pad = EventSchedule.n_marks(box, dynamics)
     events = np.random.default_rng(d).integers(0, pad, size=(steps, 2))
     marks = np.concatenate([events, np.full((steps, 1), pad)], axis=1)  # trial 2: no event
-    fields = run_events(box, dynamics, marks, exact=True).reshape(-1)
-    monkeypatch.setattr(simulate_module, "_field", lambda num, den: (num, den))
-    raw = run_events(box, dynamics, marks, exact=True).reshape(-1)
-    assert {den for _, den in raw} == {(2 if dynamics == "averaging" else 2 * d) ** steps}
-    assert any(num == 0 for num, _ in raw) and any(0 < num < den for num, den in raw)
-    for got, (num, den) in zip(fields, raw):
-        want = Fraction(num, den)
-        assert type(got) is Fraction
-        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    nums = run_events(box, dynamics, marks, exact=True).reshape(3, -1)
+    den = (2 if dynamics == "averaging" else 2 * d) ** steps
+    assert all(type(v) is int for v in nums.flat)
+    assert [sum(row) for row in nums] == [den] * 3
+    assert any(v == 0 for v in nums.flat) and any(0 < v < den for v in nums.flat)
+    assert nums[2].tolist() == [den if i == box.to_index(origin(d)) else 0
+                                for i in range(box.n_sites)]
     for i in range(2):
-        assert np.array_equal(fields.reshape(3, -1)[i], replay(box, dynamics, events[:, i],
-                                                                True).reshape(-1))
+        assert np.array_equal(fractions(nums[i], den),
+                              replay(box, dynamics, events[:, i], True).reshape(-1))
 
 
 def test_event_schedule_sample():
@@ -305,29 +323,34 @@ def test_exact_conservation(dynamics):
                            dynamics=dynamics, mode="exact", box_radius=5)
     res = simulate(cfg)
     assert isinstance(res, SimulationResult)
-    for tot in res.totals():
-        assert tot == F(1)
     flat = res.fields.reshape(cfg.trials, -1)
+    assert flat.sum(axis=1).tolist() == [res.den] * cfg.trials
+    assert res.conservation_defect() == 0.0
     for nsq in (flat * flat).sum(axis=1):
-        assert isinstance(nsq, Fraction)
-        assert nsq <= 1
+        assert type(nsq) is int
+        assert nsq <= res.den ** 2
 
 
-def test_exact_totals_add_numerators_over_the_row_lcm():
-    # a hand-made exact result whose rows have mixed denominators and lose mass
+def test_exact_conservation_defect_is_an_integer_test():
+    # one numerator changed by 1 makes the defect exactly 1 / den, far below what a
+    # float sum of the masses could resolve
+    cfg = ExperimentConfig(dimension=1, t=16.0, trials=3, seed=11, mode="exact", box_radius=5)
+    res = simulate(cfg)
+    assert res.den > 2 ** 53 and res.conservation_defect() == 0.0
+    for change in (1, -1):
+        fields = res.fields.copy()
+        fields[1, cfg.box.to_index((0,))] += change
+        assert SimulationResult(cfg, fields, res.den).conservation_defect() == 1 / res.den
+    # a hand-made result over den 12 whose rows lose 3/12 and 1/12 of their mass
     cfg = ExperimentConfig(dimension=1, t=1.0, trials=2, mode="exact", box_radius=1)
-    rows = [[F(1, 3), F(1, 6), F(1, 4)], [F(0), F(1), F(-1, 7)]]
-    fields = np.empty((2, 3), dtype=object)
-    fields[:] = rows
-    res = SimulationResult(cfg, fields)
-    assert res.totals().tolist() == [sum(row, F(0)) for row in rows] == [F(3, 4), F(6, 7)]
-    assert res.conservation_defect() == 0.25
+    fields = np.array([[4, 2, 3], [0, 12, -1]], dtype=object)
+    assert SimulationResult(cfg, fields, 12).conservation_defect() == 0.25
 
 
 def test_float_conservation_and_smoothing():
     cfg = ExperimentConfig(dimension=1, t=20.0, trials=8, seed=3, box_radius=12)
     res = simulate(cfg)
-    np.testing.assert_allclose(res.totals(), 1.0, atol=1e-12)
+    assert res.den == 1 and res.conservation_defect() <= 1e-12
     flat = res.fields.reshape(cfg.trials, -1)
     norms = (flat * flat).sum(axis=1)
     assert np.all(norms <= 1 + 1e-12)
@@ -338,9 +361,7 @@ def test_exact_and_float_see_same_events():
     kwargs = dict(dimension=1, t=8.0, trials=3, seed=5, box_radius=6)
     exact = simulate(ExperimentConfig(mode="exact", **kwargs))
     flo = simulate(ExperimentConfig(mode="float", **kwargs))
-    ex_vals = np.array([[float(v) for v in row] for row in
-                        exact.fields.reshape(3, -1)])
-    np.testing.assert_allclose(flo.fields.reshape(3, -1), ex_vals, atol=1e-12)
+    np.testing.assert_allclose(flo.fields.reshape(3, -1), exact.matrix, atol=1e-12)
 
 
 @pytest.mark.parametrize("d,dynamics,mode", [
@@ -353,15 +374,18 @@ def test_lockstep_matches_single_trial_replay(d, dynamics, mode):
     cfg = ExperimentConfig(dimension=d, t=4.0, trials=5, seed=9, box_radius=3,
                            dynamics=dynamics, mode=mode)
     res = simulate(cfg)
-    if mode == "exact":
-        assert all(type(v) is Fraction for v in res.fields.flat)
+    fields = masses(res)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
     for i in (0, 2, 4):
         rng = np.random.default_rng(children[i])
         sched = EventSchedule.sample(rng, cfg.box, cfg.t, cfg.dynamics)
         assert len(sched) > 0
         ref = replay(cfg.box, cfg.dynamics, sched.marks, mode == "exact")
-        assert np.array_equal(res.fields[i], ref)
+        assert np.array_equal(fields[i], ref)
+        # an exact site's float is num / den, the double float(Fraction) gives
+        assert res.matrix[i].tobytes() == np.asarray(ref, dtype=float).reshape(-1).tobytes()
+    mean = np.asarray(fields.mean(axis=0), dtype=float)
+    assert res.mean_field().tobytes() == mean.tobytes()
 
 
 @pytest.mark.parametrize("block", [1, 3, None], ids=["block1", "block3", "one-block"])
@@ -373,7 +397,7 @@ def test_lockstep_blocks_match_replay(d, t, radius, dynamics, mode, block, monke
     # time; no block boundary may change a field
     cfg = ExperimentConfig(dimension=d, t=t, trials=5, seed=9, box_radius=radius,
                            dynamics=dynamics, mode=mode)
-    whole = simulate(cfg).fields
+    whole = simulate(cfg)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
     streams = [EventSchedule.sample(np.random.default_rng(ss), cfg.box, t, dynamics).marks
                for ss in children]
@@ -381,10 +405,14 @@ def test_lockstep_blocks_match_replay(d, t, radius, dynamics, mode, block, monke
     assert n_steps % 3 and n_steps < simulate_module.BLOCK_ENTRIES // cfg.trials
     if block is not None:
         monkeypatch.setattr(simulate_module, "BLOCK_ENTRIES", block * cfg.trials)
-    fields = simulate(cfg).fields
-    assert _same_fields(fields, whole)
+    res = simulate(cfg)
+    assert _same_results(res, whole)
+    fields = masses(res)
     for i, stream in enumerate(streams):
-        assert np.array_equal(fields[i], replay(cfg.box, dynamics, stream, mode == "exact"))
+        ref = replay(cfg.box, dynamics, stream, mode == "exact")
+        assert np.array_equal(fields[i], ref)
+        # at d=3 potlach's exact den 6**N is no power of two: num / den is rounded once
+        assert res.matrix[i].tobytes() == np.asarray(ref, dtype=float).reshape(-1).tobytes()
 
 
 def _sha(data: bytes) -> str:
@@ -399,9 +427,8 @@ def test_seeded_outputs_pinned():
     f = simulate(ExperimentConfig(dimension=2, t=4.0, trials=10, seed=7,
                                   box_radius=4, dynamics="potlach")).fields
     assert _sha(f.tobytes()) == "63e1e677a0facd6f"
-    f = simulate(ExperimentConfig(dimension=1, t=8.0, trials=4, seed=7,
-                                  box_radius=6, mode="exact")).fields
-    assert all(type(v) is Fraction for v in f.flat)
+    f = masses(simulate(ExperimentConfig(dimension=1, t=8.0, trials=4, seed=7,
+                                         box_radius=6, mode="exact")))
     assert _sha(repr([str(v) for v in f.flat]).encode()) == "a527a9504f088489"
 
 
@@ -417,7 +444,7 @@ def test_zero_time_is_identity():
     res = simulate(cfg)
     for i in range(2):
         assert res.fields[i][cfg.box.to_index((0,))] == 1.0
-        assert res.totals()[i] == 1.0
+        assert res.fields[i].sum() == 1.0
 
 
 def test_mean_field_shape():
@@ -468,11 +495,15 @@ def test_chunk_bounds_respect_limits(trials, steps, width):
         assert list(bounds) == [0, 2500, 5000, 7500, 10**4]
 
 
-def _same_fields(a, b):
-    if a.dtype == object:
-        return (a.shape == b.shape and np.array_equal(a, b)
-                and all(type(v) is Fraction for v in a.flat))
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+def _same_results(a, b):
+    """Equal fields over one den, with bitwise equal float matrices and mean fields."""
+    if a.config.mode == "exact":
+        same = (a.fields.shape == b.fields.shape and np.array_equal(a.fields, b.fields)
+                and all(type(v) is int for v in a.fields.flat))
+    else:
+        same = a.fields.dtype == b.fields.dtype and a.fields.tobytes() == b.fields.tobytes()
+    return (same and a.den == b.den and a.matrix.tobytes() == b.matrix.tobytes()
+            and a.mean_field().tobytes() == b.mean_field().tobytes())
 
 
 @pytest.mark.parametrize("limits", [
@@ -489,13 +520,13 @@ def test_chunked_simulate_matches_one_chunk(d, dynamics, mode, t, radius, limits
                                             monkeypatch):
     cfg = ExperimentConfig(dimension=d, t=t, trials=7, seed=3, box_radius=radius,
                            dynamics=dynamics, mode=mode)
-    whole = simulate(cfg).fields
+    whole = simulate(cfg)
     for name, value in limits.items():
         monkeypatch.setattr(simulate_module, name, value)
     mu = EventSchedule.total_rate(cfg.box, dynamics) * t
     steps = int(mu + 10 * math.sqrt(mu + 1) + 10)
     assert len(_chunk_bounds(cfg.trials, steps, cfg.box.n_sites + 1)) > 3
-    assert _same_fields(simulate(cfg).fields, whole)
+    assert _same_results(simulate(cfg), whole)
     if t == 0.4:
         counts = [len(EventSchedule.sample(np.random.default_rng(ss), cfg.box, t, dynamics))
                   for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.trials)]
@@ -605,7 +636,7 @@ def test_exact_simulate_starts_no_process(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     cfg = ExperimentConfig(dimension=1, t=4.0, trials=7, seed=3, box_radius=4, mode="exact")
-    assert all(type(v) is Fraction for v in simulate(cfg).fields.flat)
+    assert all(type(v) is int for v in simulate(cfg).fields.flat)
 
 
 def _failing_run_events(fail_in_parent: bool):

@@ -1,6 +1,7 @@
 import math
 import sys
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -202,8 +203,9 @@ def test_simulation_records_derive_each_input_once(monkeypatch, mode, dynamics):
     # estimators read them; a float run's matrix is a view of its fields
     cfg = ExperimentConfig(dimension=1, t=4.0, trials=4, seed=2, dynamics=dynamics,
                            mode=mode, box_radius=6)
-    fields = simulate(cfg).fields
-    heat_calls, floats = [], []
+    run = simulate(cfg)
+    fields, den = run.fields, run.den
+    heat_calls, matrices = [], []
 
     def counted_heat_kernel(*args, **kwargs):
         heat_calls.append(args)
@@ -212,26 +214,30 @@ def test_simulation_records_derive_each_input_once(monkeypatch, mode, dynamics):
     for name, mod in list(sys.modules.items()):
         if name.startswith("avgproc") and getattr(mod, "heat_kernel", None) is heat_kernel:
             monkeypatch.setattr(mod, "heat_kernel", counted_heat_kernel)
-    # an exact site is made a float by Fraction.__float__; kernel rates are too, so
-    # only conversions of the fields' own objects are counted
-    sites = {id(v) for v in fields.flat} if mode == "exact" else set()
-    to_float = Fraction.__float__
+    # an exact site is made a float by int true division, which cannot be patched, so
+    # the matrices are counted where they are made, the one place that divides
+    make_matrix = SimulationResult.matrix.func
 
-    def counted_float(q):
-        floats.append(id(q) in sites)
-        return to_float(q)
+    def counted_matrix(res):
+        matrices.append(res)
+        return make_matrix(res)
 
-    monkeypatch.setattr(Fraction, "__float__", counted_float)
+    matrix = cached_property(counted_matrix)
+    matrix.__set_name__(SimulationResult, "matrix")
+    monkeypatch.setattr(SimulationResult, "matrix", matrix)
 
-    res = SimulationResult(cfg, fields)
+    res = SimulationResult(cfg, fields, den)
     records = simulation_records(res, 4.0)
     assert len(heat_calls) == 1
-    assert sum(floats) == (fields.size if mode == "exact" else 0)
+    assert len(matrices) == 1 and matrices[0] is res
     if mode == "float":
         assert np.shares_memory(res.matrix, fields)
+    else:
+        assert res.matrix.tolist() == [[float(Fraction(v, den)) for v in row]
+                                       for row in fields.reshape(cfg.trials, -1)]
 
-    mo = estimate_moments(SimulationResult(cfg, fields))
-    frac = estimate_mean_field(SimulationResult(cfg, fields)).fraction_within(4.0)
+    mo = estimate_moments(SimulationResult(cfg, fields, den))
+    frac = estimate_mean_field(SimulationResult(cfg, fields, den)).fraction_within(4.0)
     assert [records[k] for k in ("two-norm-sq", "centered-two-norm-sq", "centered-one-norm")] \
         == [mo.two_norm, mo.centered_two_norm, mo.centered_one_norm]
     assert records["conservation-defect"].value == mo.conservation_defect

@@ -42,7 +42,7 @@ from avgproc.walks import (_EXACT_TABLES, _SPLIT, _U, _Series, _exact_pass, _fft
                            _log_factorial, _lumped_formula, _lumped_steps, _majorant, _mul,
                            _outward, _percival,
                            _poisson_pmf, _poisson_tail, _poisson_window, _reach,
-                           _residual_bound, _sorts_coordinates, _srw_closed_form)
+                           _residual_bound, _sorts_coordinates, _SRW_FORMS, _srw_closed_form)
 
 F = Fraction
 
@@ -583,7 +583,7 @@ def _srw_d3_sequential(n_max: int) -> _Series:
         t, eta = (a - w) / c, g6 * (a + w) / c + (b / c) * eta / (t * (t - eta))
         prod *= t
         big[m] = prod
-        rho = (1.0 + rho) * (1.0 + eta / (t - eta)) * (1.0 + _U) - 1.0
+        rho = (1.0 + rho) * (1.0 + eta / (t - eta)) * (1.0 + 8 * _U) - 1.0
         rel[m] = rho
     rel /= 1.0 - rel
     p, err = np.zeros(n_max + 1), np.zeros(n_max + 1)
@@ -598,10 +598,47 @@ def test_srw_closed_form_d3_equals_the_sequential_loop(n_max):
 
 
 def test_srw_closed_form_d3_pinned():
-    # the d=3 recurrence's values and bounds at the length alpha_return_total uses
+    # the d=3 recurrence's values and bounds at the length alpha_return_total uses;
+    # the bounds moved (the values did not) when rho's rounding factor 1 + u, which is
+    # 1.0 in doubles, became 1 + 8u
     s = _srw_closed_form(3, 20000)
     digest = hashlib.sha256(s.c.tobytes() + s.err.tobytes()).hexdigest()[:16]
-    assert digest == "f91bd4f8a222d18e"
+    assert digest == "937afae39243dc0f"
+
+
+def _fresh_srw_closed_form(d, n_max):
+    _SRW_FORMS.clear()
+    return _srw_closed_form(d, n_max)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_srw_closed_form_serves_prefixes_of_the_longest(d):
+    # one closed form per d is kept, read-only; a shorter request is its prefix and
+    # equals a fresh result byte for byte, and a longer one replaces it
+    longest = _fresh_srw_closed_form(d, 2002)
+    assert not longest.c.flags.writeable and not longest.err.flags.writeable
+    for n in (0, 1, 7, 9, 50, 551, 2001, 2002):
+        _SRW_FORMS[d] = longest
+        served, fresh = _srw_closed_form(d, n), _fresh_srw_closed_form(d, n)
+        assert served.c.tobytes() == fresh.c.tobytes()
+        assert served.err.tobytes() == fresh.err.tobytes()
+        assert np.shares_memory(served.c, longest.c)
+    _SRW_FORMS[d] = longest
+    longer = _srw_closed_form(d, 2010)
+    assert _SRW_FORMS[d] is longer and len(longer.c) == 2011
+    assert longer.c.tobytes() == _fresh_srw_closed_form(d, 2010).c.tobytes()
+
+
+def test_float_tables_of_one_kernel_compute_the_closed_form_once():
+    kernel = avg_difference_kernel(3)
+    first_return_sequence(kernel, 2000, mode="float")
+    stored = _SRW_FORMS[3]
+    assert len(stored.c) == 2003
+    for fn in TABLE_FNS.values():
+        fn(kernel, 2000, mode="float")
+    return_sequence(kernel, 500, mode="float")
+    srw_return_sequence_float(3, 100)
+    assert list(_SRW_FORMS) == [3] and _SRW_FORMS[3] is stored
 
 
 def test_srw_closed_form_d4_bound_is_infinite():
