@@ -33,38 +33,54 @@ that holds zero. Shorter mark streams are padded with one extra mark whose
 endpoints are all the sentinel, so a padding event averages (or splits) zero
 with itself and no per-event mask is needed.
 Marks are stored in the smallest unsigned type that holds the padding mark,
-trial-major. Each block of ``BLOCK_ENTRIES // trials`` steps widens its
-marks to ``intp`` once and gathers every endpoint's flat buffer indices with
-``take`` into one C-contiguous (steps, trials) array; each step then updates
-the buffer through rows of those arrays, in six NumPy calls for averaging,
-so a step's fixed cost is about 3-4 us. On fixed marks (medians of 7),
+trial-major, and may come in slices of consecutive steps. Each block of
+``BLOCK_ENTRIES // trials`` steps widens its marks to ``intp`` once and
+gathers every endpoint's flat buffer indices with ``take`` into one
+C-contiguous (steps, trials) array, both reused by every block; each step
+then updates the buffer through rows of those arrays, in six NumPy calls for
+averaging, so a step's fixed cost is about 3-4 us. On fixed marks (medians of 7),
 blocks of 2^13 ... 2^17 entries lay within 8 % of each other, at 216-232 ms
 for a 200-trial share of criterion 7 and 122-132 ms for a 2500-trial chunk
 of criterion 6; 2^11 took 263 and 140 ms, 2^18 261 and 129 ms. 2^14 keeps
 one index array at 128 KiB, small next to the buffer.
 
-``simulate`` feeds ``run_events`` one chunk of trials at a time. A chunk's
-generators first draw every event count; the padded mark matrix is
-allocated once, at the chunk's largest count, and each trial's marks are
-drawn straight into its contiguous row, so the marks exist once. The
-chunks are the fewest equal ones such that (1) the mark matrix holds at most
-``MAX_MARK_ENTRIES`` entries, and (2) the float64 buffer fits in
-``BUFFER_BYTES`` (2 MiB, the L2 cache of one core), unless that would leave
-fewer than ``MIN_CHUNK_TRIALS`` trials in a chunk. Measured on a 2-vCPU Xeon
-VM with 2 MiB of L2 per core (medians of 7, ``run_events`` over one mark
-matrix in equal chunks): on criterion 6's marks (10^4 trials on its 65-site
-torus, a 5.0 MiB buffer) it took 0.61 s in one chunk, 0.53 s in two, 0.52 s
-in four and 0.50 s in ten. At d=2, t=16 on a torus of radius 22 (2025
+``simulate`` feeds ``run_events`` one chunk of trials at a time, and every
+run holds its marks within one budget, ``MARK_ENTRIES`` = 2^22 entries. A
+chunk's generators first draw every event count; then ``_mark_slices`` draws
+the streams in slices of K = ``MARK_ENTRIES`` // max(trials, 8) steps into one
+reused trial-major (trials, K) block, each trial's next marks straight into
+its row, and ``run_events`` applies the slices in order on one buffer.
+NumPy's ``Generator.integers`` drawn in consecutive pieces is the stream one
+call draws, so the fields do not depend on the budget. The chunks are the
+fewest equal ones such that the float64 buffer fits in ``BUFFER_BYTES``
+(2 MiB, the L2 cache of one core), unless that would leave fewer than
+``MIN_CHUNK_TRIALS`` trials in a chunk; the budget then splits them further,
+towards chunks whose step bound S fits in it, but only while every chunk
+keeps at least max(``MIN_CHUNK_TRIALS``, S/2) trials. Another chunk costs S
+lockstep steps of 3-5 us, another slice one ``integers`` call of about 5 us
+a trial. Criterion 6's share of 5000 trials on two cores (S = 2546) runs in
+three chunks of 1666-1667 trials, each one slice of at most 3.8 MB; criterion
+7's 200-trial shares at t=400 and the 1000-trial shares of a 2000-trial
+potlach run at t=64 each run in one chunk of two slices. On one core
+criterion 6 runs in seven chunks of 1428-1429 trials. Measured on a 2-vCPU
+Xeon VM with 2 MiB of L2 per core (medians of 7, ``run_events`` over one
+mark matrix in equal chunks): on criterion 6's marks (10^4 trials on its
+65-site torus, a 5.0 MiB buffer) it took 0.61 s in one chunk, 0.53 s in two,
+0.52 s in four and 0.50 s in ten. At d=2, t=16 on a torus of radius 22 (2025
 sites), 1000 trials took 0.58-0.60 s in one chunk, 0.48-0.53 s in two of
 500 and 0.56-0.64 s in four of 250; 2000 trials took 1.27 s in one chunk,
 0.94 s in four of 500 and 1.15 s in eight of 250. Below about 500 trials the
-fixed cost of each step outweighs the cache misses, hence the floor.
-Criterion 6 runs in three chunks of 3333-3334 trials on one core.
+fixed cost of each step outweighs the cache misses, hence the floor. On the
+same VM, one share of criterion 6 (5000 trials, one core, best of 3, medians
+of 5 runs) took 0.229 s in three chunks against 0.265 s in the two chunks of
+2500 that a mark bound of 5e7 entries gave. A d=1, t=4000 run of 200 trials
+(24 slices a share) took 5.7-6.2 s and peaked at 45 MB of RSS against 7.1-9.3
+s and 136 MB (two alternating pairs; its fields are bitwise the same).
 
 Cores. A float run is split into contiguous trial shares, one per usable
 core (``os.sched_getaffinity``) but none narrower than ``MIN_SHARE_TRIALS``,
 and each share is chunked as above (on two cores criterion 6 runs two shares
-of two chunks of 2500). Shares 1.. run in forked worker processes and share 0
+of three chunks). Shares 1.. run in forked worker processes and share 0
 in the calling one; each writes its trials straight into the anonymous
 shared ``mmap`` that backs the float fields, so nothing is sent back. The
 process that runs trial i derives trial i's seed words itself, so the
@@ -88,6 +104,7 @@ from __future__ import annotations
 import math
 import mmap
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -103,7 +120,7 @@ DYNAMICS = tuple(WALK_RATE)
 WRAP_TOL = 1e-6
 
 #: limits on one lockstep chunk of trials (see the module docstring)
-MAX_MARK_ENTRIES = 50_000_000  # entries of the padded mark matrix
+MARK_ENTRIES = 1 << 22         # marks one chunk holds at once: its reused slice block
 BUFFER_BYTES = 2 << 20         # float64 lockstep buffer: one core's L2 cache
 MIN_CHUNK_TRIALS = 500         # narrower chunks lose to per-step overhead
 BLOCK_ENTRIES = 1 << 14        # endpoint indices gathered per block of lockstep steps
@@ -249,35 +266,60 @@ def _draw_stream(rng: np.random.Generator, n: int, n_marks: int) -> np.ndarray:
     return rng.integers(0, n_marks, size=n, dtype=np.int64)
 
 
-def _padded_marks(rngs: list[np.random.Generator], mu: float, pad: int) -> np.ndarray:
-    """Padded (n_steps, trials) mark matrix with one column per generator.
+def _mark_slices(rngs: list[np.random.Generator], counts: list[int],
+                 pad: int) -> Iterator[np.ndarray]:
+    """The padded (n_steps, trials) mark matrix of the generators' streams, in
+    slices of consecutive steps, each a view of one reused block.
 
-    Every count is drawn first, so the matrix is allocated once at the
-    largest of them, and each stream is then drawn straight into its column.
-    Each generator still draws its count and then its marks, so every column
-    is the stream ``EventSchedule.sample`` draws from the same generator.
-    Marks are stored in the smallest unsigned type that holds the padding
-    mark ``pad``, trial-major: the matrix is the transposed view of a
-    C-contiguous (trials, n_steps) one, so each stream is written to
-    contiguous memory.
+    ``counts`` are the generators' event counts, already drawn. The block is
+    trial-major, (trials, K) with K = ``MARK_ENTRIES`` // max(trials, 8), so it
+    holds at most ``MARK_ENTRIES`` marks and one trial's int64 draw of K marks
+    fits in as many bytes. Each slice draws every unfinished stream's next
+    marks straight into its row, and a view of the block is yielded for the
+    caller to use before the next slice overwrites it. A generator's pieces,
+    drawn in order, are the stream one call draws, so every column is the
+    stream ``EventSchedule.sample`` draws from the same generator, which is
+    released once its stream is drawn (about 0.8 kB a trial). Marks are
+    stored in the smallest unsigned type that holds the padding mark ``pad``,
+    and a stream that ends is padded with it. A chunk with no event yields one
+    empty slice.
     """
-    counts = [_draw_count(rng, mu) for rng in rngs]
-    marks = np.full((len(rngs), max(counts)), pad, dtype=np.min_scalar_type(pad))
-    for row, rng, n in zip(marks, rngs, counts):
-        row[:n] = _draw_stream(rng, n, pad)
-    return marks.T
+    rngs, top = list(rngs), max(counts)
+    width = max(1, min(top, MARK_ENTRIES // max(len(rngs), 8)))
+    block = np.empty((len(rngs), width), dtype=np.min_scalar_type(pad))
+    for lo in range(0, max(top, 1), width):
+        marks = block[:, :min(width, top - lo)]
+        marks.fill(pad)
+        for i, n in enumerate(counts):
+            if n > lo:
+                k = min(n - lo, width)
+                marks[i, :k] = _draw_stream(rngs[i], k, pad)
+                if n <= lo + width:
+                    rngs[i] = None  # its stream is drawn: free the generator
+        yield marks.T
 
 
 def _chunk_bounds(trials: int, max_steps: int, width: int) -> list[int]:
     """Boundaries of the fewest equal chunks of ``trials`` within the limits.
 
-    ``max_steps`` bounds a trial's event count and ``width`` is a trial's row
-    of the lockstep buffer (n_sites + 1 entries). The mark-matrix bound yields
-    only to the one-trial minimum; the buffer bound yields to the trial floor.
+    ``max_steps`` (S) bounds a trial's event count and ``width`` is a trial's
+    row of the lockstep buffer (n_sites + 1 entries). The buffer bound yields
+    to ``MIN_CHUNK_TRIALS``. The mark budget, ``MARK_ENTRIES`` = 2^22, then
+    splits the trials further, towards chunks whose S steps fit in it, but
+    only while every chunk keeps at least max(``MIN_CHUNK_TRIALS``, S/2)
+    trials: another chunk costs S lockstep steps (3-5 us each), another slice
+    of marks one draw a trial (about 5 us). A chunk the budget does not split
+    far enough draws its marks in slices (``_mark_slices``), each within the
+    budget. Criterion 6's 5000-trial share (S = 2546) gets three chunks of
+    1666-1667 trials, one slice each, and took 0.229 s against 0.265 s in the
+    two chunks of 2500 a 5e7-entry mark bound gave (the module docstring has
+    the measurement); criterion 7's 200-trial share (S = 32771) and a potlach
+    share of 1000 trials at t=64 (S = 6461) get one chunk of two slices.
     """
-    by_marks = -(-trials // max(1, MAX_MARK_ENTRIES // max(max_steps, 1)))
     by_cache = -(-trials // max(1, BUFFER_BYTES // (8 * width)))
-    n = max(by_marks, min(by_cache, trials // MIN_CHUNK_TRIALS), 1)
+    n = max(min(by_cache, trials // MIN_CHUNK_TRIALS), 1)
+    by_budget = -(-trials * max_steps // MARK_ENTRIES)
+    n = max(n, min(by_budget, trials // max(MIN_CHUNK_TRIALS, -(-max_steps // 2))))
     return [i * trials // n for i in range(n + 1)]
 
 
@@ -307,57 +349,77 @@ def _endpoints(box: Box, dynamics: str) -> np.ndarray:
     return np.concatenate([ends, pad], axis=1)
 
 
-def run_events(box: Box, dynamics: str, marks: np.ndarray,
+def run_events(box: Box, dynamics: str, marks: np.ndarray | Iterable[np.ndarray],
                exact: bool = False) -> np.ndarray:
     """Apply a padded (n_steps, trials) mark matrix to point masses at the origin.
 
     Column i is the mark stream of trial i, padded at the end with the mark
     ``EventSchedule.n_marks(box, dynamics)``; any integer dtype and layout of
     ``marks`` gives the same fields (the module docstring has the blocks).
-    Returns the fields with shape (trials, side, ..., side): float64 or, with
-    ``exact``, integer numerators over den = 2**n_steps (averaging) or
-    (2d)**n_steps (potlach). After j events every numerator is a multiple of
-    den / 2**j (or den / (2d)**j), so halving by ``>> 1`` and ``// 2d`` are
-    exact; the shift equals ``// 2`` on every Python int and is cheaper on the
-    long numerators.
+    ``marks`` may also be an iterable of slices of such a matrix, each of
+    consecutive steps, at least one; they are applied in order on one buffer,
+    each read before the next is requested, and give the fields the whole
+    matrix gives. Returns the fields with shape (trials, side, ..., side):
+    float64 or, with ``exact``, integer numerators over den = 2**n_steps
+    (averaging) or (2d)**n_steps (potlach). Before each slice of k steps the
+    numerators are multiplied by 2**k (or (2d)**k); after j events every
+    numerator is then a multiple of den / 2**j (or den / (2d)**j), so halving
+    by ``>> 1`` and ``// 2d`` are exact. The shift equals ``// 2`` on every
+    Python int and is cheaper on the long numerators.
     """
-    marks = np.asarray(marks)
     pad = EventSchedule.n_marks(box, dynamics)
-    if marks.ndim != 2 or marks.dtype.kind not in "iu":
-        raise ValueError("marks must be an integer (n_steps, trials) matrix")
-    if marks.size and (marks.min() < 0 or marks.max() > pad):
-        raise ValueError(f"marks must lie in [0, {pad}]")
     # take() on a strided row copies the whole row first, so each endpoint
     # row must be contiguous (_endpoints is F-ordered for potlach)
     ends = np.ascontiguousarray(_endpoints(box, dynamics))
-    trials, width = marks.shape[1], box.n_sites + 1
-    deg = 2 * box.dimension
-    den = (2 if dynamics == "averaging" else deg) ** len(marks) if exact else 1
-    buf = np.zeros(trials * width, dtype=object if exact else float)  # object zeros are int 0
-    rows = np.arange(trials, dtype=np.intp) * width
-    buf[rows + box.to_index(origin(box.dimension))] = den
+    width, deg = box.n_sites + 1, 2 * box.dimension
+    base = 2 if dynamics == "averaging" else deg
     if dynamics == "averaging":  # x * 0.5 rounds as x / 2 does
         scale, by = (np.right_shift, 1) if exact else (np.multiply, 0.5)
     else:
         scale, by = np.floor_divide if exact else np.true_divide, deg
-    block = max(1, BLOCK_ENTRIES // max(trials, 1))
-    for lo in range(0, len(marks), block):
-        # one C-contiguous (steps, trials) array of buffer indices per endpoint
-        step_marks = np.ascontiguousarray(marks[lo:lo + block], dtype=np.intp)
-        idx = [e.take(step_marks) + rows for e in ends]
-        if dynamics == "averaging":
-            for src, dst in zip(*idx):
-                mean = buf[src]
-                mean += buf[dst]
-                scale(mean, by, mean)
-                buf[src] = mean
-                buf[dst] = mean
-        else:
-            for src, *nbs in zip(*idx):
-                share = scale(buf[src], by)
-                buf[src] = 0
-                for nb in nbs:
-                    buf[nb] += share
+    buf = None
+    for part in [marks] if isinstance(marks, np.ndarray) else marks:
+        part = np.asarray(part)
+        if part.ndim != 2 or part.dtype.kind not in "iu":
+            raise ValueError("marks must be an integer (n_steps, trials) matrix")
+        if part.size and (part.min() < 0 or part.max() > pad):
+            raise ValueError(f"marks must lie in [0, {pad}]")
+        if buf is None:
+            trials = part.shape[1]
+            # object zeros are int 0
+            buf = np.zeros(trials * width, dtype=object if exact else float)
+            rows = np.arange(trials, dtype=np.intp) * width
+            buf[rows + box.to_index(origin(box.dimension))] = 1
+            block = max(1, BLOCK_ENTRIES // max(trials, 1))
+            # reused by every block of steps: its marks widened to intp, and one
+            # C-contiguous (steps, trials) array of buffer indices per endpoint
+            step_marks = np.empty((block, trials), dtype=np.intp)
+            idx = np.empty((len(ends), block, trials), dtype=np.intp)
+        elif part.shape[1] != trials:
+            raise ValueError("every slice of marks must have one column per trial")
+        if exact and len(part):
+            buf *= base ** len(part)
+        for lo in range(0, len(part), block):
+            steps = min(block, len(part) - lo)
+            np.copyto(step_marks[:steps], part[lo:lo + steps])
+            for e, out in zip(ends, idx[:, :steps]):
+                e.take(step_marks[:steps], out=out, mode="clip")  # marks are checked above
+                out += rows
+            if dynamics == "averaging":
+                for src, dst in zip(*idx[:, :steps]):
+                    mean = buf[src]
+                    mean += buf[dst]
+                    scale(mean, by, mean)
+                    buf[src] = mean
+                    buf[dst] = mean
+            else:
+                for src, *nbs in zip(*idx[:, :steps]):
+                    share = scale(buf[src], by)
+                    buf[src] = 0
+                    for nb in nbs:
+                        buf[nb] += share
+    if buf is None:
+        raise ValueError("marks must hold at least one slice")
     return buf.reshape(trials, width)[:, :-1].reshape((trials,) + (box.side,) * box.dimension)
 
 
@@ -533,10 +595,12 @@ def simulate(config: ExperimentConfig) -> SimulationResult:
         bounds = _chunk_bounds(stop - start, max_steps, box.n_sites + 1)
         for lo, hi in zip(bounds, bounds[1:]):
             lo, hi = start + lo, start + hi
-            marks = _padded_marks(trial_generators(config.seed, lo, hi), mu, pad)
-            chunks.append((lo, hi, len(marks)))
-            fields[lo:hi] = run_events(box, config.dynamics, marks, exact)
-            del marks  # freed before the next chunk allocates its own
+            rngs = trial_generators(config.seed, lo, hi)
+            counts = [_draw_count(rng, mu) for rng in rngs]
+            chunks.append((lo, hi, max(counts)))
+            slices = _mark_slices(rngs, counts, pad)
+            del rngs  # the slices hold the generators until their last draw
+            fields[lo:hi] = run_events(box, config.dynamics, slices, exact)
 
     if workers == 1:
         run_share(0)

@@ -7,13 +7,16 @@ return sequence of the coupled pair, and the rescaled-test limits are
 closed-form Gaussian integrals. Monte Carlo enters only on the trial side, so
 every z-score is an honest measurement of simulator error. Each estimator
 takes only a ``SimulationResult``: its float ``matrix`` and its heat-kernel
-``expected`` field are computed once per result, on first read.
+``expected`` field are computed once per result, on first read. The
+estimators read the matrix in blocks of rows (``_row_blocks``), so none of
+them holds a temporary the size of the matrix, and every value is bitwise
+the one the whole-matrix formula gives.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -59,6 +62,40 @@ class StatRecord:
                   for v in (self.value, self.stderr, self.target, self.z)))
 
 
+#: float64 entries of one row block the estimators work over (512 KiB)
+ROW_BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(mat: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive full-width views of ``mat``'s rows, about ``ROW_BLOCK_ENTRIES``
+    entries each. A row's reductions read only that row, so each is the same
+    over a block as over the whole matrix."""
+    rows = max(1, ROW_BLOCK_ENTRIES // max(mat.shape[1], 1))
+    for lo in range(0, len(mat), rows):
+        yield mat[lo:lo + rows]
+
+
+def _column_sum(blocks: Iterator[np.ndarray]) -> np.ndarray:
+    """The column sums of the stacked blocks, adding the rows in order as
+    ``sum(axis=0)`` of the whole matrix does, so the result is bitwise its."""
+    total = next(blocks).sum(axis=0)
+    for block in blocks:
+        total = np.add.reduce(np.vstack((total, block)), axis=0)
+    return total
+
+
+def _column_mean_sd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``mat.mean(axis=0)`` and ``mat.std(axis=0, ddof=1)``, bitwise: the same
+    terms summed in the same order and divided as NumPy divides them. That
+    holds for two or more columns, as every field matrix has (NumPy sums one
+    column pairwise). Subset the columns after, not before: a subset's sums
+    round differently in the last bits."""
+    n = len(mat)
+    mean = _column_sum(_row_blocks(mat)) / n
+    squares = (np.square(block - mean) for block in _row_blocks(mat))
+    return mean, np.sqrt(_column_sum(squares) / (n - 1))
+
+
 def _mean_record(name: str, cfg, values: np.ndarray, target: float | None) -> StatRecord:
     """The trial mean of ``values`` with its standard error, for the run ``cfg``."""
     return StatRecord(name, cfg.dimension, cfg.t, cfg.trials, cfg.seed, float(values.mean()),
@@ -94,9 +131,9 @@ def estimate_mean_field(result: SimulationResult) -> MeanFieldReport:
     cfg = result.config
     box = cfg.box
     d = box.dimension
-    mat, h_t = result.matrix, result.expected
-    mean = mat.mean(axis=0)
-    se = mat.std(axis=0, ddof=1) / math.sqrt(cfg.trials)
+    mean, sd = _column_mean_sd(result.matrix)
+    h_t = result.expected
+    se = sd / math.sqrt(cfg.trials)
     sites = ball(d, min(math.ceil(2.0 * math.sqrt(cfg.t)), box.radius))
     idx = np.array([box.to_index(p) for p in sites])
     emp, err, exp_ = mean[idx], se[idx], h_t[idx]
@@ -137,10 +174,10 @@ def estimate_moments(result: SimulationResult) -> MomentReport:
     coincidence = two_norm_target(cfg.dimension, cfg.t, cfg.dynamics)
     h_sq = float(np.sum(h_t * h_t))
 
-    sq = (mat * mat).sum(axis=1)
+    sq = np.concatenate([(b * b).sum(axis=1) for b in _row_blocks(mat)])
+    one = np.concatenate([np.abs(b - h_t).sum(axis=1) for b in _row_blocks(mat)])
     cross = mat @ h_t
     centered = sq - 2.0 * cross + h_sq
-    one = np.abs(mat - h_t).sum(axis=1)
 
     return MomentReport(
         two_norm=_mean_record("two-norm-sq", cfg, sq, coincidence),

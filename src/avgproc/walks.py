@@ -382,6 +382,12 @@ def _gamma(k):
     return k * _U / (1.0 - k * _U)
 
 
+def _round_up(x: np.ndarray) -> np.ndarray:
+    """x, one rounding to nearest of a bound, moved up an ulp in place so that it
+    bounds the exact value; an exact zero stays zero."""
+    return np.nextafter(x, np.inf, out=x, where=x > 0.0)
+
+
 class _Series(NamedTuple):
     """Float coefficients c[0..n] and a coefficientwise bound on their error."""
 
@@ -532,7 +538,9 @@ def _srw_closed_form(d: int, n_max: int) -> _Series:
     its error eta stays a few ulp. Only t and eta are loops; the coefficients,
     P_m = cumprod(t) and 1 + rho, a product, are vectors. d >= 4: p_2m =
     (2m)!/(2d)^{2m} sum over k_1+...+k_d=m of prod (k_i!)^-2, a log-space
-    convolution, bound inf.
+    convolution, bound inf. The bound's last two steps, rel / (1 - rel) at d=3
+    and err = rel x P^_m, round up (``_round_up``, the divisor rounded down), so
+    each err bounds what its argument proves.
     """
     stored = _SRW_FORMS.get(d)
     if stored is not None and len(stored.c) > n_max:
@@ -573,7 +581,7 @@ def _srw_closed_form(d: int, n_max: int) -> _Series:
         steps = np.full(2 * m_max, 1.0 + 8 * _U)
         steps[::2] = 1.0 + eta / (t - eta)
         rel = np.r_[0.0, np.cumprod(steps)[1::2] - 1.0]
-        rel /= 1.0 - rel
+        rel = _round_up(rel / np.nextafter(1.0 - rel, 0.0))  # divisor rounded down
     else:
         base = -2.0 * np.vectorize(math.lgamma)(np.arange(m_max + 1) + 1.0)
         conv = base
@@ -583,7 +591,7 @@ def _srw_closed_form(d: int, n_max: int) -> _Series:
                         for m in range(m_max + 1)])
         rel = np.inf
     p, err = np.zeros(n_max + 1), np.zeros(n_max + 1)
-    p[::2], err[::2] = big, rel * big
+    p[::2], err[::2] = big, _round_up(rel * big)
     p.flags.writeable = err.flags.writeable = False
     _SRW_FORMS[d] = _Series(p, err)
     return _SRW_FORMS[d]

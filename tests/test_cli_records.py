@@ -43,10 +43,12 @@ CASES = {
     # q~ comes from the lumped chain as a z + beta z Ns/Dr, not as 1 - 1/p~: 11 entries
     # moved by at most 3.5e-18, and its error bound fell from 7.2e-15 to 4.5e-16. The d=3
     # closed form's rho now counts its own roundings (a factor 1 + 8u where 1 + u was 1.0):
-    # only the two error bounds moved, 1.4359e-14 -> 1.4507e-14 and 4.526e-16 -> 6.253e-16
+    # only the two error bounds moved, 1.4359e-14 -> 1.4507e-14 and 4.526e-16 -> 6.253e-16.
+    # The closed form's last two bound steps now round up: only q~'s error bound moved,
+    # 6.252714395631973e-16 -> ...976e-16, in the CSV header and the JSON summary
     "walk-dp-float-potlach-coup-d3": (["walk-dp", "--kernel", "potlach-coup", "--mode", "float",
                                        "--d", "3", "--steps", "24", "--tables", "p,q"],
-                                      "3d98f397c66a3150"),
+                                      "cf8d325687e29604"),
 }
 
 

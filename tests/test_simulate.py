@@ -19,7 +19,7 @@ from avgproc.lattice import Box, origin, unit_vectors
 from avgproc.simulate import (
     BUFFER_BYTES,
     DYNAMICS,
-    MAX_MARK_ENTRIES,
+    MARK_ENTRIES,
     MIN_CHUNK_TRIALS,
     MIN_SHARE_TRIALS,
     WRAP_TOL,
@@ -27,7 +27,9 @@ from avgproc.simulate import (
     ExperimentConfig,
     SimulationResult,
     _chunk_bounds,
-    _padded_marks,
+    _draw_count,
+    _draw_stream,
+    _mark_slices,
     _trial_states,
     _worker_count,
     default_box_radius,
@@ -235,6 +237,25 @@ def test_run_events_ignores_mark_dtype_and_layout(dynamics, exact):
             assert np.array_equal(fields[i], expected[i])
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("dynamics", ["averaging", "potlach"])
+def test_run_events_applies_slices_in_order(dynamics, exact):
+    # slices of consecutive steps, applied on one buffer, give the whole matrix's
+    # fields; exact numerators come out over the same base**n_steps
+    box = Box(2, 2)
+    pad = EventSchedule.n_marks(box, dynamics)
+    marks = np.random.default_rng(8).integers(0, pad + 1, size=(23, 4))
+    whole = run_events(box, dynamics, marks, exact)
+    for cuts in ([0, 23], [0, 1, 2, 23], [0, 0, 5, 5, 17, 23], list(range(24))):
+        parts = (marks[lo:hi] for lo, hi in zip(cuts, cuts[1:]))
+        fields = run_events(box, dynamics, parts, exact)
+        assert fields.dtype == whole.dtype and np.array_equal(fields, whole)
+    with pytest.raises(ValueError, match="one column per trial"):
+        run_events(box, dynamics, iter([marks[:3], marks[3:, :2]]), exact)
+    with pytest.raises(ValueError, match="at least one slice"):
+        run_events(box, dynamics, iter([]), exact)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("dynamics", ["averaging", "potlach"])
 def test_exact_fields_equal_fractions_of_their_numerators(dynamics, d):
@@ -266,23 +287,64 @@ def test_event_schedule_sample():
         assert sched.marks.max() < EventSchedule.n_marks(box, "averaging")
 
 
-def test_padded_marks_are_a_transposed_trial_major_matrix():
+def _slices_of(children, box, t, dynamics):
+    """``_mark_slices``' slices for fresh generators of ``children``, each copied
+    as it is yielded, and the block they were views of."""
+    rngs = [np.random.default_rng(ss) for ss in children]
+    counts = [_draw_count(rng, EventSchedule.total_rate(box, dynamics) * t) for rng in rngs]
+    copies, bases = [], set()
+    for marks in _mark_slices(rngs, counts, EventSchedule.n_marks(box, dynamics)):
+        copies.append(marks.copy())
+        bases.add(id(marks.base))
+        block = marks.base
+    assert len(bases) == 1
+    return copies, block
+
+
+@pytest.mark.parametrize("budget,width", [(MARK_ENTRIES, None), (8 * 5, 5), (45, 5), (1, 1)],
+                         ids=["default", "width5", "width5-rounded", "width1"])
+def test_mark_slices_are_views_of_one_trial_major_block(budget, width, monkeypatch):
+    # K = max(1, budget // max(trials, 8)) steps a slice; every slice is a transposed
+    # view of one C-contiguous (trials, K) block, and the slices stacked are the padded
+    # mark matrix
     box, t, dynamics = Box(2, 3), 3.0, "averaging"
     pad = EventSchedule.n_marks(box, dynamics)
     children = np.random.SeedSequence(5).spawn(4)
-    marks = _padded_marks([np.random.default_rng(ss) for ss in children],
-                          EventSchedule.total_rate(box, dynamics) * t, pad)
-    # each stream was written to one contiguous row of a (trials, n_steps) matrix
-    assert marks.base.shape == (4, len(marks)) and marks.base.flags.c_contiguous
-    assert marks.base.T.base is marks.base and np.array_equal(marks.base.T, marks)
-    assert marks.dtype == np.min_scalar_type(pad)
-    lengths = []
-    for i, ss in enumerate(children):
-        stream = EventSchedule.sample(np.random.default_rng(ss), box, t, dynamics).marks
-        lengths.append(len(stream))
-        assert np.array_equal(marks[:len(stream), i], stream)
-        assert np.all(marks[len(stream):, i] == pad)
-    assert min(lengths) < max(lengths) == len(marks)  # some column is padded
+    streams = [EventSchedule.sample(np.random.default_rng(ss), box, t, dynamics).marks
+               for ss in children]
+    top = max(map(len, streams))
+    assert min(map(len, streams)) < top  # some column is padded
+    monkeypatch.setattr(simulate_module, "MARK_ENTRIES", budget)
+    copies, block = _slices_of(children, box, t, dynamics)
+    width = width or top
+    assert block.shape == (4, width) and block.flags.c_contiguous
+    assert block.size <= max(budget, len(children))  # one step a slice at least
+    assert block.dtype == np.min_scalar_type(pad)
+    assert [len(c) for c in copies] == [min(width, top - lo) for lo in range(0, top, width)]
+    matrix = np.concatenate(copies)
+    for i, stream in enumerate(streams):
+        assert np.array_equal(matrix[:len(stream), i], stream)
+        assert np.all(matrix[len(stream):, i] == pad)
+
+
+def test_mark_slices_of_a_chunk_with_no_event():
+    box = Box(1, 2)
+    copies, block = _slices_of(np.random.SeedSequence(0).spawn(3), box, 0.0, "averaging")
+    assert [c.shape for c in copies] == [(0, 3)] and block.shape == (3, 1)
+
+
+@pytest.mark.parametrize("n_marks", [3, 7, 65, 79, 89, 155, 1000, 4050, 2**31 + 5])
+def test_integers_in_pieces_equal_one_call(n_marks):
+    # _mark_slices draws each stream in consecutive pieces. NumPy's bounded int64
+    # draws keep the generator's buffered 32-bit half-word between calls, so the
+    # pieces, odd lengths included, are the stream one call draws
+    sizes = [1, 3, 2, 5, 1, 64, 7, 1000, 2, 11]
+    for seed in range(30):
+        whole = _draw_stream(np.random.default_rng(seed), sum(sizes), n_marks)
+        rng = np.random.default_rng(seed)
+        pieces = np.concatenate([_draw_stream(rng, k, n_marks) for k in sizes])
+        assert pieces.dtype == whole.dtype == np.int64
+        assert np.array_equal(pieces, whole)
 
 
 # 1, 1, 1, 2, 4 and 5 entropy words
@@ -455,44 +517,57 @@ def test_mean_field_shape():
     assert float(mean.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("trials,steps,width", [
-    (1, 2724, 80),                     # one trial
-    (MIN_CHUNK_TRIALS + 1, 100, 10**5),  # just over the floor, buffer far too big
-    (2 * MIN_CHUNK_TRIALS + 1, 100, 10**5),
-    (10**4, 2724, 80),                 # criterion 6
-    (400, 36863, 80),                  # criterion 7
-    (3000, 10**5, 80),                 # large t: the mark bound beats the floor
-    (50, 10**8, 80),                   # huge t: one trial per chunk
-    (10**6, 10, 2),
-], ids=["one-trial", "floor+1", "2floor+1", "c6", "c7", "large-t", "huge-t", "many-trials"])
-def test_chunk_bounds_respect_limits(trials, steps, width):
+# S, the step bound simulate computes, for criteria 6 and 7 (t=400) and the
+# benchmark's potlach run
+C6_STEPS, C7_STEPS, POTLACH_STEPS = 2546, 32771, 6461
+
+
+@pytest.mark.parametrize("trials,steps,width,n", [
+    (1, 2724, 80, 1),                      # one trial
+    (MIN_CHUNK_TRIALS + 1, 100, 10**5, 1),  # just over the floor, buffer far too big
+    (2 * MIN_CHUNK_TRIALS + 1, 100, 10**5, 2),
+    (5000, C6_STEPS, 66, 3),               # criterion 6's share on two cores
+    (10**4, C6_STEPS, 66, 7),              # criterion 6 on one core
+    (200, C7_STEPS, 156, 1),               # criterion 7's share at t=400
+    (1000, POTLACH_STEPS, 90, 1),          # the benchmark's potlach share
+    (3000, 10**5, 80, 1),                  # large t: slices, not chunks
+    (10**6, 10, 2, 8),                     # the buffer bound alone
+], ids=["one-trial", "floor+1", "2floor+1", "c6", "c6-one-core", "c7", "potlach",
+        "large-t", "many-trials"])
+def test_chunk_bounds_respect_limits(trials, steps, width, n):
     bounds = _chunk_bounds(trials, steps, width)
     sizes = np.diff(bounds)
-    n = len(sizes)
+    assert len(sizes) == n
     assert bounds[0] == 0 and bounds[-1] == trials and sizes.min() >= 1
     assert sizes.max() - sizes.min() <= 1  # equal chunks cover every trial once
+    floor = max(MIN_CHUNK_TRIALS, steps / 2)
 
     def biggest(k):
         return -(-trials // k)
 
-    def mark_ok(k):
-        return biggest(k) * steps <= MAX_MARK_ENTRIES or biggest(k) == 1
-
     def cache_ok(k):
         return biggest(k) * 8 * width <= BUFFER_BYTES
 
-    assert mark_ok(n)
+    def budget_ok(k):
+        return biggest(k) * steps <= MARK_ENTRIES
+
+    by_cache = next(k for k in range(1, trials + 1)
+                    if cache_ok(k) or trials // (k + 1) < MIN_CHUNK_TRIALS)
+    assert n >= by_cache
     # the buffer fits, or one more chunk would fall below the floor
     assert cache_ok(n) or trials // (n + 1) < MIN_CHUNK_TRIALS
-    # chunks hold at least the floor, unless one chunk or the mark bound forces it
-    assert sizes.min() >= MIN_CHUNK_TRIALS or n == 1 or not mark_ok(n - 1)
-    # fewest: one chunk fewer breaks the mark bound, or the cache bound while
-    # still leaving room above the floor
-    if n > 1:
-        assert not mark_ok(n - 1) or (not cache_ok(n - 1)
-                                      and trials // n >= MIN_CHUNK_TRIALS)
-    if (trials, steps, width) == (10**4, 2724, 80):
-        assert list(bounds) == [0, 2500, 5000, 7500, 10**4]
+    # the budget splits only down to max(MIN_CHUNK_TRIALS, S/2) trials a chunk,
+    # and as far as that allows
+    if n > by_cache:
+        assert sizes.min() >= floor and not budget_ok(n - 1)
+    assert budget_ok(n) or trials // (n + 1) < floor
+    # every slice of marks fits the budget: K = MARK_ENTRIES // max(chunk, 8) steps
+    k = max(1, MARK_ENTRIES // max(biggest(n), 8))
+    assert biggest(n) * min(k, steps) <= MARK_ENTRIES
+    if (trials, steps) == (5000, C6_STEPS):
+        # S/2 = 1273: a fourth chunk (1250 trials) would fall below it, so each chunk
+        # of 1666-1667 trials draws its marks (at most about 2300 a trial) in one slice
+        assert list(bounds) == [0, 1666, 3333, 5000] and k > 2300
 
 
 def _same_results(a, b):
@@ -506,9 +581,22 @@ def _same_results(a, b):
             and a.mean_field().tobytes() == b.mean_field().tobytes())
 
 
+def _counted_slices(monkeypatch):
+    """Count the slices ``simulate`` draws, in a list the caller reads."""
+    seen, mark_slices = [], simulate_module._mark_slices
+
+    def counted(*args):
+        for marks in mark_slices(*args):
+            seen.append(len(marks))
+            yield marks
+
+    monkeypatch.setattr(simulate_module, "_mark_slices", counted)
+    return seen
+
+
 @pytest.mark.parametrize("limits", [
-    dict(BUFFER_BYTES=1, MIN_CHUNK_TRIALS=2),  # the cache bound splits, down to the floor
-    dict(MAX_MARK_ENTRIES=1),                  # the mark bound splits to one trial each
+    [dict(BUFFER_BYTES=1, MIN_CHUNK_TRIALS=2)],  # the cache bound splits, down to the floor
+    [dict(MARK_ENTRIES=b) for b in (40, 9, 2, 1)],  # slices of 5, 1, 1 and 1 steps
 ], ids=["cache", "marks"])
 @pytest.mark.parametrize("d,dynamics,mode,t,radius", [
     (1, "averaging", "float", 6.0, 5), (2, "averaging", "exact", 3.0, 3),
@@ -521,16 +609,52 @@ def test_chunked_simulate_matches_one_chunk(d, dynamics, mode, t, radius, limits
     cfg = ExperimentConfig(dimension=d, t=t, trials=7, seed=3, box_radius=radius,
                            dynamics=dynamics, mode=mode)
     whole = simulate(cfg)
-    for name, value in limits.items():
-        monkeypatch.setattr(simulate_module, name, value)
-    mu = EventSchedule.total_rate(cfg.box, dynamics) * t
-    steps = int(mu + 10 * math.sqrt(mu + 1) + 10)
-    assert len(_chunk_bounds(cfg.trials, steps, cfg.box.n_sites + 1)) > 3
-    assert _same_results(simulate(cfg), whole)
+    counts = [len(EventSchedule.sample(np.random.default_rng(ss), cfg.box, t, dynamics))
+              for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.trials)]
+    for variant in limits:
+        with monkeypatch.context() as m:
+            for name, value in variant.items():
+                m.setattr(simulate_module, name, value)
+            seen = _counted_slices(m)
+            mu = EventSchedule.total_rate(cfg.box, dynamics) * t
+            steps = int(mu + 10 * math.sqrt(mu + 1) + 10)
+            chunks = len(_chunk_bounds(cfg.trials, steps, cfg.box.n_sites + 1)) - 1
+            assert _same_results(simulate(cfg), whole)
+        if "MARK_ENTRIES" in variant:
+            width = max(1, variant["MARK_ENTRIES"] // 8)
+            assert chunks == 1 and seen == [min(width, max(counts) - lo)
+                                             for lo in range(0, max(max(counts), 1), width)]
+        else:
+            assert chunks > 2
     if t == 0.4:
-        counts = [len(EventSchedule.sample(np.random.default_rng(ss), cfg.box, t, dynamics))
-                  for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.trials)]
         assert 0 in counts and max(counts) > 0
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+@pytest.mark.parametrize("dynamics", DYNAMICS)
+def test_fields_equal_across_budgets_workers_and_chunks(dynamics, mode, monkeypatch):
+    # 16 trials of about 1.5 expected events on a 5-site torus, a fifth of them with
+    # none: budgets down to one mark, chunks down to one trial and float runs on up
+    # to three processes all give bitwise the same fields, den and estimator inputs
+    t = 1.5 / EventSchedule.total_rate(Box(1, 2), dynamics)
+    cfg = ExperimentConfig(dimension=1, t=t, trials=16, seed=4, box_radius=2,
+                           dynamics=dynamics, mode=mode)
+    counts = [len(EventSchedule.sample(np.random.default_rng(ss), cfg.box, t, dynamics))
+              for ss in np.random.SeedSequence(cfg.seed).spawn(cfg.trials)]
+    assert 0 in counts and max(counts) >= 4
+    _force_workers(monkeypatch, 1)
+    whole = simulate(cfg)
+    variants = [dict(MARK_ENTRIES=b) for b in (1, 16, 48, 100)]
+    variants += [dict(BUFFER_BYTES=1, MIN_CHUNK_TRIALS=m, MARK_ENTRIES=b)
+                 for m in (1, 3, 5) for b in (1, 24)]
+    for variant in variants:
+        for workers in (1, 2, 3) if mode == "float" else (1,):
+            with monkeypatch.context() as m:
+                for name, value in variant.items():
+                    m.setattr(simulate_module, name, value)
+                _force_workers(m, workers)
+                assert _same_results(simulate(cfg), whole), (variant, workers)
+    assert multiprocessing.active_children() == []
 
 
 def _force_workers(monkeypatch, workers):
@@ -538,8 +662,10 @@ def _force_workers(monkeypatch, workers):
 
 
 def _share_peak_and_bound(cfg, workers, monkeypatch):
-    """Peak traced memory of the calling process, and 1.25x the padded mark
-    matrix plus lockstep buffer of one chunk of its own share (share 0)."""
+    """Peak traced memory of the calling process; 1.25x the mark budget's block
+    plus one chunk's lockstep buffer of its own share (share 0); that share's
+    chunk count and largest chunk; and the bytes of that chunk's whole padded
+    mark matrix and buffer."""
     _force_workers(monkeypatch, workers)
     tracemalloc.start()
     try:
@@ -554,29 +680,52 @@ def _share_peak_and_bound(cfg, workers, monkeypatch):
     chunk = int(np.diff(bounds).max())
     longest = max(int(np.random.default_rng(ss).poisson(mu))
                   for ss in np.random.SeedSequence(cfg.seed).spawn(share))
-    pad = EventSchedule.n_marks(box, cfg.dynamics)
-    matrix = chunk * longest * np.min_scalar_type(pad).itemsize
+    itemsize = np.min_scalar_type(EventSchedule.n_marks(box, cfg.dynamics)).itemsize
     buffer = chunk * (box.n_sites + 1) * 8
-    return peak, 1.25 * (matrix + buffer), len(bounds) - 1
+    return peak, 1.25 * (MARK_ENTRIES * itemsize + buffer), len(bounds) - 1, chunk, \
+        chunk * longest * itemsize + buffer
+
+
+def _generator_bytes(trials):
+    """Traced bytes of ``trials`` trial generators (about 0.8 kB each)."""
+    tracemalloc.start()
+    try:
+        rngs = trial_generators(0, 0, trials)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del rngs
+    return size
 
 
 def test_chunk_memory_stays_bounded(monkeypatch):
-    # Peak traced memory stays within 1.25x one chunk's padded mark matrix and
-    # its lockstep buffer: no second copy of the marks and no matrix of the
-    # previous chunk may be alive next to them. The float fields live in an
-    # anonymous mmap, which tracemalloc does not see, so they are not in the
-    # bound. Measured: 1.16x (1.11x when the fields were traced and in the
-    # bound; 1.52x of that bound with a per-trial stream list beside the matrix).
-    peak, bound, chunks = _share_peak_and_bound(
+    # Peak traced memory stays within 1.25x the mark budget and one chunk's lockstep
+    # buffer: no chunk holds more than one block of marks, and no block of the
+    # previous chunk is alive next to it. The float fields live in an anonymous
+    # mmap, which tracemalloc does not see, so they are not in the bound. Measured:
+    # 4.65 MB against a bound of 6.23 MB, for 4 chunks of 1500 trials in one slice
+    # each (5.81 MB while every chunk kept its generators through the lockstep).
+    peak, bound, chunks, _, _ = _share_peak_and_bound(
         ExperimentConfig(dimension=1, t=64.0, trials=6000), 1, monkeypatch)
-    assert chunks > 1
+    assert chunks == 4
     assert peak < bound
+    # The benchmark's potlach share: one chunk of 1000 trials, whose 5.9e6 marks
+    # exceed the budget, draws them in two slices of a full block. Its peak also
+    # holds the chunk's generators (0.78 MB), which hold every stream's place
+    # between the slices. Measured: 6.33 MB against 6.92 MB; the whole mark
+    # matrix, its buffer and the generators alone take 7.4 MB.
+    peak, bound, chunks, trials, unsliced = _share_peak_and_bound(
+        ExperimentConfig(dimension=1, t=64.0, trials=1000, dynamics="potlach"), 1,
+        monkeypatch)
+    bound += _generator_bytes(trials)
+    assert chunks == 1
+    assert peak < bound < unsliced + _generator_bytes(trials)
 
 
 def test_forked_share_memory_stays_bounded(monkeypatch):
     # with two processes the caller holds only its own share's chunks: the
-    # workers' mark matrices live in the workers
-    peak, bound, _ = _share_peak_and_bound(
+    # workers' marks live in the workers
+    peak, bound, _, _, _ = _share_peak_and_bound(
         ExperimentConfig(dimension=1, t=64.0, trials=6000), 2, monkeypatch)
     assert peak < bound
 

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import cached_property
 
@@ -7,11 +8,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from avgproc import stats as stats_module
 from avgproc.simulate import ExperimentConfig, SimulationResult, simulate
 from avgproc.walks import heat_kernel, poissonized_return, potlach_contrast
 from avgproc.stats import (
+    ROW_BLOCK_ENTRIES,
     TEST_FUNCTIONS,
     StatRecord,
+    _column_mean_sd,
     clt_statistic,
     coupled_pair_mc,
     estimate_mean_field,
@@ -242,6 +246,61 @@ def test_simulation_records_derive_each_input_once(monkeypatch, mode, dynamics):
         == [mo.two_norm, mo.centered_two_norm, mo.centered_one_norm]
     assert records["conservation-defect"].value == mo.conservation_defect
     assert records["mean-field-fraction"].value == frac
+
+
+@pytest.mark.parametrize("shape", [(10**4, 65), (400, 155), (2000, 89), (1000, 2025), (7, 11),
+                                   (2, 3), (5000, 3), (20000, 2)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_blocked_column_mean_and_sd_are_numpys(shape, monkeypatch):
+    # the column sums add full-width rows in order, as NumPy's reduction over axis 0 of
+    # a C-contiguous matrix of two or more columns does, so every block edge gives its
+    # bits: one row a block, a block edge inside a row's worth, one block, the default
+    rows, cols = shape
+    rng = np.random.default_rng(rows + cols)
+    fields = rng.random(shape) ** 6  # a spread of magnitudes, like a smoothed field
+    fields[:, ::4] = 0.0
+    want = fields.mean(axis=0).tobytes(), fields.std(axis=0, ddof=1).tobytes()
+    for entries in (1, cols, 3 * cols + 1, rows * cols, ROW_BLOCK_ENTRIES):
+        monkeypatch.setattr(stats_module, "ROW_BLOCK_ENTRIES", entries)
+        mean, sd = _column_mean_sd(fields)
+        assert (mean.tobytes(), sd.tobytes()) == want, entries
+
+
+def test_estimators_over_row_blocks_equal_whole_matrix_formulas(result_d1, monkeypatch):
+    # each trial's norms read only its row, so blocks of rows give the whole matrix's bits
+    mat, h_t = result_d1.matrix, result_d1.expected
+    cfg = result_d1.config
+    idx = [cfg.box.to_index(p) for p in estimate_mean_field(result_d1).sites]
+    for entries in (1, 3 * mat.shape[1] + 1, ROW_BLOCK_ENTRIES):
+        monkeypatch.setattr(stats_module, "ROW_BLOCK_ENTRIES", entries)
+        mo = estimate_moments(result_d1)
+        sq, one = (mat * mat).sum(axis=1), np.abs(mat - h_t).sum(axis=1)
+        assert mo.two_norm.value == float(sq.mean())
+        assert mo.two_norm.stderr == float(sq.std(ddof=1) / math.sqrt(cfg.trials))
+        assert mo.centered_one_norm.value == float(one.mean())
+        assert mo.centered_one_norm.stderr == float(one.std(ddof=1) / math.sqrt(cfg.trials))
+        mf = estimate_mean_field(result_d1)
+        assert mf.empirical.tobytes() == mat.mean(axis=0)[idx].tobytes()
+        se = mat.std(axis=0, ddof=1) / math.sqrt(cfg.trials)
+        assert mf.stderr.tobytes() == se[idx].tobytes()
+
+
+def test_simulation_records_allocate_no_matrix_sized_temporary():
+    # criterion 6's shape, 10^4 trials on its 65-site torus: the estimators work over
+    # row blocks, so no temporary near the float matrix's 5.2 MB is made (the former
+    # whole-matrix formulas held two at once, 10.4 MB). Measured: a peak of 1.25 MB
+    cfg = ExperimentConfig(dimension=1, t=64.0, trials=10**4, seed=0)
+    fields = np.random.default_rng(6).random((cfg.trials, cfg.box.side))
+    fields /= fields.sum(axis=1, keepdims=True)
+    res = SimulationResult(cfg, fields)
+    tracemalloc.start()
+    try:
+        records = simulation_records(res, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert records["conservation-defect"].value < 1e-12
+    assert peak < fields.nbytes / 2
 
 
 def test_coupled_pair_mc_matches_poissonized():

@@ -554,8 +554,15 @@ def _srw_exact_even(d: int, m: int) -> Fraction:
         return F(math.comb(2 * m, m), 4**m)
     if d == 2:
         return F(math.comb(2 * m, m), 4**m) ** 2
-    # sum over j+k+l=m of the squared trinomials, by Vandermonde over (k, l)
-    inner = sum(math.comb(m, j) ** 2 * math.comb(2 * (m - j), m - j) for j in range(m + 1))
+    # sum over j+k+l=m of the squared trinomials, by Vandermonde over (k, l): the terms
+    # C(m, j)^2 C(2(m - j), m - j), each binomial updated from the last by exact division
+    a, b = 1, math.comb(2 * m, m)
+    inner = b
+    for j in range(1, m + 1):
+        n = m - j + 1  # C(2n - 2, n - 1) = C(2n, n) n / (2(2n - 1))
+        a = a * n // j
+        b = b * n // (2 * (2 * n - 1))
+        inner += a * a * b
     return F(math.comb(2 * m, m) * inner, 36**m)
 
 
@@ -566,6 +573,23 @@ def test_srw_closed_form_within_error_bound(d, n_max):
     for m in [*range(40), *range(40, n_max // 2 + 1, 37), n_max // 2]:
         assert abs(F(seq[2 * m]) - _srw_exact_even(d, m)) <= seq.error_bound
     assert all(seq[n] == 0.0 for n in range(1, n_max + 1, 2))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_srw_closed_form_entries_within_their_rounded_up_bounds(d):
+    # each entry's own bound against the exact rational at m = 10 ... 10^4; err is
+    # rel x P^_m rounded up, so it is at least the exact product of the two doubles
+    s = _fresh_srw_closed_form(d, 20000)
+    for m in (10, 100, 1000, 3000, 10_000):
+        c, err = F(s.c[2 * m]), F(s.err[2 * m])
+        assert abs(c - _srw_exact_even(d, m)) <= err
+    if d <= 2:  # rel = gamma_2k, k = 2m roundings of P_m at d=1, 4m + 1 at d=2
+        k = 2.0 * np.arange(10_001)
+        rel = _gamma(2 * (2 * k + 1 if d == 2 else k))
+        assert all(F(e) >= F(r) * F(b) for e, r, b in zip(s.err[::2], rel, s.c[::2]))
+    else:
+        assert s.err[0] == 0.0  # P_0 = 1 is exact, and an exact zero bound stays zero
+    assert np.all(s.err[1::2] == 0.0)
 
 
 def _srw_d3_sequential(n_max: int) -> _Series:
@@ -584,10 +608,11 @@ def _srw_d3_sequential(n_max: int) -> _Series:
         prod *= t
         big[m] = prod
         rho = (1.0 + rho) * (1.0 + eta / (t - eta)) * (1.0 + 8 * _U) - 1.0
-        rel[m] = rho
-    rel /= 1.0 - rel
+        # rho / (1 - rho) rounded up, its divisor rounded down
+        rel[m] = math.nextafter(rho / math.nextafter(1.0 - rho, 0.0), math.inf)
     p, err = np.zeros(n_max + 1), np.zeros(n_max + 1)
-    p[::2], err[::2] = big, rel * big
+    p[::2] = big
+    err[::2] = [math.nextafter(r * b, math.inf) if r * b > 0 else 0.0 for r, b in zip(rel, big)]
     return _Series(p, err)
 
 
@@ -600,10 +625,13 @@ def test_srw_closed_form_d3_equals_the_sequential_loop(n_max):
 def test_srw_closed_form_d3_pinned():
     # the d=3 recurrence's values and bounds at the length alpha_return_total uses;
     # the bounds moved (the values did not) when rho's rounding factor 1 + u, which is
-    # 1.0 in doubles, became 1 + 8u
+    # 1.0 in doubles, became 1 + 8u, and again, by an ulp or two, when the last two
+    # bound steps came to round up (937afae39243dc0f before). The values' own digest
+    # pins that they did not move
     s = _srw_closed_form(3, 20000)
+    assert hashlib.sha256(s.c.tobytes()).hexdigest()[:16] == "78e204051b03058a"
     digest = hashlib.sha256(s.c.tobytes() + s.err.tobytes()).hexdigest()[:16]
-    assert digest == "937afae39243dc0f"
+    assert digest == "e9fab3535255e566"
 
 
 def _fresh_srw_closed_form(d, n_max):
