@@ -41,8 +41,7 @@ class AlphaEstimate(NamedTuple):
     n_max: int
 
 
-def alpha_return_total(d: int, n_max: int = 20000,
-                       sequence: SequenceTable | None = None) -> AlphaEstimate:
+def alpha_return_total(d: int, n_max: int = 20000) -> AlphaEstimate:
     """alpha_d = sum_n p_n = G_d(1), with an estimated tail.
 
     Only makes sense for transient dimensions (d >= 3); the sum diverges for
@@ -54,14 +53,12 @@ def alpha_return_total(d: int, n_max: int = 20000,
     """
     if d < 3:
         raise ValueError(f"sum_n p_n diverges for d={d}: the walk is recurrent")
-    if sequence is None:
-        sequence = srw_return_sequence_float(d, n_max)
-    n_max = sequence.last_index
-    partial = math.fsum(sequence.entries)
+    values = srw_return_sequence_float(d, n_max).num  # doubles over den = 1
+    partial = math.fsum(values)
 
     lo = max(2, n_max - n_max // 4)
     lo += lo % 2  # even n only
-    evens = sequence.entries[lo - sequence.first_index::2]
+    evens = values[lo::2]
     rescaled = [v * n ** (d / 2.0) for n, v in zip(range(lo, n_max + 1, 2), evens)]
     c_tail = 1.5 * max(rescaled)
     m = n_max // 2  # tail over even n > n_max: sum_{k > m} (2k)^{-d/2}
@@ -116,7 +113,7 @@ def asymptotics_check(seq: SequenceTable, ns: list[int] | None = None,
     d = seq.dimension
     if constants is None:
         constants = AsymptoticConstants.compute(d)
-    parity = all(float(v) == 0.0 for v in seq.entries[1 - seq.first_index % 2::2])  # odd n
+    parity = not any(seq.num[1 - seq.first_index % 2::2])  # odd n
     if ns is None:
         hi = seq.last_index
         ns = sorted({max(seq.first_index, hi // 4), hi // 2, (3 * hi) // 4, hi - 1, hi})

@@ -8,7 +8,8 @@ identity unnoticed. A series holds integer numerators over one common
 denominator: a sum scales both to the lcm of the denominators, a product
 convolves the ints and multiplies the denominators, and each result is
 reduced by one gcd over all its numerators, so no operation makes a
-Fraction per coefficient; ``coeffs`` makes them on request. An identity "holds"
+Fraction per coefficient, nor does an exact walk table's becoming a series
+(``series_from_sequence``); ``coeffs`` makes them on request. An identity "holds"
 only when its residual series is identically zero through z^N. The
 identities tie the eight walk sequences (return, first return, sphere taboo,
 sphere first return — for the plain SRW and for the perturbed difference
@@ -133,17 +134,14 @@ class RationalSeries:
         return f"RationalSeries([{head}{tail}], O(z^{self.order + 1}))"
 
 
-def series_from_sequence(table: SequenceTable, order: int | None = None) -> RationalSeries:
-    """Generating function sum_n table[n] z^n as an exact truncated series."""
+def series_from_sequence(table: SequenceTable, order: int) -> RationalSeries:
+    """Generating function sum_n table[n] z^n through z^order as an exact series."""
     if not table.exact:
         raise ValueError(f"table {table.name!r} is float-valued; identities need exact mode")
-    if order is None:
-        order = table.last_index
     if order > table.last_index:
         raise ValueError(
             f"table {table.name!r} has entries to n={table.last_index}, need n={order}")
-    return RationalSeries(tuple(table[n] if n >= table.first_index else 0
-                                for n in range(order + 1)), order)
+    return RationalSeries._of(([0] * table.first_index + table.num)[: order + 1], table.den, order)
 
 
 @dataclass(frozen=True)
@@ -152,8 +150,11 @@ class IdentityReport:
 
     name: str
     dimension: int
-    order: int
     residual: RationalSeries
+
+    @property
+    def order(self) -> int:
+        return self.residual.order
 
     @property
     def ok(self) -> bool:
@@ -174,10 +175,6 @@ class IdentityReport:
         k, v = self.first_defect
         return (f"{self.name} (d={self.dimension}): FAILS, first nonzero "
                 f"coefficient {v} at z^{k}")
-
-
-def _report(name: str, d: int, residual: RationalSeries) -> IdentityReport:
-    return IdentityReport(name, d, residual.order, residual)
 
 
 def gf_tables(d: int, n_max: int) -> dict[str, SequenceTable]:
@@ -203,14 +200,8 @@ def verify_gf_relations(d: int, n_max: int,
     """
     if tables is None:
         tables = gf_tables(d, n_max)
-    G = series_from_sequence(tables["p"], n_max)
-    Gt = series_from_sequence(tables["p_tilde"], n_max)
-    Q = series_from_sequence(tables["q"], n_max)
-    Qt = series_from_sequence(tables["q_tilde"], n_max)
-    R = series_from_sequence(tables["r"], n_max)
-    Rt = series_from_sequence(tables["r_tilde"], n_max)
-    S = series_from_sequence(tables["s"], n_max)
-    St = series_from_sequence(tables["s_tilde"], n_max)
+    names = ("p", "p_tilde", "q", "q_tilde", "r", "r_tilde", "s", "s_tilde")
+    G, Gt, Q, Qt, R, Rt, S, St = (series_from_sequence(tables[k], n_max) for k in names)
 
     z = RationalSeries((0, 1), n_max)
     half = Fraction(1, 2)
@@ -229,7 +220,7 @@ def verify_gf_relations(d: int, n_max: int,
         ("skeleton-srw", 2 * d * Q - R.shift(2)),
         ("sphere-renewal-srw", R - 1 - R * S),
     ]
-    return [_report(name, d, res) for name, res in checks]
+    return [IdentityReport(name, d, res) for name, res in checks]
 
 
 def verify_closed_form_d1(n_max: int = 64) -> list[IdentityReport]:
@@ -245,8 +236,8 @@ def verify_closed_form_d1(n_max: int = 64) -> list[IdentityReport]:
     direct = G - RationalSeries(tuple(closed), n_max)
     z2 = RationalSeries((0, 0, 1), n_max)
     algebraic = (1 - z2) * G * G - 1
-    return [_report("central-binomial-d1", 1, direct),
-            _report("closed-form-square-d1", 1, algebraic)]
+    return [IdentityReport("central-binomial-d1", 1, direct),
+            IdentityReport("closed-form-square-d1", 1, algebraic)]
 
 
 def verify_potlach_relation(d: int, n_max: int = 48) -> IdentityReport:
@@ -260,4 +251,4 @@ def verify_potlach_relation(d: int, n_max: int = 48) -> IdentityReport:
     Gt = series_from_sequence(return_sequence(coup, n_max), n_max)
     z = RationalSeries((0, 1), n_max)
     res = Gt * (1 - (1 - z) * (1 - z) * G) - 2 * z * G
-    return _report(f"potlach-coupling-d{d}", d, res)
+    return IdentityReport(f"potlach-coupling-d{d}", d, res)

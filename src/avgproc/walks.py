@@ -6,9 +6,9 @@ process and served as a prefix to shorter requests (``_sequence``). Every start
 distribution used here is invariant under sign flips and permutations of the
 coordinates; the rows must be invariant under sign flips, and when they are
 also invariant under permutations the cells are x_1 >= ... >= x_d >= 0,
-otherwise |x| (``_sorts_coordinates``). Values are integer numerators scaled
-by ``kernel.scale`` per step; the kernel is built with its rows as integers
-over that scale (``TransitionKernel.int_row``), and both routes read them. A
+otherwise |x| (``_sorts_coordinates``). Values stay integer numerators over
+scale^n (``SequenceTable``), the kernel's rows being integers over
+``kernel.scale`` (``TransitionKernel.int_row``), which both routes read. A
 step gathers each cell's bulk sources through one index array per bulk
 offset, adds up the gathers that share a coefficient and multiplies each sum
 once, so it costs one bigint multiply per distinct bulk coefficient and cell
@@ -68,40 +68,43 @@ class SequenceTooShortError(ValueError):
 
 @dataclass
 class SequenceTable:
-    """Entries of one of the walk sequences, indexed from ``first_index``.
-
-    Exact tables hold Fractions; float tables hold doubles, each within
-    ``error_bound`` of the exact value. ``rate`` is the uniformization rate of
-    the kernel the table counts steps of; ``poissonized_return`` reads it.
-    """
+    """Entries num[n - first_index] / den of one walk sequence. Exact tables hold
+    ints over den = (1 for p and q, 2d for r and s) scale^n_max, read as Fractions
+    (indexing, ``csv_rows``) or doubles (``floats``); float tables hold doubles over
+    den = 1, each within ``error_bound`` of the exact value. ``poissonized_return``
+    reads ``rate``, the uniformization rate of the kernel the table counts steps of."""
 
     name: str
     dimension: int
     first_index: int
-    entries: list
+    num: list
+    den: int
     exact: bool
     rate: Fraction
     error_bound: float = 0.0
 
     @property
     def last_index(self) -> int:
-        return self.first_index + len(self.entries) - 1
+        return self.first_index + len(self.num) - 1
 
     def __getitem__(self, n: int):
         if not self.first_index <= n <= self.last_index:
             raise IndexError(f"{self.name}_{n} not computed (have {self.first_index}..{self.last_index})")
-        return self.entries[n - self.first_index]
+        v = self.num[n - self.first_index]
+        return Fraction(v, self.den) if self.exact else v
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.num)
 
-    def floats(self) -> np.ndarray:
-        return np.array([float(v) for v in self.entries])
+    def floats(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """num[start:stop] / den as doubles, an int true division as in float(Fraction)."""
+        return np.array([v / self.den for v in self.num[start:stop]], dtype=float)
 
     def csv_rows(self) -> Iterable[tuple]:
-        for n, v in enumerate(self.entries, start=self.first_index):
+        for n, v in enumerate(self.num, start=self.first_index):
             if self.exact:
-                yield (self.name, n, v.numerator, v.denominator, float(v))
+                f = Fraction(v, self.den)
+                yield (self.name, n, f.numerator, f.denominator, v / self.den)
             else:
                 yield (self.name, n, "", "", repr(v))
 
@@ -207,8 +210,8 @@ class _Cone:
         return self.table[tuple(np.moveaxis(c, -1, 0))]
 
 
-#: exact entries by (``TransitionKernel.row_key``, table letter), from the longest pass so far
-_EXACT_TABLES: dict[tuple, list] = {}
+#: ``_exact_pass``'s numerators by (``TransitionKernel.row_key``, table letter), longest so far
+_EXACT_TABLES: dict[tuple, list[int]] = {}
 
 
 def _sequence(kernel: TransitionKernel, n_max: int, mode: str, table: str) -> SequenceTable:
@@ -219,12 +222,12 @@ def _sequence(kernel: TransitionKernel, n_max: int, mode: str, table: str) -> Se
     s record the sphere, and s kills it.
 
     Each exact table is computed once per process: ``_EXACT_TABLES`` keeps the
-    entries of the longest pass so far under the kernel's integer rows and the
-    table letter. A request up to that length is served as a prefix, which by
-    the light-cone argument of ``_exact_pass`` equals a fresh pass's entries; a
-    longer one runs a fresh pass and replaces them. A pass that raises stores
-    nothing. Each returned table has its own entries list and the caller's
-    ``kernel.rate``. The tables p, q, r and s stay independent passes.
+    numerators of the longest pass so far under the kernel's integer rows and the
+    table letter. A request up to that length is served as a prefix, step k's
+    raised by scale^(n_max - k), which by the light-cone argument of ``_exact_pass``
+    equals a fresh pass; a longer one runs a fresh pass and replaces them. A pass
+    that raises stores nothing. Each returned table has its own ``num`` list and
+    the caller's ``kernel.rate``. The tables p, q, r and s stay independent passes.
     """
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
@@ -236,11 +239,15 @@ def _sequence(kernel: TransitionKernel, n_max: int, mode: str, table: str) -> Se
     stored = _EXACT_TABLES.get((kernel.row_key, table))
     if stored is None or len(stored) < size:
         stored = _EXACT_TABLES[kernel.row_key, table] = _exact_pass(kernel, n_max, table)
-    return SequenceTable(name, kernel.dimension, first, stored[:size], True, kernel.rate)
+    top, scale = max(n_max, 0), kernel.scale  # the table's last index, if it has one
+    num = [v * scale ** (top - n) for n, v in enumerate(stored[:size], start=first)]
+    den = (1 if table in "pq" else 2 * kernel.dimension) * scale ** top
+    return SequenceTable(name, kernel.dimension, first, num, den, True, kernel.rate)
 
 
-def _exact_pass(kernel: TransitionKernel, n_max: int, table: str) -> list[Fraction]:
-    """The entries of table p, q, r or s (``_sequence``) through step n_max, by one DP pass.
+def _exact_pass(kernel: TransitionKernel, n_max: int, table: str) -> list[int]:
+    """The numerators of table p, q, r or s (``_sequence``) through step n_max, by one
+    DP pass: step k's over (1 for p and q, 2d for r and s) times ``kernel.scale``^k.
 
     The pass stores one cell per orbit of the kernel's symmetry group
     (``_sorts_coordinates``, ``_Cone``): the value there is the value at
@@ -265,7 +272,7 @@ def _exact_pass(kernel: TransitionKernel, n_max: int, table: str) -> list[Fracti
     if _growth(kernel) > 1:  # the stored cone grows one cell per step
         raise ValueError(f"exact DP: bulk offset {max(kernel.bulk, key=_linf)} "
                          "is longer than one cell")
-    scale, bulk = kernel.scale, kernel.int_bulk
+    bulk = kernel.int_bulk
     sort = _sorts_coordinates(kernel)
     reach, w = _reach(kernel), int(table in "rs")
     far = max((_linf(tuple(a + b for a, b in zip(site, o)))
@@ -292,13 +299,12 @@ def _exact_pass(kernel: TransitionKernel, n_max: int, table: str) -> list[Fracti
                 pushes[src, tgt] = pushes.get((src, tgt), 0) + c
 
     # the origin is cell 0; the unit vectors' cells stand for all 2d sphere points
-    watch, mult, den = (([0], 1, 1) if table in "pq" else
-                        (cone.rank(np.eye(d, dtype=int)).tolist(), 2, 2 * d))
+    watch, mult = ([0], 1) if table in "pq" else (cone.rank(np.eye(d, dtype=int)).tolist(), 2)
     cur = np.zeros(cone.size[w] + 1, dtype=object)  # the last entry is the zero sentinel
     cur[watch] = 1
 
-    def value() -> Fraction:
-        return Fraction(mult * int(sum(cur[e] for e in watch)), den)
+    def value() -> int:
+        return mult * int(sum(cur[e] for e in watch))
 
     entries = [value()] if table in "pr" else []
     for k in range(1, n_max + 1):
@@ -314,7 +320,7 @@ def _exact_pass(kernel: TransitionKernel, n_max: int, table: str) -> list[Fracti
         for (src, tgt), c in pushes.items():
             if tgt < n and src < len(cur) and cur[src]:
                 nxt[tgt] += cur[src] * c
-        cur, den = nxt, den * scale
+        cur = nxt
         if table == "q":
             entries.append(value())
         if table != "p":
@@ -538,9 +544,9 @@ def _srw_closed_form(d: int, n_max: int) -> _Series:
     its error eta stays a few ulp. Only t and eta are loops; the coefficients,
     P_m = cumprod(t) and 1 + rho, a product, are vectors. d >= 4: p_2m =
     (2m)!/(2d)^{2m} sum over k_1+...+k_d=m of prod (k_i!)^-2, a log-space
-    convolution, bound inf. The bound's last two steps, rel / (1 - rel) at d=3
-    and err = rel x P^_m, round up (``_round_up``, the divisor rounded down), so
-    each err bounds what its argument proves.
+    convolution, bound inf. The d=3 loop for eta runs on raised coefficients, and
+    rel / (1 - rel) at d=3 and err = rel x P^_m round up (``_round_up``, the divisor
+    rounded down), so each err bounds what its argument proves.
     """
     stored = _SRW_FORMS.get(d)
     if stored is not None and len(stored.c) > n_max:
@@ -567,7 +573,10 @@ def _srw_closed_form(d: int, n_max: int) -> _Series:
             ts.append(t)
         ts = np.array(ts)
         prev, t = ts[:-1], ts[1:]
-        first, bc = g6 * (a + b / prev) / c, b / c
+        # eta_k = f_k + bc_k eta_(k-1) / (t (t - eta_(k-1))) rises in f, bc and eta. Rounded to
+        # nearest, first keeps (1-u)^6 of itself, bc (1-u)^2, a loop step (1-u) of first and
+        # (1-u)^5 of its quotient: raised by 1 + 8u >= (1-u)^-7, each e_k >= eta_k by induction
+        first, bc = (1 + 8 * _U) * g6 * (a + b / prev) / c, (1 + 8 * _U) * (b / c)
         e, eta = 0.0, []
         for fk, bk, tk in zip(first.data, bc.data, prev.data):
             e = fk + bk * e / (tk * (tk - e))
@@ -689,7 +698,7 @@ def _float_table(kernel: TransitionKernel, n_max: int, table: str, name: str) ->
         out = _Series(x, _residual_bound(out, div, x, y))
     out = _weighted((factor, lead), [out, basis[5]])
     first = 0 if table in "pr" else 1
-    return SequenceTable(name, d, first, out.c[first: n_max + 1].tolist(), False, kernel.rate,
+    return SequenceTable(name, d, first, out.c[first: n_max + 1].tolist(), 1, False, kernel.rate,
                          float(np.max(out.err[first: n_max + 1], initial=0.0)))
 
 
@@ -859,7 +868,7 @@ def poissonized_return(seq: SequenceTable, t: float, tol: float = 1e-12) -> Pois
     if tail > tol:
         raise SequenceTooShortError(seq.last_index, required_poisson_order(mu, tol), tail, t)
     lo, hi = _poisson_window(mu, seq.first_index, seq.last_index + 1)
-    entries = np.array(seq.entries[lo - seq.first_index: hi - seq.first_index], dtype=float)
+    entries = seq.floats(lo - seq.first_index, hi - seq.first_index)
     terms = _outward(_poisson_pmf(np.arange(lo, hi), mu) * entries)
     rounding = _gamma(len(seq) + 2) * math.fsum(map(abs, terms))
     return PoissonizedValue(math.fsum(terms), tail + seq.error_bound + rounding)

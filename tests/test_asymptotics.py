@@ -53,13 +53,6 @@ def test_alpha_enclosure_contains_reference():
     assert abs(est.value - ALPHA_3) <= est.error
 
 
-def test_alpha_accepts_precomputed_sequence():
-    seq = srw_return_sequence_float(3, 2000)
-    est = alpha_return_total(3, sequence=seq)
-    assert est.n_max == 2000
-    assert abs(est.value - ALPHA_3) <= est.error
-
-
 def test_oscillation_amplitude():
     assert oscillation_amplitude(ALPHA_3) == pytest.approx(
         1.0 / (4 * ALPHA_3 - 1) ** 2, rel=1e-14)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from avgproc.kernels import srw_kernel
+from avgproc.kernels import KERNELS, srw_kernel
 from avgproc.series import (
     DEFAULT_ORDERS,
     IdentityReport,
@@ -15,7 +15,13 @@ from avgproc.series import (
     verify_gf_relations,
     verify_potlach_relation,
 )
-from avgproc.walks import SequenceTable, return_sequence
+from avgproc.walks import (
+    SequenceTable,
+    first_return_sequence,
+    return_sequence,
+    sphere_first_return_sequence,
+    sphere_taboo_sequence,
+)
 
 F = Fraction
 
@@ -159,13 +165,29 @@ def test_series_from_sequence_layout(tables_d1):
     assert q.coeffs[0] == 0  # first_index = 1
     assert q.coeffs[1] == F(1, 2)
     assert q.order == 6 and len(q.coeffs) == 7
-    assert series_from_sequence(tables_d1["q_tilde"]).order == 32
+    assert series_from_sequence(tables_d1["q_tilde"], 32).order == 32
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_series_from_sequence_equals_the_fraction_route(name, d):
+    # the reference builds the series from each entry's Fraction, as a table
+    # of Fraction entries once did
+    kernel, n_max = KERNELS[name](d), 10 if d < 3 else 8
+    for fn in (return_sequence, first_return_sequence,
+               sphere_taboo_sequence, sphere_first_return_sequence):
+        t = fn(kernel, n_max)
+        for order in (0, 1, n_max // 2, n_max):
+            want = RationalSeries(tuple(t[n] if n >= t.first_index else 0
+                                        for n in range(order + 1)), order)
+            got = series_from_sequence(t, order)
+            assert (got.num, got.den, got.order) == (want.num, want.den, want.order)
 
 
 def test_series_from_sequence_errors():
     flo = return_sequence(srw_kernel(1), 8, mode="float")
     with pytest.raises(ValueError):
-        series_from_sequence(flo)
+        series_from_sequence(flo, 8)
     exact = return_sequence(srw_kernel(1), 8)
     with pytest.raises(ValueError):
         series_from_sequence(exact, 9)
@@ -206,10 +228,12 @@ def test_identity_suite_d2(tables_d2):
 def test_identity_suite_detects_corruption(tables_d1):
     bad = dict(tables_d1)
     src = bad["p_tilde"]
-    entries = list(src.entries)
-    entries[5] += F(1, 1000)
+    # p~_5 + 1/1000, injected into the numerators over the denominator 1000 den
+    num = [1000 * v for v in src.num]
+    num[5] += src.den
     bad["p_tilde"] = SequenceTable(src.name, src.dimension, src.first_index,
-                                   entries, src.exact, src.rate)
+                                   num, 1000 * src.den, src.exact, src.rate)
+    assert bad["p_tilde"][5] == src[5] + F(1, 1000)
     reports = {r.name: r for r in verify_gf_relations(1, 32, bad)}
     involved = {"gtilde-from-g": (6, F(1, 500)),
                 "renewal-perturbed": (5, F(1, 1000)),
@@ -242,7 +266,7 @@ def test_potlach_relation(d):
 
 
 def test_report_failure_summary():
-    bad = IdentityReport("demo", 1, 4, RationalSeries((0, 0, 0, F(1, 3)), 4))
-    assert not bad.ok
+    bad = IdentityReport("demo", 1, RationalSeries((0, 0, 0, F(1, 3)), 4))
+    assert not bad.ok and bad.order == 4
     assert bad.first_defect == (3, F(1, 3))
     assert "FAILS" in bad.summary() and "z^3" in bad.summary()

@@ -1,6 +1,7 @@
 import hashlib
 import math
 from dataclasses import replace
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context as DecimalContext, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaln, ive
 from scipy.stats import poisson
 
+from avgproc.asymptotics import asymptotics_check
 from avgproc.kernels import (
     KERNELS,
     TransitionKernel,
@@ -45,6 +47,11 @@ from avgproc.walks import (_EXACT_TABLES, _SPLIT, _U, _Series, _exact_pass, _fft
                            _residual_bound, _sorts_coordinates, _SRW_FORMS, _srw_closed_form)
 
 F = Fraction
+
+
+def values(table) -> list:
+    """A table's entries as it reads them out: Fractions if exact, else doubles."""
+    return [table[n] for n in range(table.first_index, table.last_index + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +140,10 @@ THREE_COEFF = TransitionKernel(
 )
 def test_sequences_match_reference_dp(kernel, n_max):
     p_ref, q_ref, r_ref, s_ref = reference_tables(kernel, n_max)
-    assert return_sequence(kernel, n_max).entries == p_ref
-    assert first_return_sequence(kernel, n_max).entries == q_ref
-    assert sphere_taboo_sequence(kernel, n_max).entries == r_ref
-    assert sphere_first_return_sequence(kernel, n_max).entries == s_ref
+    assert values(return_sequence(kernel, n_max)) == p_ref
+    assert values(first_return_sequence(kernel, n_max)) == q_ref
+    assert values(sphere_taboo_sequence(kernel, n_max)) == r_ref
+    assert values(sphere_first_return_sequence(kernel, n_max)) == s_ref
 
 
 def test_reach_comes_from_the_rows():
@@ -176,7 +183,7 @@ def test_exact_d3_tables_pinned():
     tables = [fn(kernel(3), 48) for kernel in (srw_kernel, avg_difference_kernel)
               for fn in (return_sequence, first_return_sequence,
                          sphere_taboo_sequence, sphere_first_return_sequence)]
-    text = repr([(t.name, t.first_index, [(v.numerator, v.denominator) for v in t.entries])
+    text = repr([(t.name, t.first_index, [(v.numerator, v.denominator) for v in values(t)])
                  for t in tables])
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "8ae1dc4d166299bf"
 
@@ -198,15 +205,49 @@ def test_stored_tables_equal_fresh_passes(make, d, short, long):
         assert fn(kernel, short) == fresh[short]  # stores the short table
         assert fn(kernel, long) == fresh[long]  # an extension: a fresh pass replaces it
         assert _EXACT_TABLES[kernel.row_key, letter] == _exact_pass(kernel, long, letter)
-        assert fn(kernel, short) == fresh[short]  # prefix hits
-        assert fn(kernel, 0) == fresh[0] and len(fresh[0]) == int(letter in "pr")
+        for n in (short, 0):  # prefix hits, rescaled onto their own denominator
+            served = fn(kernel, n)
+            assert (served.num, served.den) == (fresh[n].num, fresh[n].den)
+            assert served == fresh[n] and served.den < fresh[long].den
+        assert len(fresh[0]) == int(letter in "pr")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_exact_tables_hold_ints_over_one_denominator(name, d):
+    kernel = KERNELS[name](d)
+    for (letter, fn), n_max in product(TABLE_FNS.items(), (0, 1, 6)):
+        t = fn(kernel, n_max)
+        assert all(type(v) is int for v in t.num)
+        assert t.den == (1 if letter in "pq" else 2 * d) * kernel.scale ** n_max
+        for n in range(t.first_index, t.last_index + 1):
+            assert t[n] == Fraction(t.num[n - t.first_index], t.den)
+
+
+# numerators and denominator both past 2^1024, where float(numerator) overflows
+PAST_DOUBLES = [(avg_difference_kernel(1), 400, 100.0), (potlach_kernels(3)[1], 200, 40.0)]
+
+
+@pytest.mark.parametrize("kernel,n_max,t", PAST_DOUBLES, ids=["avg-diff-d1-400", "potlach-coup-d3-200"])
+def test_exact_reads_past_the_double_range_equal_the_fraction_route(kernel, n_max, t):
+    seq = return_sequence(kernel, n_max)
+    assert min(seq.den, max(seq.num)) > 2 ** 1024
+    fractions = values(seq)
+    ref = [float(v) for v in fractions]
+    assert seq.floats().tobytes() == np.array(ref).tobytes()
+    assert seq.floats(3, 9).tobytes() == np.array(ref[3:9]).tobytes()
+    assert list(seq.csv_rows()) == [(seq.name, n, v.numerator, v.denominator, f)
+                                    for n, (v, f) in enumerate(zip(fractions, ref))]
+    as_floats = SequenceTable(seq.name, seq.dimension, seq.first_index, ref, 1, False, seq.rate)
+    assert asymptotics_check(seq) == asymptotics_check(as_floats)
+    assert poissonized_return(seq, t) == poissonized_return(as_floats, t)
 
 
 def test_stored_table_is_not_the_returned_list():
     kernel = avg_difference_kernel(2)
     first = first_passage_sequences(kernel, 8).r
-    first.entries[3] = F(7)
-    first.entries.append(F(0))
+    first.num[3] = 7
+    first.num.append(0)
     assert first_passage_sequences(kernel, 8).r == sphere_taboo_sequence(kernel, 8)
     assert _EXACT_TABLES[kernel.row_key, "r"] == _exact_pass(kernel, 8, "r")
 
@@ -216,7 +257,7 @@ def test_equal_rows_share_a_table_but_keep_their_rate():
     srw, ind = srw_kernel(2), potlach_kernels(2)[0]
     assert srw.row_key == ind.row_key and srw.rate != ind.rate
     a, b = return_sequence(srw, 10), return_sequence(ind, 6)
-    assert len(_EXACT_TABLES) == 1 and b.entries == a.entries[:7]
+    assert len(_EXACT_TABLES) == 1 and values(b) == values(a)[:7]
     assert (a.rate, b.rate) == (srw.rate, ind.rate) == (F(1), F(2))
     assert return_sequence(srw, 6).rate == F(1)
 
@@ -235,7 +276,7 @@ def test_srw_d1_is_central_binomial():
 
 def test_perturbed_return_d1_frozen():
     seq = return_sequence(avg_difference_kernel(1), 4)
-    assert seq.entries == [F(1), F(1, 2), F(3, 8), F(9, 32), F(31, 128)]
+    assert values(seq) == [F(1), F(1, 2), F(3, 8), F(9, 32), F(31, 128)]
     assert seq.name == "p_tilde"
     assert seq.exact
 
@@ -250,21 +291,21 @@ def test_perturbed_return_small_n(d, p2):
 def test_perturbed_first_return_d1_frozen():
     q = first_return_sequence(avg_difference_kernel(1), 3)
     assert q.first_index == 1
-    assert q.entries == [F(1, 2), F(1, 8), F(1, 32)]
+    assert values(q) == [F(1, 2), F(1, 8), F(1, 32)]
 
 
 def test_sphere_sequences_d1_frozen():
     kernel = avg_difference_kernel(1)
     r = sphere_taboo_sequence(kernel, 2)
     s = sphere_first_return_sequence(kernel, 2)
-    assert r.entries[:2] == [F(1), F(1, 4)]
-    assert s.entries == [F(1, 4), F(1, 4)]
+    assert values(r)[:2] == [F(1), F(1, 4)]
+    assert values(s) == [F(1, 4), F(1, 4)]
 
 
 def test_potlach_coupled_return_frozen():
     _, coup = potlach_kernels(1)
     seq = return_sequence(coup, 4)
-    assert seq.entries == [F(1), F(3, 4), F(9, 16), F(31, 64), F(105, 256)]
+    assert values(seq) == [F(1), F(3, 4), F(9, 16), F(31, 64), F(105, 256)]
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +399,7 @@ def test_float_route_within_error_bound(d, kernel, table, n):
     fl = TABLE_FNS[table](KERNEL_BUILDERS[kernel](d), n, mode="float")
     ex = exact_table(kernel, d, table)
     assert (fl.name, fl.first_index, fl.last_index) == (ex.name, ex.first_index, n)
-    worst = max((abs(F(v) - ex[i]) for i, v in enumerate(fl.entries, fl.first_index)),
+    worst = max((abs(F(v) - ex[i]) for i, v in enumerate(fl.num, fl.first_index)),
                 default=0)
     assert worst <= fl.error_bound <= 1e-12
 
@@ -471,7 +512,7 @@ def test_fft_bound_never_above_direct_sums(kernel, d, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr("avgproc.walks._residual_bound", _direct_residual_bound)
             ref = TABLE_FNS[table](KERNEL_BUILDERS[kernel](d), n, mode="float")
-        assert fl.entries == ref.entries
+        assert fl.num == ref.num
         if n + 1 <= _SPLIT:
             assert fl.error_bound == ref.error_bound
         else:
@@ -514,7 +555,7 @@ def _worst_error(entries, reference) -> Fraction:
 def test_float_route_matches_mpmath_long_division():
     n = 2000
     fl = return_sequence(avg_difference_kernel(1), n, mode="float")
-    worst = _worst_error(fl.entries, _mpmath_avg_diff(1, n)[2])
+    worst = _worst_error(fl.num, _mpmath_avg_diff(1, n)[2])
     assert 0 < fl.error_bound < 1e-10
     assert worst <= fl.error_bound
 
@@ -523,7 +564,7 @@ def test_float_route_matches_mpmath_long_division():
 def test_float_route_matches_mpmath_long_division_past_the_split(d):
     # n = 600 > 512: the inverse and the quotient are FFT products
     fl = return_sequence(avg_difference_kernel(d), 600, mode="float")
-    worst = _worst_error(fl.entries, _mpmath_avg_diff(d, 600)[2])
+    worst = _worst_error(fl.num, _mpmath_avg_diff(d, 600)[2])
     assert 0 < fl.error_bound < 1e-12
     assert worst <= fl.error_bound
 
@@ -531,7 +572,7 @@ def test_float_route_matches_mpmath_long_division_past_the_split(d):
 @pytest.mark.parametrize("n", [511, 512, 513, 1024, 1025, 1023, 1535, 2000])
 def test_division_bound_holds_at_the_split(n):
     fl = return_sequence(avg_difference_kernel(1), n, mode="float")
-    assert _worst_error(fl.entries, _mpmath_avg_diff(1, 2000)[2]) <= fl.error_bound < 1e-10
+    assert _worst_error(fl.num, _mpmath_avg_diff(1, 2000)[2]) <= fl.error_bound < 1e-10
 
 
 @pytest.mark.parametrize("k", [0, 1, 300, 600])
@@ -592,19 +633,22 @@ def test_srw_closed_form_entries_within_their_rounded_up_bounds(d):
     assert np.all(s.err[1::2] == 0.0)
 
 
-def _srw_d3_sequential(n_max: int) -> _Series:
+def _srw_d3_sequential(n_max: int, raise_by: float = 1 + 8 * _U) -> tuple[_Series, list]:
     """The d=3 closed form as one sequential loop over m, the reference for
-    ``_srw_closed_form``'s vectorised form."""
+    ``_srw_closed_form``'s vectorised form, and the loop's bounds eta_1, eta_2, ...
+    ``raise_by`` multiplies the loop's coefficients first and b / c."""
     m_max = n_max // 2
     g6 = _gamma(6)
-    big, rel = np.ones(m_max + 1), np.zeros(m_max + 1)
+    big, rel, etas = np.ones(m_max + 1), np.zeros(m_max + 1), []
     t, eta, rho, prod = 1.0, 0.0, 0.0, 1.0
     for m in range(1, m_max + 1):
         a = float(2 * (2 * m - 1) * (10 * m * m - 10 * m + 3))
         b = float((m - 1) * (2 * m - 1) * (2 * m - 3))
         c = float(36 * m ** 3)
         w = b / t
-        t, eta = (a - w) / c, g6 * (a + w) / c + (b / c) * eta / (t * (t - eta))
+        t, eta = ((a - w) / c,
+                  raise_by * g6 * (a + w) / c + (raise_by * (b / c)) * eta / (t * (t - eta)))
+        etas.append(eta)
         prod *= t
         big[m] = prod
         rho = (1.0 + rho) * (1.0 + eta / (t - eta)) * (1.0 + 8 * _U) - 1.0
@@ -613,17 +657,48 @@ def _srw_d3_sequential(n_max: int) -> _Series:
     p, err = np.zeros(n_max + 1), np.zeros(n_max + 1)
     p[::2] = big
     err[::2] = [math.nextafter(r * b, math.inf) if r * b > 0 else 0.0 for r, b in zip(rel, big)]
-    return _Series(p, err)
+    return _Series(p, err), etas
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 50, 401, 20002])
 def test_srw_closed_form_d3_equals_the_sequential_loop(n_max):
-    got, want = _srw_closed_form(3, n_max), _srw_d3_sequential(n_max)
+    got, (want, _) = _srw_closed_form(3, n_max), _srw_d3_sequential(n_max)
     assert got.c.tobytes() == want.c.tobytes() and got.err.tobytes() == want.err.tobytes()
+
+
+def _eta_bounds_from_above(m_max: int) -> list[Decimal]:
+    """Upper bounds, at 60 digits, on eta_m = gamma_6 (a + b/t') / c + (b/c) eta_(m-1) /
+    (t' (t' - eta_(m-1))), t' = t_(m-1), in exact arithmetic on the loop's doubles
+    a, b, c and t: numerators rounded up, divisors down."""
+    up, down = (DecimalContext(prec=60, rounding=r) for r in (ROUND_CEILING, ROUND_FLOOR))
+    six_u = up.multiply(6, Decimal(_U))  # exact at 60 digits
+    g6 = up.divide(six_u, down.subtract(1, six_u))
+    t, eta, out = 1.0, Decimal(0), []
+    for m in range(1, m_max + 1):
+        a, b, c = (float(v) for v in (2 * (2 * m - 1) * (10 * m * m - 10 * m + 3),
+                                      (m - 1) * (2 * m - 1) * (2 * m - 3), 36 * m ** 3))
+        first = up.divide(up.multiply(g6, up.add(Decimal(a), up.divide(Decimal(b), Decimal(t)))),
+                          Decimal(c))
+        step = up.divide(up.multiply(up.divide(Decimal(b), Decimal(c)), eta),
+                         down.multiply(Decimal(t), down.subtract(Decimal(t), eta)))
+        t, eta = (a - b / t) / c, up.add(first, step)
+        out.append(eta)
+    return out
+
+
+def test_srw_d3_eta_loop_bounds_its_recurrence_from_above():
+    # rounded to nearest, the loop's eta fell below the recurrence it stands for at
+    # 2302 of these 10^4 steps; its coefficients raised by 1 + 8u, it stays above at all
+    exact = _eta_bounds_from_above(10_000)
+    raised, unraised = (_srw_d3_sequential(20_000, k)[1] for k in (1 + 8 * _U, 1.0))
+    assert all(Decimal(e) >= x for e, x in zip(raised, exact))
+    assert sum(Decimal(e) < x for e, x in zip(unraised, exact)) > 1000
 
 
 def test_srw_closed_form_d3_pinned():
     # the d=3 recurrence's values and bounds at the length alpha_return_total uses;
+    # raising the eta loop's coefficients by 1 + 8u moved neither (eta is within an
+    # ulp of 1e-15, so 1 + eta / (t - eta) rounds the same);
     # the bounds moved (the values did not) when rho's rounding factor 1 + u, which is
     # 1.0 in doubles, became 1 + 8u, and again, by an ulp or two, when the last two
     # bound steps came to round up (937afae39243dc0f before). The values' own digest
@@ -683,7 +758,7 @@ def test_float_mode_without_route_raises():
     for fn in (*TABLE_FNS.values(), first_passage_sequences):
         with pytest.raises(ValueError, match="mode='exact'"):
             fn(lazy, 4, mode="float")
-    assert return_sequence(lazy, 2).entries == [F(1), F(1, 2), F(3, 8)]
+    assert values(return_sequence(lazy, 2)) == [F(1), F(1, 2), F(3, 8)]
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +819,7 @@ def test_lumped_formula_is_exact(d):
     # SRW G: factor N - D (table - lead z) vanishes through z^n against the exact DP.
     # q and s have no z^0 entry; it is taken from factor N/D there
     n = LUMPED_ORDERS[d]
-    zg = (0, *return_sequence(srw_kernel(d), n + 2).entries)
+    zg = (0, *values(return_sequence(srw_kernel(d), n + 2)))
     basis = [RationalSeries(zg[j:], n) for j in (1, 2, 0, 3)] + [RationalSeries((1,), n)]
     zero = RationalSeries((0,), n)
     kernels = [KERNELS[name](d) for name in sorted(KERNELS)]
@@ -768,7 +843,7 @@ def test_srw_return_table_takes_no_division():
         num, den, _, _ = _lumped_formula(_lumped_steps(srw_kernel(d)), d, "p")
         assert (num, den) == ((1, 0, 0, 0, 0), (0, 0, 0, 0, 1))
         fl, closed = return_sequence(srw_kernel(d), 300, mode="float"), _srw_closed_form(d, 300)
-        assert (fl.entries, fl.error_bound) == (closed.c.tolist(), np.max(closed.err))
+        assert (fl.num, fl.den, fl.error_bound) == (closed.c.tolist(), 1, np.max(closed.err))
 
 
 @pytest.mark.parametrize("kernel", [REFLECT_TO_STAY, REFLECT_TO_ORIGIN], ids=lambda k: k.name)
@@ -777,7 +852,7 @@ def test_float_route_reads_a_lumped_kernel_off_its_rows(kernel):
     assert (steps == _lumped_steps(avg_difference_kernel(2))) == (kernel is REFLECT_TO_STAY)
     for fn in TABLE_FNS.values():
         fl, ex = fn(kernel, PROPERTY_N, mode="float"), fn(kernel, PROPERTY_N)
-        assert _worst_error(fl.entries, ex.entries) <= fl.error_bound <= 1e-12
+        assert _worst_error(fl.num, values(ex)) <= fl.error_bound <= 1e-12
 
 
 @pytest.mark.parametrize("kernel", [PERPENDICULAR_TO_2E, AXIS_ONE_REFLECT_TO_ORIGIN, LONG_JUMP],
@@ -788,7 +863,7 @@ def test_float_route_refuses_a_kernel_that_does_not_lump(kernel):
         with pytest.raises(NoSeriesRouteError, match="do not lump.*mode='exact'"):
             fn(kernel, 4, mode="float")
     # the exact DP still runs on it
-    assert return_sequence(kernel, 6).entries == reference_tables(kernel, 6)[0]
+    assert values(return_sequence(kernel, 6)) == reference_tables(kernel, 6)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -822,7 +897,7 @@ def test_sequence_table_csv_rows():
 
 
 def test_poissonized_constant_sequence():
-    ones = SequenceTable("ones", 1, 0, [1.0] * 201, exact=False, rate=F(1))
+    ones = SequenceTable("ones", 1, 0, [1.0] * 201, 1, exact=False, rate=F(1))
     out = poissonized_return(ones, 50.0)
     assert isinstance(out, PoissonizedValue)
     assert out.value == pytest.approx(1.0, abs=1e-11)
@@ -833,7 +908,7 @@ def test_poissonized_error_budget():
     seq = return_sequence(avg_difference_kernel(1), 400, mode="float")
     out = poissonized_return(seq, 100.0)
     weights = _poisson_pmf(np.arange(401), 100.0)
-    assert out.value == math.fsum(w * p for w, p in zip(weights, seq.entries))
+    assert out.value == math.fsum(w * p for w, p in zip(weights, seq.num))
     tail = _poisson_tail(400, 100.0)
     assert poisson.sf(400, 100.0) <= tail
     assert tail + seq.error_bound < out.error < tail + seq.error_bound + 1e-13
@@ -845,16 +920,16 @@ def _poissonized_in_index_order(seq, t):
     mu = float(seq.rate) * t
     tail = _poisson_tail(seq.last_index, mu)
     weights = _poisson_pmf(np.arange(seq.first_index, seq.last_index + 1), mu)
-    terms = [w * float(p) for w, p in zip(weights, seq.entries)]
+    terms = [w * float(p) for w, p in zip(weights, values(seq))]
     rounding = _gamma(len(terms) + 2) * math.fsum(map(abs, terms))
     return math.fsum(terms), tail + seq.error_bound + rounding
 
 
 def _with_a_negative_entry():
     seq = return_sequence(avg_difference_kernel(1), 600, mode="float")
-    entries = list(seq.entries)
-    entries[40] = -3 * entries[40]
-    return replace(seq, entries=entries)
+    num = list(seq.num)
+    num[40] = -3 * num[40]
+    return replace(seq, num=num)
 
 
 _ORACLE_TABLES = {
@@ -1067,7 +1142,7 @@ def test_heat_kernel_with_tol_below_double_resolution():
 
 def test_poissonized_empty_table_raises():
     with pytest.raises(SequenceTooShortError):
-        poissonized_return(SequenceTable("p", 1, 0, [], exact=False, rate=F(1)), 5.0)
+        poissonized_return(SequenceTable("p", 1, 0, [], 1, exact=False, rate=F(1)), 5.0)
 
 
 def test_heat_kernel_matches_bessel_d1():
