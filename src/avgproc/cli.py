@@ -26,7 +26,7 @@ import argparse
 import json
 import math
 import sys
-import traceback
+from functools import cache
 from typing import NamedTuple
 
 from . import __version__, acceptance, reporting
@@ -36,8 +36,9 @@ from .series import (DEFAULT_ORDERS, verify_closed_form_d1, verify_gf_relations,
                      verify_potlach_relation)
 from .simulate import DYNAMICS, WRAP_TOL, ExperimentConfig, simulate
 from .stats import TEST_FUNCTIONS, StatRecord, clt_statistic, simulation_records
-from .walks import (NoSeriesRouteError, first_return_sequence, potlach_contrast,
-                    return_sequence, sphere_first_return_sequence, sphere_taboo_sequence)
+from .walks import (ExactPassTooLargeError, NoSeriesRouteError, first_return_sequence,
+                    potlach_contrast, return_sequence, sphere_first_return_sequence,
+                    sphere_taboo_sequence)
 
 TABLES = {"p": return_sequence, "q": first_return_sequence,
           "r": sphere_taboo_sequence, "s": sphere_first_return_sequence}
@@ -177,6 +178,7 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
+@cache  # built once per process: parse_args leaves the parser as it found it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="avgproc",
@@ -421,10 +423,12 @@ def run(argv: list[str] | None = None) -> int:
             raise UsageError(f"{args.command} does not read the tolerances {unread}")
         opts = resolve_options(args)
         return COMMANDS[args.command](opts, tol)
-    except UsageError as exc:
+    except (UsageError, ExactPassTooLargeError) as exc:  # the latter: refused before it allocates
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # a fault in the program, not in its input: keep it apart from 1 and 2
+        import traceback  # 1-3 ms that only this path pays
+
         traceback.print_exc()
         print("internal error (exit 3)", file=sys.stderr)
         return 3

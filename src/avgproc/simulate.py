@@ -514,7 +514,8 @@ def _seed_words() -> type:
     """The ``ISeedSequence`` that hands a bit generator one precomputed
     ``generate_state(4, np.uint64)`` row. It is built on first use because
     ``numpy.random`` loads lazily, and loading it costs about 15 ms and 6 MB
-    that commands which never draw need not pay."""
+    that commands which never draw need not pay. 3.6 MB of that is OpenSSL's
+    libcrypto, which ``numpy.random`` reaches through ``secrets`` and ``hmac``."""
 
     class SeedWords(np.random.bit_generator.ISeedSequence):
         def __init__(self, state: np.ndarray):

@@ -55,6 +55,11 @@ class NoSeriesRouteError(ValueError):
     """A float table was asked for a kernel whose rows do not lump (``_lumped_steps``)."""
 
 
+class ExactPassTooLargeError(ValueError):
+    """An exact DP pass would build a cone of more than ``MAX_CONE_POINTS`` points
+    (``_check_cone_size``)."""
+
+
 class SequenceTooShortError(ValueError):
     """Poisson tail past the available entries exceeds the tolerance at time ``t``."""
 
@@ -183,6 +188,51 @@ def _sorts_coordinates(kernel: TransitionKernel) -> bool:
                for i in range(d - 1))
 
 
+#: the most points, (radius + 1)^d, the grid of an exact pass's ``_Cone`` may span.
+#: ``_Cone`` builds that whole grid, d int64 coordinates a point, and an index table
+#: of (radius + 2)^d, before it keeps one cell per orbit, so the request is refused
+#: before either exists. Measured (Python 3.11, 2 vCPUs): exact avg-diff p at d=3
+#: took 0.33 s and peaked at 39 MB at n=120 (61^3 points), 2.48 s and 79 MB at n=200
+#: (101^3), 8.27 s and 126 MB at n=254 (128^3 = 2^21, the largest d=3 p pass within
+#: the bound). The default ``asymptotics --mode exact --d 3`` (n=2000, 1001^3) would
+#: ask numpy for 22.4 GiB. At d=2 the bound allows radius 1447; d=2 p took 41 s and
+#: 156 MB at n=1200 (radius 600).
+MAX_CONE_POINTS = 2 ** 21
+
+
+def _radii(kernel: TransitionKernel, n_max: int, table: str) -> list[int]:
+    """The L-infinity radius ``_exact_pass`` keeps after each step k = 0..n_max."""
+    reach, w = _reach(kernel), int(table in "rs")
+    far = max((_linf(tuple(a + b for a, b in zip(site, o)))
+               for site, row in kernel.perturbation.items() for o in row), default=0)
+    radii = [w]
+    for k in range(1, n_max + 1):
+        radii.append(min(max(radii[-1] + 1, far), reach * (n_max - k) + w))
+    return radii
+
+
+def _cone_points(kernel: TransitionKernel, n_max: int, table: str) -> int:
+    """The points of the grid ``_Cone`` builds for the pass to n_max."""
+    return (max(_radii(kernel, n_max, table)) + 1) ** kernel.dimension
+
+
+def _check_cone_size(kernel: TransitionKernel, n_max: int, table: str) -> None:
+    """Raise ``ExactPassTooLargeError`` if the pass to n_max would build a grid of
+    more than ``MAX_CONE_POINTS`` points, naming the largest n_max at which every
+    table's pass fits: r and s keep the widest cone, and it grows with n_max."""
+    points = _cone_points(kernel, n_max, table)
+    if points <= MAX_CONE_POINTS:
+        return
+    lo, hi = -1, n_max  # the r pass fits at lo (or lo = -1) and not at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _cone_points(kernel, mid, "r") <= MAX_CONE_POINTS else (lo, mid)
+    raise ExactPassTooLargeError(
+        f"the exact {table} pass of kernel {kernel.name!r} at d={kernel.dimension} to "
+        f"n={n_max} would index {points:,} cone points, over MAX_CONE_POINTS = "
+        f"{MAX_CONE_POINTS:,}; the largest feasible step count is {lo}")
+
+
 class _Cone:
     """One cell per orbit, x_1 >= ... >= x_d >= 0 if ``sort`` else |x|, through
     L-infinity radius ``radius``, ordered by radius: ``size[r]`` cells lie
@@ -266,7 +316,8 @@ def _exact_pass(kernel: TransitionKernel, n_max: int, table: str) -> list[int]:
     step. It grows by one cell per step (``_growth``), and at least to the
     perturbed rows' targets. The recorded entries are sums of the same
     integer terms as without the cut, hence identical, and so are the first
-    entries of passes to different n_max.
+    entries of passes to different n_max. A pass whose cone would span more than
+    ``MAX_CONE_POINTS`` points is refused before the cone is built.
     """
     d = kernel.dimension
     if _growth(kernel) > 1:  # the stored cone grows one cell per step
@@ -274,12 +325,9 @@ def _exact_pass(kernel: TransitionKernel, n_max: int, table: str) -> list[int]:
                          "is longer than one cell")
     bulk = kernel.int_bulk
     sort = _sorts_coordinates(kernel)
-    reach, w = _reach(kernel), int(table in "rs")
-    far = max((_linf(tuple(a + b for a, b in zip(site, o)))
-               for site, row in kernel.perturbation.items() for o in row), default=0)
-    radii = [w]
-    for k in range(1, n_max + 1):
-        radii.append(min(max(radii[-1] + 1, far), reach * (n_max - k) + w))
+    w = int(table in "rs")
+    _check_cone_size(kernel, n_max, table)
+    radii = _radii(kernel, n_max, table)
     cone = _Cone(d, max(radii), sort)
 
     groups: dict[int, list] = {}

@@ -268,15 +268,80 @@ def test_internal_error_exits_3(error, monkeypatch, capsys):
     assert "internal error" in err
 
 
+def _fresh(code: str, *argv: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports the package from this tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, **kwargs)
+
+
 def test_import_does_not_load_scipy_stats():
     # scipy is a test dependency only: importing scipy.special alone took 0.28 s
     # of every command's start-up, and scipy.stats about a second
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     code = ("import avgproc.cli, avgproc.acceptance, sys; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code],
-                         env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert _fresh(code, check=True).stdout.strip() == "[]"
+
+
+def test_import_loads_no_openssl_or_lazy_module():
+    # hashlib maps OpenSSL's libcrypto (3.6 MB of RSS); traceback serves only exit 3;
+    # multiprocessing only runs that fork; numpy.random only commands that draw
+    code = ("import sys; import avgproc, avgproc.cli, avgproc.acceptance; print(sorted(m for m in "
+            "('_hashlib', 'hashlib', 'traceback', 'multiprocessing', 'numpy.random') "
+            "if m in sys.modules))")
+    assert _fresh(code, check=True).stdout.strip() == "[]"
+
+
+def test_walk_dp_writes_its_header_without_openssl():
+    code = ("import sys; from avgproc.cli import run; code = run(sys.argv[1:]); "
+            "print('_hashlib' in sys.modules); sys.exit(code)")
+    out = _fresh(code, "walk-dp", "--d", "1", "--kernel", "avg-diff", "--steps", "4",
+                 check=True).stdout.splitlines()
+    assert out[0].endswith(",config=b1cb881ab74e")  # README's example header
+    assert out[-1] == "False"
+
+
+@pytest.mark.parametrize("argv", [["asymptotics", "--mode", "exact", "--d", "3", "--kernel", "srw"],
+                                  ["walk-dp", "--d", "3", "--steps", "2000"]])
+def test_oversized_exact_pass_is_refused_before_it_allocates(argv):
+    # at --steps 2000 the d=3 pass would ask numpy for 22.4 GiB; under a 3 GiB cap on the
+    # address space of the child alone it must exit 2, naming its estimate and the limit
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+            "from avgproc.cli import run; sys.exit(run(sys.argv[1:]))")
+    res = _fresh(code, *argv, timeout=60)
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == "" and "Traceback" not in res.stderr
+    assert "1,003,003,001 cone points" in res.stderr
+    assert "the largest feasible step count is 253" in res.stderr
+
+
+REUSE_CALLS = [(["walk-dp", "--no-such-option"], 2), (["--version"], 0),
+               (["walk-dp", "--d", "2", "--steps", "6", "--tables", "p,s"], 0),
+               (["simulate", "--tol.c6-z", "2.5"], 2), (["walk-dp", "--steps", "2"], 3)]
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    # the parser is built once per process; each call must act as in a fresh interpreter
+    def broken(opts, tol):
+        raise ValueError("fault inside the command")
+
+    fresh = ("import sys; from avgproc import cli\n"
+             "def broken(opts, tol):\n    raise ValueError('fault inside the command')\n"
+             "if sys.argv[1] == 'broken':\n    cli.COMMANDS['walk-dp'] = broken\n"
+             "sys.exit(cli.run(sys.argv[2:]))")
+    for argv, code in REUSE_CALLS:
+        if code == 3:
+            monkeypatch.setitem(cli.COMMANDS, "walk-dp", broken)
+        assert run(argv) == code
+        here = capsys.readouterr()
+        there = _fresh(fresh, "broken" if code == 3 else "-", *argv)
+        assert (there.returncode, there.stdout) == (code, here.out)
+        if code == 3:  # the tracebacks' frames differ
+            assert all("Traceback" in err and "fault inside the command" in err
+                       for err in (here.err, there.stderr))
+        else:
+            assert there.stderr == here.err
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_threads_option_is_gone(tmp_path, capsys):

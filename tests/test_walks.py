@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaln, ive
 from scipy.stats import poisson
 
+from avgproc import walks
 from avgproc.asymptotics import asymptotics_check
 from avgproc.kernels import (
     KERNELS,
@@ -24,6 +25,7 @@ from avgproc.kernels import (
 from avgproc.lattice import Box, origin, unit_vectors
 from avgproc.series import RationalSeries
 from avgproc.walks import (
+    ExactPassTooLargeError,
     NoSeriesRouteError,
     PoissonizedValue,
     SequenceTable,
@@ -222,6 +224,33 @@ def test_exact_tables_hold_ints_over_one_denominator(name, d):
         assert t.den == (1 if letter in "pq" else 2 * d) * kernel.scale ** n_max
         for n in range(t.first_index, t.last_index + 1):
             assert t[n] == Fraction(t.num[n - t.first_index], t.den)
+
+
+def test_exact_pass_size_limit_at_d3():
+    # the largest feasible step count is the one at which all four tables' cones fit
+    srw = srw_kernel(3)
+    with pytest.raises(ExactPassTooLargeError,
+                       match="1,003,003,001 cone points.*the largest feasible step count is 253$"):
+        walks._check_cone_size(srw, 2000, "p")
+    assert all(walks._cone_points(srw, 253, t) <= walks.MAX_CONE_POINTS for t in "pqrs")
+    assert walks._cone_points(srw, 254, "r") > walks.MAX_CONE_POINTS
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_exact_pass_refused_before_its_cone(name, d, monkeypatch):
+    kernel = KERNELS[name](d)
+    monkeypatch.setattr(walks, "MAX_CONE_POINTS", 1000)
+    with monkeypatch.context() as m:
+        m.setattr(walks, "_Cone", None)  # a refused pass never builds its cone
+        with pytest.raises(ExactPassTooLargeError) as info:
+            return_sequence(kernel, 100)
+    feasible = int(str(info.value).rsplit(" ", 1)[1])  # the message ends with it
+    assert feasible > 0
+    for fn in TABLE_FNS.values():
+        assert fn(kernel, feasible).last_index == feasible
+    with pytest.raises(ExactPassTooLargeError):
+        sphere_taboo_sequence(kernel, feasible + 1)
 
 
 # numerators and denominator both past 2^1024, where float(numerator) overflows
