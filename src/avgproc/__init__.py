@@ -10,7 +10,6 @@ from .kernels import (
     srw_kernel,
 )
 from .walks import (
-    DistVector,
     FirstPassageTables,
     PoissonizedValue,
     SequenceTable,

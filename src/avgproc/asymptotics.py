@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .lattice import check_dimension
-from .walks import SequenceTable, srw_return_sequence_float
+from .walks import SequenceTable, _srw_closed_form
 
 
 def beta_constant(d: int) -> float:
@@ -53,12 +53,12 @@ def alpha_return_total(d: int, n_max: int = 20000) -> AlphaEstimate:
     """
     if d < 3:
         raise ValueError(f"sum_n p_n diverges for d={d}: the walk is recurrent")
-    values = srw_return_sequence_float(d, n_max).num  # doubles over den = 1
+    values = _srw_closed_form(d, n_max).c  # p_0..p_n_max
     partial = math.fsum(values)
 
     lo = max(2, n_max - n_max // 4)
     lo += lo % 2  # even n only
-    evens = values[lo::2]
+    evens = values[lo::2].tolist()  # Python floats, so AlphaEstimate holds no np.float64
     rescaled = [v * n ** (d / 2.0) for n, v in zip(range(lo, n_max + 1, 2), evens)]
     c_tail = 1.5 * max(rescaled)
     m = n_max // 2  # tail over even n > n_max: sum_{k > m} (2k)^{-d/2}

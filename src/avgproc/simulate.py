@@ -441,10 +441,10 @@ class SimulationResult:
 
     @cached_property
     def expected(self) -> np.ndarray:
-        """E eta_t = h_t(0, .) on the run's torus at ``WALK_RATE[dynamics]``,
-        flattened like one row of ``matrix``."""
+        """E eta_t = h_t(0, .) on the run's torus at ``WALK_RATE[dynamics]``, each entry
+        within 1e-12 (``heat_kernel``'s cosine sum), flattened like one row of ``matrix``."""
         cfg = self.config
-        return heat_kernel(cfg.dimension, cfg.t, cfg.box, dynamics=cfg.dynamics).data.reshape(-1)
+        return heat_kernel(cfg.dimension, cfg.t, cfg.box, dynamics=cfg.dynamics).reshape(-1)
 
     def conservation_defect(self) -> float:
         """max over trials of |total mass - 1|; exact: max |row sum - den| / den, on ints."""

@@ -27,9 +27,9 @@ nonnegative series are cyclic majorants (``_majorant``): proven for d <= 3 if
 numpy's FFT meets Percival's bound, inf for d >= 4. Every table carries its
 kernel's ``rate``, at which ``poissonized_return`` mixes it. ``heat_kernel``
 is a product of d one-axis cycle kernels, since a single dual walker's
-coordinates are independent, so the exact DP is the only d-dimensional
-stepper. Poisson weights equal ``scipy.stats.poisson.pmf``'s bit for bit
-(``_log_factorial``) and tails are a proven ratio bound (``_poisson_tail``),
+coordinates are independent, each a truncated cosine sum over the torus's
+dual-grid modes, so the exact DP is the only d-dimensional stepper. Poisson
+weights equal ``scipy.stats.poisson.pmf``'s bit for bit (``_log_factorial``) and tails are a proven ratio bound (``_poisson_tail``),
 so the package needs no scipy at run time.
 ``poissonized_return`` weighs only the k with log Pr(Po(mu) = k) >= -800
 (``_poisson_window``), largest term first: np.exp is 0.0 at the others.
@@ -42,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -118,20 +118,6 @@ class FirstPassageTables(NamedTuple):
     q: SequenceTable  # first return to the origin
     r: SequenceTable  # on the unit sphere at step n, origin avoided
     s: SequenceTable  # first return to the unit sphere, origin avoided
-
-
-@dataclass
-class DistVector:
-    """The heat kernel on a torus box, as ``heat_kernel`` returns it.
-
-    ``data`` is indexed by coordinates shifted by +L. ``tail_bound`` bounds
-    the mass the truncated mixture leaves out (``_poisson_tail``: proven for
-    exactly evaluated weights, which are evaluated to a measured 1.7e-11
-    relative up to mu = 4000, growing with mu: ``_poisson_pmf``).
-    """
-
-    data: np.ndarray
-    tail_bound: float = 0.0
 
 
 def float_window_radius(n: int, d: int) -> int:
@@ -938,36 +924,49 @@ def potlach_contrast(d: int, times: Iterable[float]
     return coupled, independent, ratios
 
 
-def heat_kernel(d: int, t: float, box: Box, start: Point | None = None,
-                tol: float = 1e-12, dynamics: str = "averaging") -> DistVector:
-    """Continuous-time SRW kernel h_t(start, .) on the box, the expected field
-    E eta_t of either dynamics started from a point mass at ``start``.
+def _cycle_weights(mu: float, side: int, tol: float) -> list[float]:
+    """w_j = exp(-2 mu sin^2(pi j / side)) for j < J, the least J <= side//2 + 1 whose
+    dropped tail 2 sum_{j >= J} w_j / side is at most tol: the w_j fall in j, so the
+    tail is summed from the last one up. ``math`` gives them, not numpy's SIMD loops."""
+    w = [math.exp(-2.0 * mu * math.sin(math.pi * j / side) ** 2) for j in range(side // 2 + 1)]
+    dropped = sum(2.0 * tail / side <= tol for tail in accumulate(reversed(w)))
+    return w[:max(1, len(w) - dropped)]
 
-    One dual walker jumps at lambda = ``WALK_RATE[dynamics]`` (1/2 for
+
+def heat_kernel(d: int, t: float, box: Box, start: Point | None = None,
+                tol: float = 1e-12, dynamics: str = "averaging") -> np.ndarray:
+    """Continuous-time SRW kernel h_t(start, .) on the box, indexed by coordinates
+    shifted by +L: the expected field E eta_t of either dynamics from a point mass
+    at ``start``. One dual walker jumps at lambda = ``WALK_RATE[dynamics]`` (1/2 for
     averaging, 1 for potlach) along a uniform one of the 2d directions, so its
-    coordinates are independent walks on the cycle of side 2L+1, each jumping
-    at rate lambda/d, and h_t is the product of d copies of one cycle kernel,
-    rolled to the start's coordinates. That kernel is the Poisson(lambda t/d)
-    mixture of the 1-d SRW powers (the point mass at t = 0), truncated at
-    ``required_poisson_order`` for tol/d; each axis then misses mass at most
-    the proven tail bound, so the product misses at most d times it, which is
-    reported in tail_bound. The weights are evaluated to a measured 1.7e-11
-    relative up to mu = 4000, growing to 1.1e-10 at 3e4 (``_poisson_pmf``).
+    coordinates are independent walks on the cycle of side N = 2L+1, each at
+    rate lambda/d, and h_t is the product of d copies of one cycle kernel rolled
+    to the start's coordinates: over the torus's dual-grid modes,
+    k(x) = (w_0 + 2 sum_{1 <= j < J} w_j cos(2 pi j x / N)) / N, mu = lambda t/d
+    (``_cycle_weights``). The dropped modes weigh at most tol/d, so each entry is
+    within about tol of h_t, up to rounding, and far entries can dip below 0 by
+    that much. Each mode sums to 0 over the cycle, so the mass is w_0 = 1 up to a
+    few ulps; t = 0 gives the exact point mass. The weights and the cosines, at
+    the reduced angles 2 pi (j x mod N) / N, come from ``math`` and the sum is
+    elementwise, so the bytes do not depend on numpy's SIMD dispatch.
     """
     start = origin(d) if start is None else start
     if not len(start) == d == box.dimension:
         raise ValueError("point dimension does not match box")
-    mu = WALK_RATE[dynamics] * t / d
-    n_max = required_poisson_order(mu, tol / d)
-    weights = _poisson_pmf(np.arange(n_max + 1), mu)
-    stencil = [(o, float(p)) for (o,), p in srw_kernel(1).bulk.items()]
-    cur = np.zeros(box.side)
-    cur[box.radius] = 1.0
-    axis = weights[0] * cur
-    for w in weights[1:]:
-        cur = sum(c * np.roll(cur, o) for o, c in stencil)
-        axis += w * cur
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be nonnegative and finite, got {t}")
+    mu, side = WALK_RATE[dynamics] * t / d, box.side
+    axis = np.zeros(side)
+    if mu == 0:
+        axis[box.radius] = 1.0
+    else:
+        w = _cycle_weights(mu, side, tol / d)
+        cosines = np.array([math.cos(2.0 * math.pi * m / side) for m in range(side)])
+        x = np.arange(-box.radius, box.radius + 1)
+        for j in range(len(w) - 1, 0, -1):  # the smallest weights first
+            axis += w[j] * cosines[j * x % side]
+        axis = (w[0] + 2.0 * axis) / side
     data = np.ones(())
     for c in box.wrap(start):
         data = np.multiply.outer(data, np.roll(axis, c))
-    return DistVector(data, tail_bound=d * _poisson_tail(n_max, mu))
+    return data

@@ -15,17 +15,21 @@ from avgproc.cli import run
 # their headers read seed= empty and hash a config without it; every other line is unchanged
 # the simulate records' two-norm targets come from tables sized by required_poisson_order
 # (simulate-*: 51, 35 and 79 steps, was 117, 101 and 147): each moved by at most 6.7e-14,
-# within its stated error of at least 4.2e-13, and the z-scores with them
+# within its stated error of at least 4.2e-13, and the z-scores with them.
+# h_t is the cycle kernels' truncated cosine sum, not the truncated Poisson mixture, which
+# was short of mass by up to 1.1e-12: in simulate-* only the centered-two-norm-sq and
+# centered-one-norm rows moved, their targets by at most 7.9e-14, values by at most
+# 1.4e-13, standard errors by at most 3.0e-14 and z by at most 4.9e-11
 CASES = {
     "simulate-float-d1": (["simulate", "--d", "1", "--t", "16", "--trials", "40",
-                           "--seed", "3", "--dump-field", "{field}"], "65ef8e0c83423303"),
+                           "--seed", "3", "--dump-field", "{field}"], "519d648456b5d8d7"),
     "simulate-exact-d1": (["simulate", "--mode", "exact", "--d", "1", "--t", "8",
-                           "--trials", "20", "--seed", "3"], "a4b6542783a287dd"),
+                           "--trials", "20", "--seed", "3"], "0919205805d38894"),
     # the potlach records carry exact targets and the averaging records' set: the
     # two-norm-sq value is unchanged, its target and z are filled in, and the
     # centered norms, the mean-field fraction and the summary's z and fraction join
     "simulate-potlach-d1": (["simulate", "--dynamics", "potlach", "--d", "1", "--t", "16",
-                             "--trials", "40", "--seed", "3"], "a1e8f08d6f6383f1"),
+                             "--trials", "40", "--seed", "3"], "1c413f422147cc6d"),
     "clt-d1": (["clt", "--d", "1", "--t", "16", "--trials", "20", "--seed", "3"],
                "c8a7191aa37e4163"),
     # the ratio tables end at the index required_poisson_order gives at t=200

@@ -1,16 +1,25 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context as DecimalContext, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaln, ive
 from scipy.stats import poisson
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
 
 from avgproc import walks
 from avgproc.asymptotics import asymptotics_check
@@ -24,6 +33,7 @@ from avgproc.kernels import (
 )
 from avgproc.lattice import Box, origin, unit_vectors
 from avgproc.series import RationalSeries
+from avgproc.simulate import ExperimentConfig
 from avgproc.walks import (
     ExactPassTooLargeError,
     NoSeriesRouteError,
@@ -41,8 +51,8 @@ from avgproc.walks import (
     sphere_taboo_sequence,
     srw_return_sequence_float,
 )
-from avgproc.walks import (_EXACT_TABLES, _SPLIT, _U, _Series, _exact_pass, _fft_error,
-                           _gamma, _inverse,
+from avgproc.walks import (_EXACT_TABLES, _SPLIT, _U, _Series, _cycle_weights, _exact_pass,
+                           _fft_error, _gamma, _inverse,
                            _log_factorial, _lumped_formula, _lumped_steps, _majorant, _mul,
                            _outward, _percival,
                            _poisson_pmf, _poisson_tail, _poisson_window, _reach,
@@ -1158,15 +1168,18 @@ def test_negative_time_is_rejected():
     for mu in (-1.0, math.nan):
         with pytest.raises(ValueError, match="mu nonnegative"):
             required_poisson_order(mu, 1e-12)
-    with pytest.raises(ValueError, match="mu nonnegative"):
-        heat_kernel(1, -1.0, Box(1, 5))
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t must be nonnegative and finite"):
+            heat_kernel(1, t, Box(1, 5))
 
 
 def test_heat_kernel_with_tol_below_double_resolution():
+    # the dropped tail is at least 2 w_40 / 81 = 1.1e-6 here, so every mode is kept:
+    # the kernel is the untruncated sum, as at tol = 0
+    assert len(_cycle_weights(5.0, 81, 1e-17)) == 41
     hk = heat_kernel(1, 10.0, Box(1, 40), tol=1e-17)
-    assert hk.tail_bound <= 1e-17
-    assert hk.tail_bound == _poisson_tail(required_poisson_order(5.0, 1e-17), 5.0)
-    assert np.sum(hk.data) == pytest.approx(1.0, abs=1e-14)
+    assert hk.tobytes() == heat_kernel(1, 10.0, Box(1, 40), tol=0.0).tobytes()
+    assert np.sum(hk) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_poissonized_empty_table_raises():
@@ -1179,16 +1192,16 @@ def test_heat_kernel_matches_bessel_d1():
     t = 7.5
     hk = heat_kernel(1, t, Box(1, 40))
     for x in range(-6, 7):
-        assert hk.data[x + 40] == pytest.approx(float(ive(abs(x), t / 2)), rel=1e-10)
-    assert hk.tail_bound <= 1e-12
-    assert np.sum(hk.data) == pytest.approx(1.0, abs=1e-11)
+        assert hk[x + 40] == pytest.approx(float(ive(abs(x), t / 2)), rel=1e-10)
 
 
 def test_heat_kernel_zero_time():
-    hk = heat_kernel(2, 0.0, Box(2, 3), start=(1, -1))
-    assert hk.data[1 + 3, -1 + 3] == 1.0
-    assert np.sum(hk.data) == 1.0
-    assert hk.tail_bound == 0.0 and required_poisson_order(0.0, 1e-12 / 2) == 0
+    # mu = 0 keeps every mode at weight 1, whose sum is the point mass only up to
+    # rounding: the point mass is returned directly
+    for box, start in ((Box(1, 5), (2,)), (Box(2, 3), (1, -1)), (Box(3, 2), (0, 2, -1))):
+        hk = heat_kernel(box.dimension, 0.0, box, start=start)
+        assert hk[tuple(c + box.radius for c in start)] == 1.0
+        assert np.count_nonzero(hk) == 1 and np.sum(hk) == 1.0
 
 
 def torus_walk(kernel, start, n, box):
@@ -1222,10 +1235,54 @@ def test_heat_kernel_is_the_poisson_mixture_of_torus_walks(d, t, radius, start):
     # stepped in exact arithmetic and wrapped on the torus (side 7 at d=3)
     box = Box(d, radius)
     hk = heat_kernel(d, t, box, start=start)
-    mu = t / (2 * d)
-    assert hk.tail_bound == d * _poisson_tail(required_poisson_order(mu, 1e-12 / d), mu) <= 1e-12
     n = required_poisson_order(t / 2, 1e-16)
     weights = _poisson_pmf(np.arange(n + 1), t / 2)
     mix = sum(w * p for w, p in zip(weights, torus_walk(srw_kernel(d), start, n, box)))
-    np.testing.assert_allclose(hk.data, mix, rtol=0, atol=hk.tail_bound + 1e-14)
-    assert 1.0 - hk.tail_bound - 1e-14 <= np.sum(hk.data) <= 1.0 + 1e-14
+    np.testing.assert_allclose(hk, mix, rtol=0, atol=1e-12 + 1e-14)
+
+
+@pytest.mark.parametrize("t", [4.0, 40.0, 400.0, 4000.0])
+def test_heat_kernel_within_tol_of_the_untruncated_sum(t):
+    # on Box(1, 200) the cosine sum keeps all 201 modes at t=4, 113 at t=40, 31 at t=400
+    # and 10 at t=4000; the untruncated sum is the inverse FFT of all 401 mode weights.
+    # Where h_t is below tol a truncated entry can dip below 0, by at most tol
+    # (measured: -3.1e-13 at t=40; -3.2e-17, rounding alone, at t=4)
+    box, tol = Box(1, 200), 1e-12
+    side, mu = box.side, t / 2
+    w = [math.exp(-2.0 * mu * math.sin(math.pi * j / side) ** 2) for j in range(side)]
+    untruncated = np.roll(np.fft.ifft(w).real, box.radius)
+    hk = heat_kernel(1, t, box, tol=tol)
+    np.testing.assert_allclose(hk, untruncated, rtol=0, atol=tol + 1e-15)
+    assert hk.min() >= -tol
+
+
+@pytest.mark.parametrize("d,t,dynamics", [(1, 16.0, "averaging"), (1, 64.0, "potlach"),
+                                          (1, 4000.0, "averaging"), (1, 0.01, "averaging"),
+                                          (2, 16.0, "averaging"), (2, 1.0, "potlach"),
+                                          (3, 4.0, "averaging"), (3, 16.0, "potlach")])
+def test_heat_kernel_mass_is_one(d, t, dynamics):
+    # every mode but w_0 = 1 sums to 0 over the cycle, so only rounding moves the mass:
+    # on the simulations' default boxes by at most 9.5 ulps of 1 (d=3, t=4)
+    box = ExperimentConfig(dimension=d, t=t, trials=2, dynamics=dynamics).box
+    mass = np.sum(heat_kernel(d, t, box, dynamics=dynamics))
+    assert abs(mass - 1.0) <= 16 * 2.0 ** -52
+
+
+@pytest.mark.skipif(not __cpu_features__.get("X86_V4"),
+                    reason="numpy has no AVX-512 loops to switch off on this CPU")
+def test_heat_kernel_bytes_do_not_depend_on_simd_dispatch():
+    # the weights and cosines come from math, and the sum is elementwise, so switching
+    # off numpy's AVX-512 loops changes no byte (the Poisson mixture's np.exp did)
+    code = ("import hashlib\n"
+            "from avgproc.lattice import Box\n"
+            "from avgproc.walks import heat_kernel\n"
+            "for d, t, r, dyn in [(1, 16.0, 23, 'potlach'), (1, 64.0, 44, 'potlach'),\n"
+            "                     (2, 16.0, 14, 'averaging'), (3, 4.0, 8, 'averaging'),\n"
+            "                     (1, 4000.0, 242, 'averaging')]:\n"
+            "    h = heat_kernel(d, t, Box(d, r), dynamics=dyn)\n"
+            "    print(hashlib.sha256(h.tobytes()).hexdigest())\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    runs = [subprocess.run([sys.executable, "-c", code], env=e, capture_output=True, text=True,
+                           check=True).stdout
+            for e in (env, dict(env, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"))]
+    assert runs[0] == runs[1] and len(runs[0].split()) == 5
